@@ -13,11 +13,11 @@ import (
 // renderCache is the pre-encoded response cache behind one hot endpoint.
 // Responses are rendered once per (epoch, slot) and then served as the same
 // cached []byte until the epoch key changes. The key is compared by value —
-// handlers pass the published pointers themselves (the *batchView, or a
-// struct of it and the *ingest.Snapshot) — so invalidation is pointer
-// identity, never a timer: the instant a new view or snapshot is published,
-// every request renders against it; until then every request is a cache hit
-// that serves immutable bytes with zero encoding work.
+// handlers pass the published pointers themselves (the *batchView and
+// *ingest.Snapshot pair, or the estimate version) — so invalidation is
+// pointer identity, never a timer: the instant a new view or snapshot is
+// published, every request renders against it; until then every request
+// is a cache hit that serves immutable bytes with zero encoding work.
 //
 // The cache itself is lock-free. Concurrent requests that race on a fresh
 // epoch may each render once (the last Store wins), which is benign:

@@ -24,7 +24,7 @@ func emptyBatchResult() *core.Result {
 // handler answered 400 "need spot=0..-1" — a hint no request can satisfy.
 // It must answer 503 "no spots detected" for every spot parameter.
 func TestForecastNoSpotsDetected(t *testing.T) {
-	fc, err := newForecastLearner("", emptyBatchResult(), obs.NewRegistry())
+	fc, err := newForecastLearner(emptyBatchResult(), obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

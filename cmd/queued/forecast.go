@@ -26,9 +26,9 @@ type forecastServer struct {
 	fc *forecast.Learner
 }
 
-// newForecastLearner opens (or recovers) the forecast learner for the
-// analyzed day's grid and spot set.
-func newForecastLearner(dir string, res *core.Result, reg *obs.Registry) (*forecast.Learner, error) {
+// newForecastLearner opens an empty forecast learner for the analyzed
+// day's grid and spot set.
+func newForecastLearner(res *core.Result, reg *obs.Registry) (*forecast.Learner, error) {
 	ths := make([]core.Thresholds, len(res.Spots))
 	for i := range res.Spots {
 		ths[i] = res.Spots[i].Thresholds
@@ -37,7 +37,6 @@ func newForecastLearner(dir string, res *core.Result, reg *obs.Registry) (*forec
 		Grid:       res.Config.Grid,
 		Spots:      len(res.Spots),
 		Thresholds: ths,
-		Dir:        dir,
 		Metrics:    reg,
 	})
 }

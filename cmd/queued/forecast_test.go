@@ -27,7 +27,7 @@ func testForecastServer(t *testing.T) (*server, *forecastServer) {
 		}
 	}
 	res.Spots[0].Features = feats
-	fc, err := newForecastLearner("", res, obs.NewRegistry())
+	fc, err := newForecastLearner(res, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,49 +5,15 @@ import (
 	"time"
 
 	"taxiqueue/internal/core"
-	"taxiqueue/internal/ingest"
-	"taxiqueue/internal/obs"
 	"taxiqueue/internal/stream"
 )
 
-// liveServer serves /spots, /context and /estimate from the live ingestion
-// service instead of the batch analysis: the nightly batch run still
-// supplies the spot positions and per-spot thresholds, but every context
-// comes from the records POSTed to /ingest, and a final cell is only
-// served once no shard can still change it.
-//
-// The read path is lock-free end to end: each request loads the published
-// *batchView and the aggregator's published *ingest.Snapshot, and the
-// response cache is keyed on that pointer pair — a new snapshot (one per
-// watermark advance) invalidates exactly the bodies it changed.
-type liveServer struct {
-	srv *server
-	svc *ingest.Service
-
-	spotsCache   *renderCache
-	liveCache    *renderCache // /spots?live=1: batch payload + discovered spots
-	contextCache *renderCache
-	estCache     *renderCache
-}
-
-// liveKey is the cache epoch for snapshot-backed endpoints: the pair of
-// published pointers a response was rendered from, compared by identity.
-type liveKey struct {
-	view *batchView
-	snap *ingest.Snapshot
-}
-
-// newLiveServer wires the live read path and its caches to reg.
-func newLiveServer(srv *server, svc *ingest.Service, reg *obs.Registry) *liveServer {
-	return &liveServer{
-		srv:          srv,
-		svc:          svc,
-		spotsCache:   newRenderCache(reg, "live_spots"),
-		liveCache:    newRenderCache(reg, "live_spots_discovered"),
-		contextCache: newRenderCache(reg, "live_context"),
-		estCache:     newRenderCache(reg, "estimate"),
-	}
-}
+// In live mode the nightly batch run still supplies the spot positions and
+// per-spot thresholds, but every context comes from the records POSTed to
+// /ingest: the server reads the ingest service's published snapshot, and a
+// final cell is only served once no shard can still change it. The /spots
+// and /context handlers are shared with batch mode (see registerServe);
+// this file holds what only live mode has.
 
 // liveStreamConfig derives the per-shard engine configuration from the
 // batch result, exactly like the deployed system hands the nightly spots
@@ -65,105 +31,6 @@ func liveStreamConfig(res *core.Result) stream.Config {
 	}
 }
 
-// snapLabel adapts a published snapshot to the view's label callback: a
-// slot still open (or never fed) reads as Unidentified.
-func snapLabel(snap *ingest.Snapshot) func(spot, slot int) core.QueueType {
-	return func(spot, slot int) core.QueueType {
-		if lb, ok := snap.Label(spot, slot); ok {
-			return lb
-		}
-		return core.Unidentified
-	}
-}
-
-// renderSpotsBody encodes one (view, snapshot, slot) /spots body. The
-// handler and the pre-warmer both render through this method, so a
-// pre-warmed cache entry is byte-identical to what the first request would
-// have produced.
-func (l *liveServer) renderSpotsBody(v *batchView, snap *ingest.Snapshot, bucket int) []byte {
-	return v.renderSpots(bucket, snapLabel(snap))
-}
-
-// renderLiveSpotsBody is renderSpotsBody plus the online-discovered spots
-// (the /spots?live=1 variant).
-func (l *liveServer) renderLiveSpotsBody(v *batchView, snap *ingest.Snapshot, bucket int) []byte {
-	out := v.spotsPayload(bucket, snapLabel(snap))
-	for _, ls := range snap.Live() {
-		sj := spotJSON{
-			Lat: ls.Spot.Pos.Lat, Lon: ls.Spot.Pos.Lon,
-			Zone: ls.Spot.Zone.String(), Pickups: ls.Spot.PickupCount,
-			// No batch thresholds exist for a spot discovered
-			// minutes ago, so no context is claimed for it yet.
-			Context: core.Unidentified.String(),
-			State:   ls.State.String(), Live: true,
-		}
-		if lm, d, ok := v.city.NearestLandmark(ls.Spot.Pos); ok && d < 50 {
-			sj.Landmark = lm.Name
-		}
-		out = append(out, sj)
-	}
-	return encodeJSON(out)
-}
-
-// handleSpots is the live-mode /spots: labels come from the published
-// ingest snapshot; a slot still open (or never fed) serves as
-// Unidentified. Bodies are cached per (view, snapshot, slot).
-//
-// With ?live=1 the body additionally carries the online-discovered queue
-// spots (Snapshot.Live) after the batch list, each flagged "live": true
-// with its lifecycle "state" — the view that sees a pop-up queue hours
-// before the next batch pass. Without the flag the body is byte-identical
-// to the plain live-mode /spots, discovered spots or not.
-func (l *liveServer) handleSpots(w http.ResponseWriter, r *http.Request) {
-	v, bucket, ok := l.srv.loadView(w, r)
-	if !ok {
-		return
-	}
-	snap := l.svc.Snapshot()
-	if r.URL.Query().Get("live") == "1" {
-		body := l.liveCache.get(liveKey{v, snap}, bucket, v.buckets(), func() []byte {
-			return l.renderLiveSpotsBody(v, snap, bucket)
-		})
-		writeJSON(w, body)
-		return
-	}
-	body := l.spotsCache.get(liveKey{v, snap}, bucket, v.buckets(), func() []byte {
-		return l.renderSpotsBody(v, snap, bucket)
-	})
-	writeJSON(w, body)
-}
-
-// handleContext is the live-mode /context: the snapshot's merged features
-// and labels for one slot, final only below the cross-shard watermark.
-func (l *liveServer) handleContext(w http.ResponseWriter, r *http.Request) {
-	v, bucket, ok := l.srv.loadView(w, r)
-	if !ok {
-		return
-	}
-	snap := l.svc.Snapshot()
-	body := l.contextCache.get(liveKey{v, snap}, bucket, v.buckets(), func() []byte {
-		return l.renderContextBody(v, snap, bucket)
-	})
-	writeJSON(w, body)
-}
-
-// renderContextBody encodes one (view, snapshot, slot) /context body —
-// shared by the handler and the pre-warmer (see renderSpotsBody).
-func (l *liveServer) renderContextBody(v *batchView, snap *ingest.Snapshot, bucket int) []byte {
-	out := make([]contextJSON, len(v.result.Spots))
-	for i := range out {
-		if bucket >= v.grid.Slots {
-			// Out-of-grid times never resolve to a cell, even when the
-			// live engine's grid extends past the batch day.
-			out[i] = cellJSON(i, core.Unidentified, core.SlotFeatures{}, false)
-			continue
-		}
-		feats, label, final := snap.Context(i, bucket)
-		out[i] = cellJSON(i, label, feats, final)
-	}
-	return encodeJSON(out)
-}
-
 // estimateJSON is the /estimate payload: best-effort contexts for the slot
 // the feed is currently inside, merged from every shard's provisional
 // accumulators (§8's early-estimate idea applied across shards). Live[i]
@@ -179,34 +46,18 @@ type estimateJSON struct {
 // handleEstimate serves the provisional estimate, cached by the estimate
 // version the shards bump as they export fresh accumulators. The version
 // is read before the merge, so a cached body is never newer than its key.
-func (l *liveServer) handleEstimate(w http.ResponseWriter, _ *http.Request) {
-	ver := l.svc.EstimateVersion()
-	body := l.estCache.get(ver, 0, 1, l.renderEstimateBody)
-	writeJSON(w, body)
-}
-
-// renderEstimateBody merges and encodes the current provisional estimate —
-// shared by the handler and the pre-warmer.
-func (l *liveServer) renderEstimateBody() []byte {
-	est := l.svc.Estimate()
-	out := estimateJSON{
-		Version: est.Version, AsOf: est.AsOf, Slot: est.Slot,
-		Contexts: make([]string, len(est.Labels)),
-		Live:     est.OK,
-	}
-	for i, lb := range est.Labels {
-		out.Contexts[i] = lb.String()
-	}
-	return encodeJSON(out)
-}
-
-// registerLive mounts the ingestion endpoints and swaps the read endpoints
-// to the live view. Call after the initial batch analysis.
-func registerLive(mux *http.ServeMux, l *liveServer) {
-	mux.HandleFunc("/spots", l.handleSpots)
-	mux.HandleFunc("/context", l.handleContext)
-	mux.HandleFunc("/estimate", l.handleEstimate)
-	mux.HandleFunc("/ingest", l.svc.HandleIngest)
-	mux.HandleFunc("/ingest/stats", l.svc.HandleStats)
-	mux.HandleFunc("/ingest/flush", l.svc.HandleFlush)
+func (s *server) handleEstimate(w http.ResponseWriter, _ *http.Request) {
+	ver := s.svc.EstimateVersion()
+	writeJSON(w, s.estCache.get(ver, 0, 1, func() []byte {
+		est := s.svc.Estimate()
+		out := estimateJSON{
+			Version: est.Version, AsOf: est.AsOf, Slot: est.Slot,
+			Contexts: make([]string, len(est.Labels)),
+			Live:     est.OK,
+		}
+		for i, lb := range est.Labels {
+			out.Contexts[i] = lb.String()
+		}
+		return encodeJSON(out)
+	}))
 }

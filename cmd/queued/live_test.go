@@ -56,9 +56,10 @@ func liveFixtureCfg(t *testing.T, mod func(*ingest.Config)) (*httptest.Server, *
 	}
 	srv := newServer(svc.Registry())
 	srv.view.Store(newBatchView(out.Config.City, res))
+	srv.svc = svc
 	mux := http.NewServeMux()
-	registerLive(mux, newLiveServer(srv, svc, svc.Registry()))
-	registerOps(mux, srv, svc, svc.Registry(), true)
+	registerServe(mux, srv)
+	registerOps(mux, srv, svc.Registry(), true)
 	ts := httptest.NewServer(mux)
 	return ts, srv, svc, out, []func(){ts.Close, func() { _ = svc.Close() }}
 }

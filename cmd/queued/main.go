@@ -5,8 +5,9 @@
 //	GET /                       web frontend (canvas map of spots + contexts)
 //	GET /spots                  all detected queue spots with current context
 //	GET /spots?at=RFC3339       contexts at a specific time
-//	GET /spots?live=1           live mode with -live-spots: also the spots
-//	                            discovered online (lifecycle "state" field)
+//	GET /spots?live=1           also the spots discovered online (lifecycle
+//	                            "state" field); live mode with -live-spots
+//	                            only, elsewhere the same body as /spots
 //	GET /context[?at=..]        per-spot context + §5.2 features for one slot
 //	GET /recommend?for=driver&lat=..&lon=..[&at=..]  ranked queue spots (§9),
 //	                            ETA-aware: scored by expected state at arrival
@@ -28,14 +29,15 @@
 //	                                     from block summaries without decoding
 //	GET /transitions?spot=N              day-over-day label transition matrix
 //
-// The read path is lock-free: the batch analysis and the live ingest
-// aggregator each publish an immutable view behind an atomic pointer, and
-// the hot endpoints serve pre-encoded bodies from a per-epoch cache (see
-// cache.go) — a request costs one pointer load and one cache lookup, and
-// invalidation is pointer identity, never a timer. In live mode a
-// pre-warmer (prewarm.go) re-renders the hot bodies on every watermark
-// advance and just before each slot rollover, so the first request after
-// an epoch change is already a cache hit.
+// Batch and live mode share one read path. Both tiers produce the same
+// (spot, slot) cell, published as an immutable *ingest.Snapshot behind an
+// atomic pointer: the batch day as one snapshot with every slot final,
+// the live ingest aggregator as a fresh snapshot per watermark advance.
+// The same /spots and /context handlers serve either; only the server's
+// wiring decides which snapshot they read. The hot endpoints serve
+// pre-encoded bodies from a per-epoch cache (see cache.go) — a request
+// costs one pointer load and one cache lookup, and invalidation is pointer
+// identity, never a timer.
 //
 // With -live the batch run only bootstraps the spot positions and
 // thresholds; contexts are then served from records POSTed to /ingest
@@ -91,36 +93,55 @@ type spotJSON struct {
 	Live     bool    `json:"live,omitempty"`  // true for online-discovered spots
 }
 
-// handleSpots serves the batch-mode /spots from the per-epoch cache: the
-// body for each slot is encoded once per published view and then served as
-// immutable bytes.
+// handleSpots serves /spots from the per-epoch cache: the body for each
+// slot is encoded once per published (view, snapshot) pair and then served
+// as immutable bytes. A slot the snapshot has not made final serves as
+// Unidentified.
+//
+// With ?live=1 the body additionally carries the online-discovered queue
+// spots (Snapshot.Live) after the batch list, each flagged "live": true
+// with its lifecycle "state" — the view that sees a pop-up queue hours
+// before the next batch pass. Where nothing discovers spots (batch mode,
+// or live mode without -live-spots) both bodies are byte-identical.
 func (s *server) handleSpots(w http.ResponseWriter, r *http.Request) {
-	v, bucket, ok := s.loadView(w, r)
+	v, snap, bucket, ok := s.load(w, r)
 	if !ok {
 		return
 	}
-	body := s.spotsCache.get(v, bucket, v.buckets(), func() []byte {
-		return v.renderSpots(bucket, func(spot, slot int) core.QueueType {
-			if labels := v.result.Spots[spot].Labels; slot < len(labels) {
-				return labels[slot]
-			}
-			return core.Unidentified
-		})
-	})
-	writeJSON(w, body)
+	c, live := s.spotsCache, r.URL.Query().Get("live") == "1"
+	if live {
+		c = s.liveCache
+	}
+	writeJSON(w, c.get(epoch{v, snap}, bucket, v.buckets(), func() []byte {
+		return v.spotsBody(snap, bucket, live)
+	}))
 }
 
 // handleContext serves the per-spot contexts and features of one slot,
-// cached per (view, slot).
+// cached per (view, snapshot, slot).
 func (s *server) handleContext(w http.ResponseWriter, r *http.Request) {
-	v, bucket, ok := s.loadView(w, r)
+	v, snap, bucket, ok := s.load(w, r)
 	if !ok {
 		return
 	}
-	body := s.contextCache.get(v, bucket, v.buckets(), func() []byte {
-		return v.renderContext(bucket)
-	})
-	writeJSON(w, body)
+	writeJSON(w, s.contextCache.get(epoch{v, snap}, bucket, v.buckets(), func() []byte {
+		return v.contextBody(snap, bucket)
+	}))
+}
+
+// registerServe mounts /spots and /context — the same handlers in batch
+// and live mode — plus, in live mode, /estimate and the ingestion
+// endpoints.
+func registerServe(mux *http.ServeMux, s *server) {
+	mux.HandleFunc("/spots", s.handleSpots)
+	mux.HandleFunc("/context", s.handleContext)
+	if s.svc == nil {
+		return
+	}
+	mux.HandleFunc("/estimate", s.handleEstimate)
+	mux.HandleFunc("/ingest", s.svc.HandleIngest)
+	mux.HandleFunc("/ingest/stats", s.svc.HandleStats)
+	mux.HandleFunc("/ingest/flush", s.svc.HandleFlush)
 }
 
 // parseCoord parses one coordinate query parameter, rejecting anything a
@@ -245,7 +266,6 @@ func main() {
 	syncEvery := flag.Int("sync-every", 0, "live mode: WAL group-commit batch in records, the crash-loss window (0 = default)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "live mode: WAL segment rotation size in bytes (0 = default 4MiB)")
 	histDir := flag.String("history", "", "directory for the columnar slot-context history store (enables /history, /heatmap, /transitions)")
-	fcDir := flag.String("forecast", "", "directory for forecast profile snapshots (empty = profiles learned in memory only)")
 	withPprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof")
 	flag.Parse()
 
@@ -268,16 +288,15 @@ func main() {
 			*histDir, st.Blocks, st.Records)
 	}
 
-	// The forecast learner always runs (memory-only without -forecast):
-	// /forecast and the ETA-aware /recommend ranking work in every mode.
-	fc, err := newForecastLearner(*fcDir, srv.result(), obs.Default)
+	// The forecast learner always runs: /forecast and the ETA-aware
+	// /recommend ranking work in every mode. Profiles are derived state,
+	// never persisted; they are rebuilt from every recorded day.
+	fc, err := newForecastLearner(srv.result(), obs.Default)
 	if err != nil {
 		log.Fatal(err)
 	}
 	srv.fc = fc
 	if hist != nil {
-		// Seed the profiles from every recorded day; the per-cell day
-		// watermarks make this idempotent over a recovered snapshot.
 		if err := fc.BackfillHistory(hist); err != nil {
 			log.Printf("queued: forecast backfill: %v", err)
 		}
@@ -286,7 +305,6 @@ func main() {
 		log.Printf("queued: forecast profiles ready (total weight ~%d)", st.WeightFloor)
 	}
 
-	var liveSrv *liveServer
 	if *live {
 		policy := ingest.Block
 		switch *bp {
@@ -325,23 +343,18 @@ func main() {
 		// Every watermark advance records the newly-final contexts into
 		// the history store (when enabled) AND folds them into the
 		// forecast profiles; the live feed replays one day, recorded as
-		// day 0. The pre-warmer rides the same tee — last, so the
-		// profiles and history it renders against are already updated —
-		// and re-renders the hot cache bodies before the first reader
-		// asks (see prewarm.go).
-		pw := newPrewarmer(fc, obs.Default)
+		// day 0.
 		sinks := []ingest.HistoryAppender{fc}
 		if hist != nil {
 			sinks = append(sinks, hist)
 		}
-		sinks = append(sinks, pw)
 		cfg.History = ingest.TeeHistory(sinks...)
 		svc, err := ingest.NewService(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		liveSrv = newLiveServer(srv, svc, obs.Default)
-		pw.attach(liveSrv)
+		// From here on /spots and /context read the live snapshots.
+		srv.svc = svc
 		// Live /recommend defaults `at` to the newest final slot — what
 		// the feed says now — never the batch day's noon.
 		grid := srv.result().Config.Grid
@@ -374,11 +387,10 @@ func main() {
 			}
 			os.Exit(0)
 		}()
-		go pw.run()
 		log.Printf("queued: live ingest on /ingest (%d shards, %s)", *shards, policy)
 	}
 
-	if liveSrv == nil {
+	if !*live {
 		// Batch mode: the analysis pass is the history and profile source.
 		// Day 0 is the initial run; each -refresh lap backfills the next
 		// day index.
@@ -429,12 +441,7 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", handleIndex)
-	if liveSrv != nil {
-		registerLive(mux, liveSrv)
-	} else {
-		mux.HandleFunc("/spots", srv.handleSpots)
-		mux.HandleFunc("/context", srv.handleContext)
-	}
+	registerServe(mux, srv)
 	if hist != nil {
 		registerHistory(mux, &historyServer{hist: hist})
 	}
@@ -442,11 +449,7 @@ func main() {
 	mux.HandleFunc("/recommend", srv.handleRecommend)
 	mux.Handle("/monitors", monSvc)
 	mux.Handle("/monitors/", monSvc)
-	var liveSvc *ingest.Service
-	if liveSrv != nil {
-		liveSvc = liveSrv.svc
-	}
-	registerOps(mux, srv, liveSvc, obs.Default, *withPprof)
+	registerOps(mux, srv, obs.Default, *withPprof)
 	log.Printf("queued: listening on %s", *addr)
 	log.Fatal(http.ListenAndServe(*addr, mux))
 }

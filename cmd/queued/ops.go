@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"taxiqueue/internal/ingest"
 	"taxiqueue/internal/obs"
 )
 
@@ -24,10 +23,10 @@ type healthJSON struct {
 //	                    WAL writable — 200 ok / 503 unready with a reason
 //	GET /debug/pprof/*  runtime profiling (opt-in via -pprof)
 //
-// svc is nil outside live mode; withPprof gates the profiler because it
-// exposes goroutine dumps and CPU profiles — cheap to serve but not
-// something an open dashboard port should offer by default.
-func registerOps(mux *http.ServeMux, srv *server, svc *ingest.Service, reg *obs.Registry, withPprof bool) {
+// The live checks apply only when srv.svc is set; withPprof gates the
+// profiler because it exposes goroutine dumps and CPU profiles — cheap to
+// serve but not something an open dashboard port should offer by default.
+func registerOps(mux *http.ServeMux, srv *server, reg *obs.Registry, withPprof bool) {
 	mux.Handle("/metrics", reg)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		out := healthJSON{Status: "ok"}
@@ -37,8 +36,8 @@ func registerOps(mux *http.ServeMux, srv *server, svc *ingest.Service, reg *obs.
 		case !ready:
 			out = healthJSON{Status: "unready", Reason: "batch analysis not loaded"}
 			code = http.StatusServiceUnavailable
-		case svc != nil:
-			if err := svc.Health(); err != nil {
+		case srv.svc != nil:
+			if err := srv.svc.Health(); err != nil {
 				out = healthJSON{Status: "unready", Reason: err.Error()}
 				code = http.StatusServiceUnavailable
 			}

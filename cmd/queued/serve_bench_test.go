@@ -131,7 +131,6 @@ const benchDays = 4
 // feeder that replays the day with a +24h shift per lap.
 type serveEnv struct {
 	srv    *server
-	live   *liveServer
 	locked *lockedServer
 	svc    *ingest.Service
 	day    []mdt.Record
@@ -168,9 +167,9 @@ func newServeEnv(tb testing.TB, feed bool) *serveEnv {
 	}
 	srv := newServer(svc.Registry())
 	srv.view.Store(newBatchView(out.Config.City, res))
+	srv.svc = svc
 	env := &serveEnv{
 		srv:    srv,
-		live:   newLiveServer(srv, svc, svc.Registry()),
 		locked: &lockedServer{city: out.Config.City, res: res, grid: cfg.Grid, svc: svc},
 		svc:    svc,
 		day:    cleaned,
@@ -270,8 +269,8 @@ func TestCachedMatchesLockedBaseline(t *testing.T) {
 		name           string
 		cached, locked http.HandlerFunc
 	}{
-		{"spots", env.live.handleSpots, env.locked.handleSpots},
-		{"context", env.live.handleContext, env.locked.handleContext},
+		{"spots", env.srv.handleSpots, env.locked.handleSpots},
+		{"context", env.srv.handleContext, env.locked.handleContext},
 	}
 	for _, tc := range cases {
 		for pass := 0; pass < 2; pass++ {
@@ -348,7 +347,7 @@ func benchGet(b *testing.B, h http.HandlerFunc, urls []string) {
 
 func BenchmarkServeSpotsCached(b *testing.B) {
 	env := newServeEnv(b, true)
-	benchGet(b, env.live.handleSpots, env.slotURLs("/spots"))
+	benchGet(b, env.srv.handleSpots, env.slotURLs("/spots"))
 }
 
 func BenchmarkServeSpotsLocked(b *testing.B) {
@@ -358,7 +357,7 @@ func BenchmarkServeSpotsLocked(b *testing.B) {
 
 func BenchmarkServeContextCached(b *testing.B) {
 	env := newServeEnv(b, true)
-	benchGet(b, env.live.handleContext, env.slotURLs("/context"))
+	benchGet(b, env.srv.handleContext, env.slotURLs("/context"))
 }
 
 func BenchmarkServeContextLocked(b *testing.B) {
@@ -370,7 +369,7 @@ func BenchmarkServeContextLocked(b *testing.B) {
 // /recommend ranks ETA-aware and /forecast answers from real profiles.
 func (e *serveEnv) withForecast(tb testing.TB) *forecastServer {
 	tb.Helper()
-	fc, err := newForecastLearner("", e.srv.result(), obs.NewRegistry())
+	fc, err := newForecastLearner(e.srv.result(), obs.NewRegistry())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -414,7 +413,7 @@ func BenchmarkServeForecast(b *testing.B) {
 
 func BenchmarkServeEstimateCached(b *testing.B) {
 	env := newServeEnv(b, true)
-	benchGet(b, env.live.handleEstimate, []string{"/estimate"})
+	benchGet(b, env.srv.handleEstimate, []string{"/estimate"})
 }
 
 func BenchmarkServeEstimateDirect(b *testing.B) {

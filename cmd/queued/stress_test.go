@@ -22,7 +22,7 @@ import (
 // lock-free read path.
 func TestServeRaceStress(t *testing.T) {
 	env := newServeEnv(t, false)
-	fc, err := newForecastLearner("", env.srv.result(), obs.NewRegistry())
+	fc, err := newForecastLearner(env.srv.result(), obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +32,10 @@ func TestServeRaceStress(t *testing.T) {
 	}
 	env.srv.fc = fc
 	mux := http.NewServeMux()
-	registerLive(mux, env.live)
+	registerServe(mux, env.srv)
 	registerForecast(mux, &forecastServer{fc: fc})
 	mux.HandleFunc("/recommend", env.srv.handleRecommend)
-	registerOps(mux, env.srv, env.svc, env.svc.Registry(), false)
+	registerOps(mux, env.srv, env.svc.Registry(), false)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

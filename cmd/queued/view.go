@@ -10,6 +10,7 @@ import (
 	"taxiqueue/internal/cluster"
 	"taxiqueue/internal/core"
 	"taxiqueue/internal/forecast"
+	"taxiqueue/internal/ingest"
 	"taxiqueue/internal/obs"
 	"taxiqueue/internal/sim"
 )
@@ -32,6 +33,10 @@ type batchView struct {
 	// instead of once per request. Context is filled per slot at render
 	// time.
 	spotMeta []spotJSON
+
+	// final is the analysed day as a cell snapshot, every slot final: what
+	// /spots and /context serve in batch mode.
+	final *ingest.Snapshot
 }
 
 // newBatchView derives the immutable read view from one analysis result.
@@ -42,6 +47,7 @@ func newBatchView(city *citymap.Map, res *core.Result) *batchView {
 		grid:     res.Config.Grid,
 		refresh:  time.Now(),
 		spotMeta: make([]spotJSON, len(res.Spots)),
+		final:    ingest.FinalSnapshot(len(res.Spots), res.Config.Grid.Slots, res.Cell),
 	}
 	for i := range res.Spots {
 		sa := &res.Spots[i]
@@ -72,31 +78,46 @@ func (v *batchView) slotBucket(at time.Time) int {
 // buckets is the cache width for slot-keyed endpoints.
 func (v *batchView) buckets() int { return v.grid.Slots + 1 }
 
-// spotsPayload builds the /spots entries for one slot bucket, with labels
-// supplied by the mode (batch result or live snapshot). The live mode
-// appends its discovered spots to this slice before encoding.
-func (v *batchView) spotsPayload(bucket int, label func(spot, slot int) core.QueueType) []spotJSON {
+// spotsBody encodes the /spots body for one slot bucket, labelled from
+// snap: a slot the snapshot has not made final yet (or an out-of-grid
+// bucket) serves as Unidentified. With live set, the snapshot's
+// online-discovered spots follow the batch list, flagged "live" with their
+// lifecycle state.
+func (v *batchView) spotsBody(snap *ingest.Snapshot, bucket int, live bool) []byte {
 	out := make([]spotJSON, len(v.spotMeta))
 	copy(out, v.spotMeta)
 	for i := range out {
-		if bucket >= v.grid.Slots {
-			out[i].Context = core.Unidentified.String()
-		} else {
-			out[i].Context = label(i, bucket).String()
+		label := core.Unidentified
+		if bucket < v.grid.Slots {
+			if lb, ok := snap.Label(i, bucket); ok {
+				label = lb
+			}
+		}
+		out[i].Context = label.String()
+	}
+	if live {
+		for _, ls := range snap.Live() {
+			sj := spotJSON{
+				Lat: ls.Spot.Pos.Lat, Lon: ls.Spot.Pos.Lon,
+				Zone: ls.Spot.Zone.String(), Pickups: ls.Spot.PickupCount,
+				// No batch thresholds exist for a spot discovered
+				// minutes ago, so no context is claimed for it yet.
+				Context: core.Unidentified.String(),
+				State:   ls.State.String(), Live: true,
+			}
+			if lm, d, ok := v.city.NearestLandmark(ls.Spot.Pos); ok && d < 50 {
+				sj.Landmark = lm.Name
+			}
+			out = append(out, sj)
 		}
 	}
-	return out
-}
-
-// renderSpots encodes the /spots body for one slot bucket.
-func (v *batchView) renderSpots(bucket int, label func(spot, slot int) core.QueueType) []byte {
-	return encodeJSON(v.spotsPayload(bucket, label))
+	return encodeJSON(out)
 }
 
 // contextJSON is the wire format of one (spot, slot) cell on /context: the
 // classified context plus the §5.2 features behind it. Final reports
-// whether the cell can still change (always true in batch mode; in live
-// mode false until every shard's watermark passes the slot).
+// whether the cell can no longer change (every in-grid cell in batch mode;
+// in live mode only once every shard's watermark passes the slot).
 type contextJSON struct {
 	Spot    int     `json:"spot"`
 	Context string  `json:"context"`
@@ -117,32 +138,39 @@ func cellJSON(spot int, label core.QueueType, f core.SlotFeatures, final bool) c
 	}
 }
 
-// renderContext encodes the batch-mode /context body for one slot bucket.
-func (v *batchView) renderContext(bucket int) []byte {
-	out := make([]contextJSON, len(v.result.Spots))
-	for i := range v.result.Spots {
-		sa := &v.result.Spots[i]
-		label, feats := core.Unidentified, core.SlotFeatures{}
-		if bucket < len(sa.Labels) {
-			label = sa.Labels[bucket]
+// contextBody encodes the /context body for one slot bucket from snap.
+func (v *batchView) contextBody(snap *ingest.Snapshot, bucket int) []byte {
+	out := make([]contextJSON, len(v.spotMeta))
+	for i := range out {
+		if bucket >= v.grid.Slots {
+			// Out-of-grid times never resolve to a cell, even when the
+			// live engine's grid extends past the batch day.
+			out[i] = cellJSON(i, core.Unidentified, core.SlotFeatures{}, false)
+			continue
 		}
-		if bucket < len(sa.Features) {
-			feats = sa.Features[bucket]
-		}
-		out[i] = cellJSON(i, label, feats, bucket < v.grid.Slots)
+		feats, label, final := snap.Context(i, bucket)
+		out[i] = cellJSON(i, label, feats, final)
 	}
 	return encodeJSON(out)
 }
 
 // server owns the published batch view and the per-endpoint response
 // caches. There is no mutex anywhere on the read path: recompute publishes
-// a fresh *batchView, handlers load it once, and the caches invalidate on
-// pointer identity.
+// a fresh *batchView, the ingest service publishes fresh snapshots,
+// handlers load both once, and the caches invalidate on pointer identity.
 type server struct {
 	view atomic.Pointer[batchView]
 
+	// svc is the live ingest service; nil in batch mode. It alone decides
+	// where /spots and /context labels come from: its newest published
+	// snapshot when set, the view's final snapshot of the batch day when
+	// not.
+	svc *ingest.Service
+
 	spotsCache   *renderCache
+	liveCache    *renderCache // /spots?live=1
 	contextCache *renderCache
+	estCache     *renderCache
 
 	// fc, when set (before serving), upgrades /recommend to rank by the
 	// expected state at arrival and backs /forecast. Reads load its
@@ -159,7 +187,9 @@ type server struct {
 func newServer(reg *obs.Registry) *server {
 	return &server{
 		spotsCache:   newRenderCache(reg, "spots"),
+		liveCache:    newRenderCache(reg, "spots_live"),
 		contextCache: newRenderCache(reg, "context"),
+		estCache:     newRenderCache(reg, "estimate"),
 	}
 }
 
@@ -203,22 +233,33 @@ func (s *server) result() *core.Result {
 	return nil
 }
 
-// loadView resolves the request's view and slot bucket, answering 503 /
-// 400 itself when the server is not ready or the timestamp is bad.
-func (s *server) loadView(w http.ResponseWriter, r *http.Request) (*batchView, int, bool) {
+// epoch is the cache key of the cell endpoints: the pair of published
+// pointers a body was rendered from, compared by identity.
+type epoch struct {
+	view *batchView
+	snap *ingest.Snapshot
+}
+
+// load resolves the request's view, snapshot and slot bucket, answering
+// 503 / 400 itself when the server is not ready or the timestamp is bad.
+func (s *server) load(w http.ResponseWriter, r *http.Request) (*batchView, *ingest.Snapshot, int, bool) {
 	v := s.view.Load()
 	if v == nil {
 		http.Error(w, "not ready", http.StatusServiceUnavailable)
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	at := v.grid.Start.Add(12 * time.Hour)
 	if q := r.URL.Query().Get("at"); q != "" {
 		t, err := time.Parse(time.RFC3339, q)
 		if err != nil {
 			http.Error(w, "bad 'at' timestamp", http.StatusBadRequest)
-			return nil, 0, false
+			return nil, nil, 0, false
 		}
 		at = t
 	}
-	return v, v.slotBucket(at), true
+	snap := v.final
+	if s.svc != nil {
+		snap = s.svc.Snapshot()
+	}
+	return v, snap, v.slotBucket(at), true
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // BackfillHistory folds every recorded day of the history store into the
-// profiles, ascending, then flushes. Per-cell day watermarks make the
-// fold idempotent, so seeding an already-partially-learned table (the
-// restart path: recover a profile snapshot, then backfill whatever
-// history recorded since) only applies the missing days — the profile
-// table converges to the same state as learning online the whole time.
+// profiles, ascending. This is the restart path: profiles are never
+// persisted, so a fresh learner backfilled from the history store holds
+// the same table as one that learned online the whole time. Per-cell day
+// watermarks make the fold idempotent, so backfilling an already
+// partially learned table only applies the missing days.
 func (l *Learner) BackfillHistory(h *history.Store) error {
 	if h.Spots() != l.cfg.Spots {
 		return fmt.Errorf("forecast: backfill: history has %d spots, learner has %d",
@@ -44,5 +44,5 @@ func (l *Learner) BackfillHistory(h *history.Store) error {
 			return err
 		}
 	}
-	return l.Flush()
+	return nil
 }

@@ -24,20 +24,16 @@
 // (RCU style, like every read path in this repo), so queries take no lock
 // and never see a half-applied day.
 //
-// Durability rides the internal/store FS seam: each Flush snapshots the
-// whole profile table into a fresh CRC-framed generation file, so the
-// chaos harness's short writes, fsync errors and silently torn tails
-// apply unchanged. Recovery keeps the newest clean generation and counts
-// the damage; because profiles are a pure fold over the history store's
-// closed slots, a recovered (possibly older or empty) table plus a
-// BackfillHistory converges to the fault-free state.
+// Profiles are derived state and are never written to disk: they are a
+// pure fold over the history store's closed slots, so after a restart
+// BackfillHistory rebuilds the exact table (and in live mode, WAL replay
+// through the ingest tee re-folds the current day).
 package forecast
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,7 +41,6 @@ import (
 	"taxiqueue/internal/core"
 	"taxiqueue/internal/obs"
 	"taxiqueue/internal/queueing"
-	"taxiqueue/internal/store"
 )
 
 // ErrClosed is returned by appends after Close.
@@ -84,13 +79,6 @@ type Config struct {
 	// Servers is the M/M/c server count — the loading bays of He's airport
 	// model; 2 when 0.
 	Servers int
-	// Dir enables durability: profile snapshots persist as generation
-	// files under it. Empty keeps the learner memory-only.
-	Dir string
-	// FS is the filesystem writes go through; store.OS when nil. The chaos
-	// harness injects disk faults here. Reads and repairs use the real
-	// filesystem, like the WAL and the history store.
-	FS store.FS
 	// Metrics is the registry the learner's collectors live in; a private
 	// registry when nil.
 	Metrics *obs.Registry
@@ -108,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Servers == 0 {
 		c.Servers = 2
-	}
-	if c.FS == nil {
-		c.FS = store.OS
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -336,15 +321,11 @@ type Learner struct {
 
 	mu     sync.Mutex
 	cells  [][]cell // [spot][slot-of-day]
-	dirty  bool     // profile state newer than the last durable snapshot
-	gen    int      // next generation number to create
 	closed bool
 }
 
-// Open builds a learner from cfg, recovering the newest clean profile
-// snapshot under cfg.Dir (tolerantly: a torn or corrupt generation is
-// removed and counted, older generations are tried, and an empty table is
-// the final fallback — BackfillHistory re-seeds it).
+// Open builds a learner from cfg with an empty profile table; seed it with
+// BackfillHistory.
 func Open(cfg Config) (*Learner, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Grid.Slots == 0 {
@@ -366,14 +347,6 @@ func Open(cfg Config) (*Learner, error) {
 			row[j].lastDay = -1
 		}
 		l.cells[spot] = row
-	}
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("forecast: dir: %w", err)
-		}
-		if err := l.recover(); err != nil {
-			return nil, err
-		}
 	}
 	l.publishLocked()
 	return l, nil
@@ -468,7 +441,6 @@ func (l *Learner) AppendSlots(day, lo, hi int, at func(spot, slot int) (core.Slo
 	l.met.appends.Inc()
 	if folded > 0 {
 		l.met.observes.Add(int64(folded))
-		l.dirty = true
 		l.publishLocked()
 	}
 	return nil
@@ -476,41 +448,32 @@ func (l *Learner) AppendSlots(day, lo, hi int, at func(spot, slot int) (core.Slo
 
 // ObserveResult folds every slot of one batch analysis pass as day's
 // observation — the daily batch path into the learner, complementing the
-// live AppendSlots hook. Flushes so the fold is durable.
+// live AppendSlots hook.
 func (l *Learner) ObserveResult(day int, res *core.Result) error {
 	if len(res.Spots) != l.cfg.Spots {
 		return fmt.Errorf("forecast: observe day %d: result has %d spots, learner has %d",
 			day, len(res.Spots), l.cfg.Spots)
 	}
-	if err := l.AppendSlots(day, 0, l.cfg.Grid.Slots, res.Cell); err != nil {
-		return err
-	}
-	return l.Flush()
+	return l.AppendSlots(day, 0, l.cfg.Grid.Slots, res.Cell)
 }
 
-// Flush persists the current profiles as a fresh generation snapshot and
-// removes the superseded ones — the durability barrier the ingest service
-// invokes at end of feed (via the History seam). Memory-only learners get
-// a no-op.
+// Flush implements the History seam's barrier. Every fold is published as
+// it lands and nothing is written to disk, so there is nothing to flush;
+// it only reports ErrClosed after Close.
 func (l *Learner) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	l.persistLocked()
 	return nil
 }
 
-// Close flushes and shuts the learner. Further appends return ErrClosed;
-// reads keep serving the final published table.
+// Close shuts the learner. Further appends return ErrClosed; reads keep
+// serving the final published table.
 func (l *Learner) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.persistLocked()
 	l.closed = true
 	return nil
 }
@@ -518,13 +481,9 @@ func (l *Learner) Close() error {
 // Stats is the learner's counter snapshot; every field reads the same
 // registry collector /metrics renders.
 type Stats struct {
-	Appends     int64 `json:"appends"`      // AppendSlots batches applied
-	Observes    int64 `json:"observes"`     // (spot, slot, day) cells folded
-	Persists    int64 `json:"persists"`     // snapshot generations written
-	PersistErrs int64 `json:"persist_errs"` // failed snapshot writes (old generation kept)
-	Truncations int64 `json:"truncations"`  // recoveries that discarded a damaged generation
-	Bytes       int64 `json:"bytes"`        // bytes of the current durable snapshot
-	WeightFloor int64 `json:"weight"`       // Σ profile weight, floored (confidence gauge)
+	Appends     int64 `json:"appends"`  // AppendSlots batches applied
+	Observes    int64 `json:"observes"` // (spot, slot, day) cells folded
+	WeightFloor int64 `json:"weight"`   // Σ profile weight, floored (confidence gauge)
 }
 
 // Stats snapshots the collectors.
@@ -532,10 +491,6 @@ func (l *Learner) Stats() Stats {
 	return Stats{
 		Appends:     l.met.appends.Value(),
 		Observes:    l.met.observes.Value(),
-		Persists:    l.met.persists.Value(),
-		PersistErrs: l.met.persistErrs.Value(),
-		Truncations: l.met.truncations.Value(),
-		Bytes:       l.met.bytes.Value(),
 		WeightFloor: l.met.weight.Value(),
 	}
 }

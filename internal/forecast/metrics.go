@@ -5,13 +5,9 @@ import "taxiqueue/internal/obs"
 // metrics are the learner's registry collectors. Stats() reads these same
 // collectors, so /metrics and the JSON stats view cannot disagree.
 type metrics struct {
-	appends     *obs.Counter
-	observes    *obs.Counter
-	persists    *obs.Counter
-	persistErrs *obs.Counter
-	truncations *obs.Counter
-	bytes       *obs.Gauge
-	weight      *obs.Gauge
+	appends  *obs.Counter
+	observes *obs.Counter
+	weight   *obs.Gauge
 
 	qForecast *obs.Histogram
 }
@@ -22,14 +18,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Append batches folded into the forecast profiles."),
 		observes: reg.Counter("forecast_observes_total",
 			"(spot, slot, day) observations folded into forecast profiles."),
-		persists: reg.Counter("forecast_persists_total",
-			"Profile snapshot generations written durably."),
-		persistErrs: reg.Counter("forecast_persist_errors_total",
-			"Failed profile snapshot writes (previous generation kept)."),
-		truncations: reg.Counter("forecast_truncations_total",
-			"Recoveries that discarded a damaged profile generation."),
-		bytes: reg.Gauge("forecast_bytes",
-			"Bytes of the current durable profile snapshot."),
 		weight: reg.Gauge("forecast_weight",
 			"Total effective observed-day weight across all profiles (floored)."),
 		qForecast: reg.Histogram("forecast_query_seconds",

@@ -113,8 +113,7 @@ type Config struct {
 	BlockTimeout time.Duration
 	// WALDir, when non-empty, enables durability: shard i appends the raw
 	// records it accepted to segment files under WALDir/shard-NNN/ and
-	// replays them on startup. A legacy WALDir/shard-NNN.tqs single-file
-	// checkpoint is migrated into the segmented format at startup.
+	// replays them on startup.
 	WALDir string
 	// CheckpointEvery is the number of logged records between automatic
 	// WAL checkpoints (sealing the active segment); 4096 when 0.

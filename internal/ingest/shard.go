@@ -3,7 +3,6 @@ package ingest
 import (
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -152,19 +151,11 @@ func shardWALDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 }
 
-// legacyWALPath is the single-file TQST2 checkpoint location older versions
-// wrote; newShard migrates it into the segmented log on first start.
-func legacyWALPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%03d.tqs", i))
-}
-
 // newShard builds shard i, replaying its segmented WAL if one exists. A
 // torn tail on the last segment — what a crash mid-commit leaves — recovers
 // the longest clean prefix instead of failing startup: the service resumes
 // from the last durable byte and the truncation is counted and logged.
-// Damage to an older sealed segment is real corruption and fails loudly. A
-// legacy single-file TQST2 checkpoint is migrated into the segmented format
-// before the first record arrives.
+// Damage to an older sealed segment is real corruption and fails loudly.
 func newShard(s *Service, i int) (*shard, error) {
 	sh := &shard{
 		id:       i,
@@ -205,78 +196,24 @@ func newShard(s *Service, i int) (*shard, error) {
 			s.met.walSync.Observe(took.Seconds())
 		},
 	}
-	if _, err := os.Stat(legacyWALPath(s.cfg.WALDir, i)); err == nil {
-		if err := sh.migrateLegacyWAL(walCfg); err != nil {
-			return nil, fmt.Errorf("ingest: shard %d wal migration: %w", i, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("ingest: shard %d wal: %w", i, err)
-	} else {
-		var n int64
-		wal, rec, err := store.OpenWAL(sh.walDir, walCfg, func(r mdt.Record) {
-			sh.trackTail(sh.tails[r.TaxiID], r)
-			sh.pushClean(r)
-			n++
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ingest: shard %d recovery: %w", i, err)
-		}
-		sh.wal = wal
-		sh.sm.replayed.Add(n)
-		if rec.Truncated() {
-			sh.sm.walTruncations.Inc()
-			log.Printf("ingest: shard %d WAL %s damaged (%v): recovered %d records, torn tail truncated",
-				i, sh.walDir, rec.Err, rec.Records)
-		}
-	}
-	sh.sm.walSegments.Set(int64(sh.wal.Stats().Segments))
-	return sh, nil
-}
-
-// migrateLegacyWAL converts a TQST2 single-file checkpoint into the
-// segmented log: recover it (tolerantly — it may carry a torn tail from the
-// old format's crash window), replay it through the live path, stream every
-// record into a fresh segment directory and seal it durable, and only then
-// remove the legacy file. A crash mid-migration re-runs it from the intact
-// legacy file; the partial segment directory is discarded.
-func (sh *shard) migrateLegacyWAL(walCfg store.WALConfig) error {
-	legacy := legacyWALPath(sh.svc.cfg.WALDir, sh.id)
-	st, rec, err := store.RecoverFile(legacy)
-	if err != nil {
-		return err
-	}
-	if rec.Truncated() {
-		sh.sm.walTruncations.Inc()
-		log.Printf("ingest: shard %d legacy WAL %s damaged (%v): migrating %d recovered records",
-			sh.id, legacy, rec.Err, rec.Records)
-	}
-	if err := os.RemoveAll(sh.walDir); err != nil {
-		return err
-	}
-	wal, _, err := store.OpenWAL(sh.walDir, walCfg, nil)
-	if err != nil {
-		return err
-	}
 	var n int64
-	st.Scan(time.Time{}, time.Unix(1<<40, 0), func(r mdt.Record) bool {
+	wal, rec, err := store.OpenWAL(sh.walDir, walCfg, func(r mdt.Record) {
 		sh.trackTail(sh.tails[r.TaxiID], r)
 		sh.pushClean(r)
-		wal.Append(r)
 		n++
-		return true
 	})
-	if err := wal.Seal(); err != nil {
-		wal.Close()
-		return err
-	}
-	if err := os.Remove(legacy); err != nil {
-		wal.Close()
-		return err
+	if err != nil {
+		return nil, fmt.Errorf("ingest: shard %d recovery: %w", i, err)
 	}
 	sh.wal = wal
 	sh.sm.replayed.Add(n)
-	log.Printf("ingest: shard %d migrated %d records from legacy WAL %s", sh.id, n, legacy)
-	return nil
+	if rec.Truncated() {
+		sh.sm.walTruncations.Inc()
+		log.Printf("ingest: shard %d WAL %s damaged (%v): recovered %d records, torn tail truncated",
+			i, sh.walDir, rec.Err, rec.Records)
+	}
+	sh.sm.walSegments.Set(int64(sh.wal.Stats().Segments))
+	return sh, nil
 }
 
 // trackTail folds one ordering-accepted record into its taxi's tail window

@@ -49,6 +49,29 @@ type Snapshot struct {
 	live []core.LiveSpot
 }
 
+// FinalSnapshot builds the snapshot of a completed analysis: every cell of
+// the spots × slots grid is final (FinalBelow == Slots) and its context is
+// read once from at — the same cell callback HistoryAppender uses, so a
+// batch core.Result publishes through its Cell method. It carries no
+// live-discovered spots.
+func FinalSnapshot(spots, slots int, at func(spot, slot int) (core.SlotFeatures, core.QueueType)) *Snapshot {
+	s := &Snapshot{
+		Epoch:      1,
+		FinalBelow: slots,
+		At:         time.Now(),
+		Spots:      spots,
+		Slots:      slots,
+		ctx:        make([]CellContext, spots*slots),
+	}
+	for spot := 0; spot < spots; spot++ {
+		for slot := 0; slot < slots; slot++ {
+			f, l := at(spot, slot)
+			s.ctx[spot*slots+slot] = CellContext{Features: f, Label: l}
+		}
+	}
+	return s
+}
+
 // Live returns the online-discovered queue spots current at this snapshot,
 // sorted by window support (desc, ties by position). The returned slice is
 // shared and must not be mutated. Empty when live discovery is off.

@@ -168,8 +168,10 @@ func NewRegistry() *Registry {
 var Default = NewRegistry()
 
 // lookup finds or creates the (name, labels) series, enforcing that a name
-// keeps one kind and one help string for its lifetime.
-func (r *Registry) lookup(k kind, name, help string, labels []Label) *series {
+// keeps one kind and one help string for its lifetime. A series is complete
+// before it becomes visible: a new histogram is built from bounds, and a
+// gauge func is (re)set to fn, under the same lock a scrape reads under.
+func (r *Registry) lookup(k kind, name, help string, labels []Label, bounds []float64, fn func() float64) *series {
 	ls := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -190,22 +192,27 @@ func (r *Registry) lookup(k kind, name, help string, labels []Label) *series {
 		case kindGauge:
 			s.g = &Gauge{}
 		case kindHistogram:
-			// bounds filled by caller
+			h := &Histogram{bounds: append([]float64(nil), bounds...)}
+			h.counts = make([]atomic.Int64, len(h.bounds)+1)
+			s.h = h
 		}
 		f.series[ls] = s
 		f.order = append(f.order, ls)
+	}
+	if k == kindGaugeFunc {
+		s.fn = fn
 	}
 	return s
 }
 
 // Counter returns the counter for (name, labels), creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.lookup(kindCounter, name, help, labels).c
+	return r.lookup(kindCounter, name, help, labels, nil, nil).c
 }
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(kindGauge, name, help, labels).g
+	return r.lookup(kindGauge, name, help, labels, nil, nil).g
 }
 
 // GaugeFunc registers (or replaces) a computed gauge: fn is called at
@@ -213,25 +220,14 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // map's size under its own lock; fn must be safe to call from the scrape
 // goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.lookup(kindGaugeFunc, name, help, labels)
-	r.mu.Lock()
-	s.fn = fn
-	r.mu.Unlock()
+	r.lookup(kindGaugeFunc, name, help, labels, nil, fn)
 }
 
 // Histogram returns the histogram for (name, labels), creating it with the
 // given bucket bounds (sorted ascending, +Inf implicit) on first use.
 // Later calls return the existing histogram regardless of bounds.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	s := r.lookup(kindHistogram, name, help, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.h == nil {
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.counts = make([]atomic.Int64, len(h.bounds)+1)
-		s.h = h
-	}
-	return s.h
+	return r.lookup(kindHistogram, name, help, labels, bounds, nil).h
 }
 
 // renderLabels builds the canonical `{a="b",c="d"}` form, sorted by label

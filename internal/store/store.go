@@ -383,100 +383,52 @@ func (s *Store) Save(w io.Writer) error {
 }
 
 // Load reads a store previously written by Save. Any structural damage —
-// a torn tail included — is an error; use Recover when a truncated prefix
-// is better than no store at all (WAL replay after a crash).
+// a torn tail included — is an error.
 func Load(r io.Reader) (*Store, error) {
-	s, rec, err := load(r)
-	if err != nil {
-		return nil, err
+	br := bufio.NewReaderSize(r, 1<<20)
+	var magic [8]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, fmt.Errorf("store: missing header: %w", errBadFile)
 	}
-	if rec.Err != nil {
-		return nil, rec.Err
+	if magic != fileMagic {
+		return nil, errBadFile
+	}
+	s := New()
+	if err := loadBody(br, s); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Recovery reports what a tolerant load salvaged.
+// Recovery reports what a tolerant WAL open salvaged (see OpenWAL).
 type Recovery struct {
 	// Records is the number of records recovered.
 	Records int
-	// Err is the corruption the loader stopped at; nil for a clean file.
+	// Err is the corruption recovery stopped at; nil for a clean log.
 	Err error
-	// TruncatedAt is the partition the corruption was found in (its taxi
-	// ID), when known. Empty for a clean file or header-level damage.
+	// TruncatedAt names the segment file the corruption was found in.
+	// Empty for a clean log.
 	TruncatedAt string
 }
 
-// Truncated reports whether the file was damaged and only a prefix loaded.
+// Truncated reports whether the log was damaged and only a prefix loaded.
 func (r Recovery) Truncated() bool { return r.Err != nil }
 
-// Recover reads a store like Load but truncates at corruption instead of
-// failing: every complete record frame before the first damaged byte is
-// kept, the rest of the file is discarded, and the damage is described in
-// the returned Recovery. The error return is reserved for files so damaged
-// that nothing is recoverable (bad or missing magic header) — a torn tail
-// from a crash mid-write never fails.
-//
-// The on-disk layout is sequential (partitions sorted by taxi ID, blocks in
-// time order), so the kept prefix preserves the per-taxi time-order
-// invariant: recovered partitions hold a time-prefix of their records.
-func Recover(r io.Reader) (*Store, Recovery, error) {
-	return load(r)
-}
-
-// RecoverFile is Recover over a file path; errors are wrapped with it.
-func RecoverFile(path string) (*Store, Recovery, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, Recovery{}, fmt.Errorf("store: recover %s: %w", path, err)
-	}
-	defer f.Close()
-	s, rec, err := Recover(f)
-	if err != nil {
-		return nil, rec, fmt.Errorf("store: recover %s: %w", path, err)
-	}
-	return s, rec, nil
-}
-
-// load is the shared reader behind Load and Recover: a structural error
-// after the magic header stops the scan and lands in Recovery.Err with the
-// store built so far (complete frames of a torn block included) intact;
-// Load surfaces that error, Recover keeps the prefix. Only header-level
-// damage — nothing recoverable — uses the error return.
-func load(r io.Reader) (*Store, Recovery, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, Recovery{}, fmt.Errorf("store: missing header: %w", errBadFile)
-	}
-	if magic != fileMagic {
-		return nil, Recovery{}, errBadFile
-	}
-	s := New()
-	rec, err := loadBody(br, s)
-	rec.Err = err
-	rec.Records = s.count
-	return s, rec, nil
-}
-
-// loadBody reads partitions into s until EOF or the first structural error,
-// which it returns (nil on a clean read). Everything decoded before the
-// error is already in s.
-func loadBody(br *bufio.Reader, s *Store) (Recovery, error) {
-	var rec Recovery
+// loadBody reads partitions into s until EOF, failing on the first
+// structural error.
+func loadBody(br *bufio.Reader, s *Store) error {
 	nParts, err := binary.ReadUvarint(br)
 	if err != nil {
-		return rec, fmt.Errorf("store: partition count: %w", err)
+		return fmt.Errorf("store: partition count: %w", err)
 	}
 	for pi := uint64(0); pi < nParts; pi++ {
 		id, err := readString(br)
 		if err != nil {
-			return rec, fmt.Errorf("store: partition %d name: %w", pi, err)
+			return fmt.Errorf("store: partition %d name: %w", pi, err)
 		}
-		rec.TruncatedAt = id
 		nBlocks, err := binary.ReadUvarint(br)
 		if err != nil {
-			return rec, fmt.Errorf("store: %s block count: %w", id, err)
+			return fmt.Errorf("store: %s block count: %w", id, err)
 		}
 		p := &partition{taxiID: id}
 		s.parts[id] = p
@@ -484,36 +436,37 @@ func loadBody(br *bufio.Reader, s *Store) (Recovery, error) {
 		for bi := uint64(0); bi < nBlocks; bi++ {
 			nRecs, err := binary.ReadUvarint(br)
 			if err != nil {
-				return rec, fmt.Errorf("store: %s block header: %w", id, err)
+				return fmt.Errorf("store: %s block header: %w", id, err)
 			}
 			minT, err := binary.ReadUvarint(br)
 			if err != nil {
-				return rec, fmt.Errorf("store: %s block header: %w", id, err)
+				return fmt.Errorf("store: %s block header: %w", id, err)
 			}
 			maxT, err := binary.ReadUvarint(br)
 			if err != nil {
-				return rec, fmt.Errorf("store: %s block header: %w", id, err)
+				return fmt.Errorf("store: %s block header: %w", id, err)
 			}
 			size, err := binary.ReadUvarint(br)
 			if err != nil {
-				return rec, fmt.Errorf("store: %s block header: %w", id, err)
+				return fmt.Errorf("store: %s block header: %w", id, err)
 			}
 			payload := make([]byte, size)
-			read, err := io.ReadFull(br, payload)
-			payload = payload[:read]
+			if _, err := io.ReadFull(br, payload); err != nil {
+				return fmt.Errorf("store: %s torn block payload: %w", id, err)
+			}
 			b := block{minT: int64(minT), maxT: int64(maxT), recs: make([]mdt.Record, 0, nRecs)}
-			var frameErr error
 			for len(payload) > 0 {
 				r, n, err := mdt.DecodeBinary(payload)
 				if err != nil {
-					frameErr = fmt.Errorf("store: corrupt block for %s: %w", id, err)
-					break
+					return fmt.Errorf("store: corrupt block for %s: %w", id, err)
 				}
 				b.recs = append(b.recs, r)
 				payload = payload[n:]
 			}
-			// Keep the complete frames of a torn block: they precede the
-			// damage, so per-taxi time order still holds.
+			if uint64(len(b.recs)) != nRecs {
+				return fmt.Errorf("store: %s block holds %d of %d records: %w",
+					id, len(b.recs), nRecs, errBadFile)
+			}
 			if len(b.recs) > 0 {
 				b.maxT = b.recs[len(b.recs)-1].Time.Unix()
 				p.blocks = append(p.blocks, b)
@@ -521,20 +474,9 @@ func loadBody(br *bufio.Reader, s *Store) (Recovery, error) {
 				s.count += len(b.recs)
 				p.lastT = b.maxT
 			}
-			if frameErr != nil {
-				return rec, frameErr
-			}
-			if err != nil {
-				return rec, fmt.Errorf("store: %s torn block payload: %w", id, err)
-			}
-			if uint64(len(b.recs)) != nRecs {
-				return rec, fmt.Errorf("store: %s block holds %d of %d records: %w",
-					id, len(b.recs), nRecs, errBadFile)
-			}
 		}
 	}
-	rec.TruncatedAt = ""
-	return rec, nil
+	return nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) error {

@@ -174,17 +174,6 @@ curl -fsS -X POST "http://$smoke_addr/ingest/flush" >/dev/null
 "$bin/queueload" -url "http://$smoke_addr" -duration "$smoke_dur" \
 	-clients 4 -feed -feed-scale 0.05 \
 	-mix "history=4,heatmap=2,transitions=1,spots=1,forecast=2,recommend=1,wide=2"
-
-# The watermark advances during the feeds must have driven the cache
-# pre-warmer: /metrics must show rendered-ahead bodies, or the prewarm
-# path silently died.
-prewarm_total="$(curl -fsS "http://$smoke_addr/metrics" \
-	| awk '/^queued_cache_prewarm_total\{/ { sum += $NF } END { print sum + 0 }')"
-echo ">> queued_cache_prewarm_total = $prewarm_total"
-if [ "$prewarm_total" -le 0 ]; then
-	echo "!! pre-warmer rendered nothing during the smoke run" >&2
-	exit 1
-fi
 kill "$queued_pid" 2>/dev/null || true
 wait "$queued_pid" 2>/dev/null || true
 trap 'rm -rf "$bin" "$hist_dir"' EXIT
