@@ -16,10 +16,9 @@ import (
 	"taxiqueue/internal/sim"
 )
 
-// historyFixture batch-analyzes one simulated day, backfills it into a
-// history store, and mounts the analytics endpoints — the way
-// `queued -history DIR` serves a nightly batch run.
-func historyFixture(t *testing.T, backfill bool) (*httptest.Server, *history.Store, *core.Result) {
+// analyzeDay batch-analyzes one simulated day, the way queued's startup
+// pass does.
+func analyzeDay(t *testing.T) *core.Result {
 	t.Helper()
 	out := sim.Run(sim.Config{Seed: 777, City: citymap.Generate(777, 0.1), InjectFaults: true})
 	cfg := core.DefaultEngineConfig()
@@ -34,6 +33,15 @@ func historyFixture(t *testing.T, backfill bool) (*httptest.Server, *history.Sto
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// historyFixture batch-analyzes one simulated day, backfills it into a
+// history store, and mounts the analytics endpoints — the way
+// `queued -history DIR` serves a nightly batch run.
+func historyFixture(t *testing.T, backfill bool) (*httptest.Server, *history.Store, *core.Result) {
+	t.Helper()
+	res := analyzeDay(t)
 	hist, err := newHistoryStore(t.TempDir(), res, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
@@ -189,5 +197,50 @@ func TestHistoryEndpointsEmptyStore(t *testing.T) {
 	var ignore json.RawMessage
 	if code := getJSON(t, ts.URL+"/heatmap", &ignore); code != 503 {
 		t.Fatalf("empty store /heatmap: status %d, want 503", code)
+	}
+}
+
+// TestShutdownClosesBatchHistory: batch mode's history store, closed
+// through the shutdown path both modes share, reopens with zero
+// truncations and every appended slot — including an open tail that no
+// Flush ever sealed.
+func TestShutdownClosesBatchHistory(t *testing.T) {
+	res := analyzeDay(t)
+	dir := t.TempDir()
+	hist, err := newHistoryStore(dir, res, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := newForecastLearner(res, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := res.Config.Grid.Slots / 2
+	if err := hist.AppendSlots(0, 0, half, res.Cell); err != nil {
+		t.Fatal(err)
+	}
+	if err := shutdown(nil, hist, fc); err != nil {
+		t.Fatal(err)
+	}
+	r, err := newHistoryStore(dir, res, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if st := r.Stats(); st.Truncations != 0 {
+		t.Fatalf("reopened with %d truncations", st.Truncations)
+	}
+	if w := r.Watermark(0); w != half {
+		t.Fatalf("reopened watermark %d, want %d", w, half)
+	}
+	grid := r.Grid()
+	for spot := range res.Spots {
+		for _, p := range r.Series(spot, grid.Start, r.TimeOf(0, half)) {
+			wantF, wantL := res.Cell(spot, p.Slot)
+			if p.Feats != wantF || p.Label != wantL {
+				t.Fatalf("spot %d slot %d: reopened (%v, %+v), batch (%v, %+v)",
+					spot, p.Slot, p.Label, p.Feats, wantL, wantF)
+			}
+		}
 	}
 }

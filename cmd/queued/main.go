@@ -248,6 +248,31 @@ func (s *server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// shutdown closes the durable state in dependency order — the ingest
+// service first (its final flush feeds history and forecast), then the
+// history store, then the forecast learner — logging each failure and
+// returning the first. svc and hist may be nil (batch mode, no -history).
+func shutdown(svc *ingest.Service, hist *history.Store, fc *forecast.Learner) error {
+	var first error
+	note := func(what string, err error) {
+		if err != nil {
+			log.Printf("queued: %s close: %v", what, err)
+			if first == nil {
+				first = err
+			}
+		}
+	}
+	if svc != nil {
+		log.Printf("queued: draining ingest shards...")
+		note("ingest", svc.Close())
+	}
+	if hist != nil {
+		note("history", hist.Close())
+	}
+	note("forecast", fc.Close())
+	return first
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 1, "simulation seed")
@@ -262,9 +287,8 @@ func main() {
 	liveSpotWindow := flag.Duration("live-spot-window", 3*time.Hour, "live spot discovery: sliding pickup window")
 	liveSpotMinPts := flag.Int("live-spot-minpts", 0, "live spot discovery: DBSCAN min-points over the window (0 = paper default 50)")
 	walDir := flag.String("wal", "", "live mode: WAL directory (empty = durability off)")
-	checkpoint := flag.Int("checkpoint", 4096, "live mode: records between WAL checkpoints (segment seals)")
 	syncEvery := flag.Int("sync-every", 0, "live mode: WAL group-commit batch in records, the crash-loss window (0 = default)")
-	segmentBytes := flag.Int64("segment-bytes", 0, "live mode: WAL segment rotation size in bytes (0 = default 4MiB)")
+	segmentBytes := flag.Int64("segment-bytes", 0, "live mode: WAL file rotation size in bytes (0 = default 4MiB)")
 	histDir := flag.String("history", "", "directory for the columnar slot-context history store (enables /history, /heatmap, /transitions)")
 	withPprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof")
 	flag.Parse()
@@ -319,16 +343,15 @@ func main() {
 			*refresh = 0
 		}
 		cfg := ingest.Config{
-			Stream:          liveStreamConfig(srv.result()),
-			Clean:           clean.Config{ValidFrame: citymap.Island},
-			Shards:          *shards,
-			QueueDepth:      *queueDepth,
-			Policy:          policy,
-			WALDir:          *walDir,
-			CheckpointEvery: *checkpoint,
-			SyncEvery:       *syncEvery,
-			SegmentBytes:    *segmentBytes,
-			Metrics:         obs.Default, // one process-wide /metrics scrape
+			Stream:       liveStreamConfig(srv.result()),
+			Clean:        clean.Config{ValidFrame: citymap.Island},
+			Shards:       *shards,
+			QueueDepth:   *queueDepth,
+			Policy:       policy,
+			WALDir:       *walDir,
+			SyncEvery:    *syncEvery,
+			SegmentBytes: *segmentBytes,
+			Metrics:      obs.Default, // one process-wide /metrics scrape
 		}
 		if *liveSpots {
 			det := core.DefaultLiveDetectorConfig()
@@ -369,24 +392,6 @@ func main() {
 			}
 			return time.Time{}, false
 		}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			log.Printf("queued: draining ingest shards...")
-			if err := svc.Close(); err != nil {
-				log.Printf("queued: close: %v", err)
-			}
-			if hist != nil {
-				if err := hist.Close(); err != nil {
-					log.Printf("queued: history close: %v", err)
-				}
-			}
-			if err := fc.Close(); err != nil {
-				log.Printf("queued: forecast close: %v", err)
-			}
-			os.Exit(0)
-		}()
 		log.Printf("queued: live ingest on /ingest (%d shards, %s)", *shards, policy)
 	}
 
@@ -403,6 +408,15 @@ func main() {
 			log.Printf("queued: forecast observe: %v", err)
 		}
 	}
+
+	// Both modes close their durable state on SIGINT/SIGTERM.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sig
+		shutdown(srv.svc, hist, fc)
+		os.Exit(0)
+	}()
 
 	if *refresh > 0 {
 		go func() {

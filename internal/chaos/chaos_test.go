@@ -107,7 +107,7 @@ func TestFSShortWriteFailsSaveKeepsCommitted(t *testing.T) {
 	if string(after) != string(before) {
 		t.Fatal("failed save altered the committed file")
 	}
-	if temps, err := store.RemoveTemps(dir); err != nil || len(temps) != 0 {
+	if temps, err := filepath.Glob(filepath.Join(dir, "*.tmp-*")); err != nil || len(temps) != 0 {
 		t.Fatalf("failed save left temp files %v (err %v)", temps, err)
 	}
 }
@@ -132,8 +132,8 @@ func TestFSRenameFailure(t *testing.T) {
 
 // TestFSSilentTornTailIsDetected: the nastiest disk fault — a save that
 // reports success but leaves a torn file — must never load as a clean
-// store. (The segmented WAL's tolerant recovery of the same fault is
-// covered in wal_test.go.)
+// store. (The log's tolerant recovery of the same fault is covered in
+// log_test.go.)
 func TestFSSilentTornTailIsDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.tqs")

@@ -10,8 +10,8 @@ import (
 // FS wraps base (store.OS when nil) with the plan's disk faults: short
 // writes that report an error, silent short writes that report success (the
 // torn tail a lying disk leaves after a crash), fsync errors and rename
-// failures. Plug it into ingest.Config.FS to attack the WAL checkpoint
-// path.
+// failures. Plug it into ingest.Config.FS or history.Config.FS to attack
+// the store.Log write path.
 func (f *Faults) FS(base store.FS) store.FS {
 	if base == nil {
 		base = store.OS
@@ -49,11 +49,11 @@ func (s *fsys) Rename(oldpath, newpath string) error {
 
 func (s *fsys) Remove(name string) error { return s.base.Remove(name) }
 
-// file is one fault-injecting WAL temp file. Once a silent torn fault
-// fires, every later write (and sync) pretends to succeed while writing
-// nothing — the file on disk stays a clean prefix, exactly the torn tail a
-// crash after an unsynced rename leaves behind. dead is atomic because the
-// WAL's group-commit syncer calls Sync concurrently with the writer.
+// file is one fault-injecting file. Once a silent torn fault fires, every
+// later write (and sync) pretends to succeed while writing nothing — the
+// file on disk stays a clean prefix, exactly the torn tail a crash after
+// an unsynced write leaves behind. dead is atomic because the log's
+// group-commit syncer calls Sync concurrently with the writer.
 type file struct {
 	store.File
 	f    *Faults

@@ -114,9 +114,9 @@ func BenchmarkHistoryHeatmap(b *testing.B) {
 	}
 }
 
-// benchDir writes gens generation files of days full days each and
-// returns the config to reopen them — the dashboard-shaped fixture for
-// the range and cold-open benchmarks.
+// benchDir writes gens log files of days full days each (one per
+// process lifetime) and returns the config to reopen them — the
+// dashboard-shaped fixture for the range and cold-open benchmarks.
 func benchDir(b *testing.B, nspots, days, gens int) Config {
 	b.Helper()
 	cfg, cells := benchDay(nspots, 0.4, 2)
@@ -207,7 +207,7 @@ func BenchmarkHistorySeriesWide(b *testing.B) {
 }
 
 // BenchmarkHistoryOpenCold measures a cold lazy Open over a
-// multi-generation month: every frame CRC-checked, only summaries
+// multi-file month: every frame CRC-checked, only summaries
 // decoded.
 func BenchmarkHistoryOpenCold(b *testing.B) {
 	cfg := benchDir(b, 50, 6, 5)

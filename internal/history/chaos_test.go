@@ -3,10 +3,12 @@ package history
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"taxiqueue/internal/chaos"
 	"taxiqueue/internal/core"
+	"taxiqueue/internal/store"
 )
 
 // durableConfig is testConfig plus a tmpdir and small blocks so a single
@@ -156,14 +158,19 @@ func TestChaosTearTailSweep(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	genName := genFileName(0)
-	image, err := os.ReadFile(filepath.Join(cfg.Dir, genName))
+	files, err := store.LogFiles(cfg.Dir)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("fixture wrote %d log files (%v), want 1", len(files), err)
+	}
+	genName := filepath.Base(files[0])
+	image, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	size := len(image)
 
-	cuts := []int{1, 3, 9, 31, 100, size / 3, size / 2, size - 40, size - len(histMagic) - 2, size - 3}
+	// size-10 leaves 10 bytes: a file header torn inside its frame.
+	cuts := []int{1, 3, 9, 31, 100, size / 3, size / 2, size - 40, size - 10, size - 3}
 	for _, n := range cuts {
 		if n <= 0 || n > size {
 			continue
@@ -226,4 +233,125 @@ func TestChaosConfigMismatch(t *testing.T) {
 	if _, err := Open(other); err == nil {
 		t.Fatal("config mismatch opened without error")
 	}
+}
+
+// twoFileStore writes day 0, closes, reopens and writes day 1: a restart
+// continues into a new log file, so the directory holds two.
+func twoFileStore(t *testing.T) (Config, []map[[2]int]Record, []string) {
+	t.Helper()
+	cfg := durableConfig(t, 6)
+	var days []map[[2]int]Record
+	for d := 0; d < 2; d++ {
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		days = append(days, fillDay(t, s, d, int64(d+1)))
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := store.LogFiles(cfg.Dir)
+	if err != nil || len(files) != 2 {
+		t.Fatalf("fixture wrote %d log files (%v), want 2", len(files), err)
+	}
+	return cfg, days, files
+}
+
+// TestHistoryBitFlipSweep flips one bit at every byte offset of every
+// history file, headers included, and reopens: each flip must fail Open
+// or be counted as a truncation, and no served cell may differ from what
+// was written.
+func TestHistoryBitFlipSweep(t *testing.T) {
+	cfg, days, files := twoFileStore(t)
+	images := make([][]byte, len(files))
+	for i, f := range files {
+		images[i], _ = os.ReadFile(f)
+	}
+	for v := range images {
+		for off := range images[v] {
+			dir := t.TempDir()
+			for i, f := range files {
+				b := append([]byte(nil), images[i]...)
+				if i == v {
+					b[off] ^= 1 << (off % 8)
+				}
+				if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := cfg
+			c.Dir = dir
+			r, err := Open(c)
+			if err != nil {
+				continue
+			}
+			if r.Stats().Truncations == 0 {
+				t.Fatalf("%s byte %d: flip opened clean", filepath.Base(files[v]), off)
+			}
+			for d, cells := range days {
+				verifyPrefix(t, r, d, cells)
+			}
+			r.Close()
+		}
+	}
+}
+
+// TestOlderFileBadFrameFailsOpen: damage inside a history file that is
+// not the newest is bit rot, not a crash — the file was committed before
+// the next one existed — so Open fails, naming the file, and leaves every
+// file in place.
+func TestOlderFileBadFrameFailsOpen(t *testing.T) {
+	cfg, _, files := twoFileStore(t)
+	b, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-3] ^= 0x40 // inside the older file's last frame
+	if err := os.WriteFile(files[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(cfg)
+	if err == nil {
+		t.Fatal("Open accepted a bad frame inside an older file")
+	}
+	if !strings.Contains(err.Error(), filepath.Base(files[0])) {
+		t.Fatalf("error %q does not name %s", err, filepath.Base(files[0]))
+	}
+	if after, _ := store.LogFiles(cfg.Dir); len(after) != 2 {
+		t.Fatalf("failed Open left %d files, want both untouched", len(after))
+	}
+}
+
+// TestFlushReportsUndurableBlocks: Flush and Close are durability
+// barriers, so on a disk where every fsync fails Flush must report it —
+// and once the disk heals, one Flush makes the whole day durable.
+func TestFlushReportsUndurableBlocks(t *testing.T) {
+	faults := chaos.New(chaos.Config{Seed: 21, SyncErrProb: 1})
+	cfg := durableConfig(t, 6)
+	cfg.FS = faults.FS(nil)
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := fillDay(t, s, 0, 6)
+	if err := s.Flush(); err == nil {
+		t.Fatal("Flush returned nil with every fsync failing")
+	}
+	faults.SetEnabled(false)
+	if err := s.Flush(); err != nil {
+		t.Fatalf("Flush on a healed disk: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if st := r.Stats(); st.Truncations != 0 {
+		t.Fatalf("healed store reopened with %d truncations", st.Truncations)
+	}
+	verifyDay(t, r, 0, cells)
 }

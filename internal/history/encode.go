@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"taxiqueue/internal/core"
+	"taxiqueue/internal/store"
 )
 
 // Block payload layout (all integers unsigned varints unless noted):
@@ -74,22 +74,20 @@ type blockSummary struct {
 }
 
 // block is one sealed run of records of a single day. Blocks sealed at
-// runtime keep the encoded payload (what the generation file frames
-// carry) and the records in memory; blocks recovered at Open are
+// runtime keep their records in memory; blocks recovered at Open are
 // disk-resident — only the summary lives in memory, ref locates the
-// payload, and the records materialize on demand through the store's
-// decoded-block cache. A block with Count == 0 is a bare watermark
-// carrier: it records that the day is fully empty below coveredBelow.
+// payload in the store's log, and the records materialize on demand
+// through the store's decoded-block cache. A block with Count == 0 is a
+// bare watermark carrier: it records that the day is fully empty below
+// coveredBelow.
 type block struct {
 	day          int
 	coveredBelow int
 	sum          blockSummary
-	payload      []byte
 	recs         []Record
-	// ref locates the payload on disk for lazily-recovered blocks (nil
-	// for runtime-sealed blocks, whose payload is in memory). A rotate
-	// re-points it at the fresh generation, so it is read atomically.
-	ref atomic.Pointer[fileRef]
+	// ref locates the payload of a lazily-recovered block (nil for
+	// runtime-sealed blocks). Log refs never move.
+	ref *store.Ref
 }
 
 // overlaps reports whether the block holds any record in [loSlot, hiSlot).
@@ -115,9 +113,10 @@ func deriveCount(v, factor float64) (uint64, bool) {
 	return uint64(n), true
 }
 
-// encodeBlock seals recs (all of one day) into a block. recs are copied
-// and the copy sorted by (slot, spot); the caller's slice is untouched.
-func encodeBlock(day int, recs []Record, coveredBelow int, amp core.Amplification, slotSec float64) *block {
+// encodeBlock seals recs (all of one day) into a block and its encoded
+// payload. recs are copied and the copy sorted by (slot, spot); the
+// caller's slice is untouched.
+func encodeBlock(day int, recs []Record, coveredBelow int, amp core.Amplification, slotSec float64) (*block, []byte) {
 	sorted := append([]Record(nil), recs...)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		if sorted[i].Slot != sorted[j].Slot {
@@ -232,8 +231,7 @@ func encodeBlock(day int, recs []Record, coveredBelow int, amp core.Amplificatio
 			buf = binary.AppendUvarint(buf, uint64(int64(r.Feats.BookingDepartures)))
 		}
 	}
-	b.payload = buf
-	return b
+	return b, buf
 }
 
 // parseSummaryBlock decodes only a payload's summary prefix — day,
@@ -241,7 +239,7 @@ func encodeBlock(day int, recs []Record, coveredBelow int, amp core.Amplificatio
 // counts and feature sums — leaving the columns on disk. The label total
 // must reconcile with the record count (the same property full decode
 // enforces record by record), so a frame this accepts carries a summary
-// decodeBlock would have produced. The caller wires a fileRef so the
+// decodeBlock would have produced. The caller wires a log ref so the
 // records can be materialized on demand.
 func parseSummaryBlock(payload []byte) (*block, error) {
 	r := &byteReader{buf: payload}
@@ -349,7 +347,6 @@ func decodeBlock(payload []byte, amp core.Amplification, slotSec float64) (*bloc
 		if r.off != len(payload) {
 			return nil, errBadBlock
 		}
-		b.payload = payload
 		return b, nil
 	}
 	b.sum.MinSlot = int(r.uvarint())
@@ -436,6 +433,5 @@ func decodeBlock(payload []byte, amp core.Amplification, slotSec float64) (*bloc
 		}
 	}
 	b.recs = recs
-	b.payload = payload
 	return b, nil
 }

@@ -29,21 +29,23 @@
 // once and walk plain memory. Writers serialize on an internal mutex that
 // readers never touch.
 //
-// Durability rides the same store.FS seam as the ingest WAL, so the chaos
-// harness's disk faults (short writes, fsync errors, silently torn tails)
-// apply unchanged. Sealed blocks append to a generation file as
-// CRC-framed records; recovery keeps the longest clean block prefix,
-// truncates the rest, and counts the cut — a partially written block is
-// never served. The ingest WAL replays the live day through the exact
-// live path on restart, and the store's per-day watermark makes
-// re-appends idempotent, so a recovered prefix plus a replay converges to
-// the fault-free history.
+// Durability is a store.Log, the same checksummed log the ingest WAL uses,
+// so the chaos harness's disk faults (short writes, fsync errors, silently
+// torn tails) apply unchanged. Every sealed block is one frame, committed
+// before the append that sealed it returns; the log's files carry the
+// grid/spots/amplification stamp, so a directory written under another
+// configuration fails Open. Recovery keeps the longest clean block prefix
+// of the newest file, truncates the rest and counts the cut — a partially
+// written block is never served — while damage to an older file fails
+// Open. The ingest WAL replays the live day through the exact live path on
+// restart, and the store's per-day watermark makes re-appends idempotent,
+// so a recovered prefix plus a replay converges to the fault-free history.
 package history
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,8 +84,8 @@ type Config struct {
 	// Amplify is the §6.2.1 coverage correction the recorded features were
 	// computed under; the count-derivation codec reproduces floats from it.
 	Amplify core.Amplification
-	// Dir enables durability: sealed blocks append to generation files
-	// under it. Empty keeps the store memory-only.
+	// Dir enables durability: sealed blocks append to a store.Log under
+	// it. Empty keeps the store memory-only.
 	Dir string
 	// FS is the filesystem writes go through; store.OS when nil. The
 	// chaos harness injects disk faults here. Reads and truncation use the
@@ -183,23 +185,13 @@ type Store struct {
 	persistedWM map[int]int
 	closed      bool
 
-	// Durability state; untouched when cfg.Dir is empty.
-	file store.File
-	gen  int // next generation number to create
-	// durable counts the leading blocks persisted (and synced) on disk;
-	// only meaningful while needRewrite is false.
-	durable  int
-	genFiles []string
-	bytes    int64
-	// needRewrite is set after a failed frame write or sync: the current
-	// generation file has an untrustworthy tail, so the next seal rewrites
-	// every block into a fresh generation (see rotateLocked).
-	needRewrite bool
+	// log holds one frame per sealed block; nil when cfg.Dir is empty.
+	log *store.Log
 }
 
-// Open builds a store from cfg, recovering any generation files under
-// cfg.Dir (tolerantly: a torn or corrupt tail keeps the longest clean
-// block prefix and counts the truncation).
+// Open builds a store from cfg, recovering the log under cfg.Dir
+// (tolerantly for the newest file: a torn or corrupt tail keeps the
+// longest clean block prefix and counts the truncation).
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Grid.Slots == 0 {
@@ -219,11 +211,26 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s.cache = newBlockCache(cfg.BlockCacheBlocks, s.met)
 	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("history: dir: %w", err)
+		// Recovery is lazy: only each frame's summary prefix is decoded;
+		// the columns stay on disk behind the log ref and materialize on
+		// first use (see lazy.go), so open-time memory tracks the block
+		// count, not the record count.
+		log, rec, err := store.OpenLog(cfg.Dir, s.stamp(), store.LogConfig{FS: cfg.FS}, func(ref store.Ref, p []byte) error {
+			b, err := parseSummaryBlock(p)
+			if err != nil {
+				return err
+			}
+			b.ref = &ref
+			s.blocks = append(s.blocks, b)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("history: %w", err)
 		}
-		if err := s.recover(); err != nil {
-			return nil, err
+		s.log = log
+		s.met.bytes.Set(log.Size())
+		if rec.Truncated() {
+			s.met.truncations.Inc()
 		}
 		if cfg.EagerOpen {
 			// Decode every recovered block up front and pin the records in
@@ -245,10 +252,20 @@ func Open(cfg Config) (*Store, error) {
 	for d, w := range s.wm {
 		s.persistedWM[d] = w
 	}
-	s.durable = len(s.blocks)
-	s.met.bytes.Set(s.bytes)
 	s.publishLocked()
 	return s, nil
+}
+
+// stamp identifies the configuration the log's frames are encoded under:
+// a store may only recover files written under its exact grid, spot count
+// and amplification.
+func (s *Store) stamp() []byte {
+	buf := binary.AppendUvarint(nil, uint64(s.cfg.Grid.Slots))
+	buf = binary.AppendUvarint(buf, uint64(s.cfg.Grid.SlotLen))
+	buf = binary.AppendUvarint(buf, uint64(len(s.cfg.Spots)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.cfg.Grid.Start.UnixNano()))
+	buf = appendF64(buf, s.cfg.Amplify.Factor)
+	return appendF64(buf, s.cfg.Amplify.IntervalFactor)
 }
 
 // emptyContext returns spot's synthesized no-activity cell: the zero
@@ -300,7 +317,7 @@ func (s *Store) Days() []int { return s.pub.Load().days() }
 // exactly idempotent; cells whose features are the zero 5-tuple are
 // elided (the read side synthesizes them). The new cells join the open
 // tail, which seals into encoded blocks at Config.BlockRecords and
-// appends them durably when the store has a directory.
+// commits them to the log when the store has a directory.
 func (s *Store) AppendSlots(day, lo, hi int, at func(spot, slot int) (core.SlotFeatures, core.QueueType)) error {
 	if hi > s.cfg.Grid.Slots {
 		hi = s.cfg.Grid.Slots
@@ -395,52 +412,75 @@ func (s *Store) coveredLocked(day, cut int) int {
 	return s.wm[day]
 }
 
-// sealFullLocked cuts BlockRecords-sized blocks off the open tail.
+// sealFullLocked cuts BlockRecords-sized blocks off the open tail and
+// commits them. A commit failure is counted, not returned: a failing
+// history disk must not stall its feeder, and the log rewrites the blocks
+// at the next commit.
 func (s *Store) sealFullLocked() {
+	sealed := false
 	for len(s.pending) > 0 {
 		run := s.pendingRunLocked()
 		if run < s.cfg.BlockRecords {
-			return
+			break
 		}
 		cut := s.cfg.BlockRecords
 		day := s.pending[0].Day
 		s.sealLocked(day, s.pending[:cut], s.coveredLocked(day, cut))
 		s.pending = append(s.pending[:0:0], s.pending[cut:]...)
+		sealed = true
+	}
+	if sealed {
+		s.commitLocked()
 	}
 }
 
 // sealLocked encodes one block (possibly empty: a bare watermark carrier)
-// and appends it to the store and, when durable, to the generation file.
+// and appends it to the store and, when durable, to the log.
 func (s *Store) sealLocked(day int, recs []Record, coveredBelow int) {
-	b := encodeBlock(day, recs, coveredBelow, s.cfg.Amplify, s.slotSec)
+	b, payload := encodeBlock(day, recs, coveredBelow, s.cfg.Amplify, s.slotSec)
 	s.blocks = append(s.blocks, b)
 	s.met.blocks.Inc()
 	if coveredBelow > s.persistedWM[day] {
 		s.persistedWM[day] = coveredBelow
 	}
-	if s.cfg.Dir != "" {
-		s.persistLocked(b)
+	if s.log != nil {
+		s.log.Append(payload)
 	}
 }
 
+// commitLocked makes every sealed block durable. A failure is counted; the
+// log holds the blocks and the next commit rewrites them into a new file.
+func (s *Store) commitLocked() error {
+	if s.log == nil {
+		return nil
+	}
+	err := s.log.Commit()
+	if err != nil {
+		s.met.writeErrs.Inc()
+	}
+	s.met.bytes.Set(s.log.Size())
+	return err
+}
+
 // Flush seals the open tail (whatever its size), persists any watermark
-// advance that produced no records as a bare watermark block, and syncs
-// the generation file — the durability barrier the ingest service invokes
-// at end of feed. Callers without a Dir get the seal (and the published
-// blocks) only.
+// advance that produced no records as a bare watermark block, and commits
+// the log — the durability barrier the ingest service invokes at end of
+// feed. A non-nil error means sealed blocks are not yet durable; the next
+// Flush retries them. Callers without a Dir get the seal (and the
+// published blocks) only.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.flushLocked()
+	s.sealTailLocked()
 	s.publishLocked()
-	return nil
+	return s.commitLocked()
 }
 
-// flushLocked seals everything pending plus owed watermark blocks.
-func (s *Store) flushLocked() {
+// sealTailLocked seals everything pending plus owed watermark blocks.
+func (s *Store) sealTailLocked() {
 	for len(s.pending) > 0 {
 		run := s.pendingRunLocked()
 		day := s.pending[0].Day
@@ -460,9 +500,6 @@ func (s *Store) flushLocked() {
 			s.sealLocked(day, nil, w)
 		}
 	}
-	if s.cfg.Dir != "" {
-		s.syncLocked()
-	}
 }
 
 // publishLocked swaps in a fresh immutable index.
@@ -478,23 +515,27 @@ func (s *Store) publishLocked() {
 	})
 }
 
-// Close flushes and closes the generation file. Further appends return
-// ErrClosed; reads keep serving the final published index.
+// Close flushes, commits and closes the log, returning the commit error:
+// blocks it reports are not durable. Further appends return ErrClosed;
+// reads keep serving the final published index.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	s.flushLocked()
+	s.sealTailLocked()
 	s.publishLocked()
 	s.closed = true
-	if s.file != nil {
-		err := s.file.Close()
-		s.file = nil
-		return err
+	if s.log == nil {
+		return nil
 	}
-	return nil
+	err := s.log.Close()
+	if err != nil {
+		s.met.writeErrs.Inc()
+	}
+	s.met.bytes.Set(s.log.Size())
+	return err
 }
 
 // Stats is the store's counter snapshot; every field reads the same
@@ -503,9 +544,9 @@ type Stats struct {
 	Appends     int64 `json:"appends"`      // AppendSlots/Append calls applied
 	Records     int64 `json:"records"`      // non-empty cells recorded
 	Blocks      int64 `json:"blocks"`       // sealed encoded blocks
-	Bytes       int64 `json:"bytes"`        // encoded bytes on disk (header + frames)
+	Bytes       int64 `json:"bytes"`        // log bytes on disk (file headers + frames)
 	Truncations int64 `json:"truncations"`  // recoveries that cut a damaged tail
-	WriteErrors int64 `json:"write_errors"` // failed frame writes/syncs (rotated away)
+	WriteErrors int64 `json:"write_errors"` // failed log commits (rewritten at the next)
 
 	SummaryHits         int64 `json:"summary_hits"`          // range blocks served summary-only
 	SummaryMisses       int64 `json:"summary_misses"`        // range blocks that had to decode

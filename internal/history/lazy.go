@@ -2,48 +2,23 @@ package history
 
 import (
 	"container/list"
-	"hash/crc32"
-	"os"
 	"sync"
 
 	"taxiqueue/internal/obs"
 )
 
 // Lazy block materialization. Open no longer decodes recovered blocks:
-// recovery CRC-checks every frame and parses only the summary prefix,
-// leaving each payload on disk behind a fileRef. The first query that
-// needs a disk-resident block's records reads and decodes the payload on
-// demand, and a small LRU of decoded blocks absorbs the scan locality of
-// range queries. Runtime-sealed blocks are untouched — their records are
+// the log CRC-checks every frame at recovery and the store parses only the
+// summary prefix, leaving each payload on disk behind a log ref. The first
+// query that needs a disk-resident block's records reads and decodes the
+// payload on demand, and a small LRU of decoded blocks absorbs the scan
+// locality of range queries. Runtime-sealed blocks are untouched — their records are
 // already in memory, and they never enter the cache.
 //
 // Reads stay lock-free on the published index; only the cache itself
 // takes a short internal mutex. Two readers racing a cold block may both
 // decode it (the second insert wins), which is benign: decode is a pure
 // function of the immutable on-disk frame.
-
-// fileRef locates one block's encoded payload inside a generation file.
-// The CRC is re-checked at every load, so a read can never serve bytes
-// that differ from what recovery admitted.
-type fileRef struct {
-	name string
-	off  int64
-	size int
-	crc  uint32
-}
-
-// read fetches and CRC-checks the payload from f (an open handle on
-// ref.name).
-func (ref *fileRef) read(f *os.File) ([]byte, error) {
-	buf := make([]byte, ref.size)
-	if _, err := f.ReadAt(buf, ref.off); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(buf) != ref.crc {
-		return nil, errBadBlock
-	}
-	return buf, nil
-}
 
 // blockCache is the decoded-block LRU: block identity → decoded records.
 type blockCache struct {
@@ -122,44 +97,18 @@ func (s *Store) blockRecs(b *block) []Record {
 	return recs
 }
 
-// materialize reads and decodes one disk-resident block. A rotate can
-// re-point the ref at a fresh generation and then remove the old file, so
-// a failed load retries against a ref that changed mid-read; a failure
-// with a stable ref is final (and should be impossible short of the disk
-// vanishing — the frame was CRC-clean at recovery).
+// materialize reads and decodes one disk-resident block. The log re-checks
+// the frame's CRC on every read, so a load never serves bytes that differ
+// from what recovery admitted; a failure (the file changed underneath the
+// store) serves nothing.
 func (s *Store) materialize(b *block) []Record {
-	for attempt := 0; attempt < 4; attempt++ {
-		ref := b.ref.Load()
-		if ref == nil {
-			return nil
-		}
-		payload, err := readRef(ref)
-		if err != nil {
-			if b.ref.Load() != ref {
-				continue
-			}
-			return nil
-		}
-		dec, err := decodeBlock(payload, s.cfg.Amplify, s.slotSec)
-		if err != nil {
-			if b.ref.Load() != ref {
-				continue
-			}
-			return nil
-		}
-		return dec.recs
-	}
-	return nil
-}
-
-// readRef opens, reads and CRC-checks one payload. Reads use the real
-// filesystem — like recovery and the WAL, only writes go through the
-// fault-injectable cfg.FS.
-func readRef(ref *fileRef) ([]byte, error) {
-	f, err := os.Open(ref.name)
+	payload, err := s.log.Read(*b.ref)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	defer f.Close()
-	return ref.read(f)
+	dec, err := decodeBlock(payload, s.cfg.Amplify, s.slotSec)
+	if err != nil {
+		return nil
+	}
+	return dec.recs
 }

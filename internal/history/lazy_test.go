@@ -148,7 +148,7 @@ func TestLazyOpenMatchesEager(t *testing.T) {
 	for _, b := range lazy.pub.Load().blocks {
 		if b.recs != nil {
 			resident++
-		} else if b.sum.Count > 0 && b.ref.Load() == nil {
+		} else if b.sum.Count > 0 && b.ref == nil {
 			t.Fatal("disk-resident block with no file ref")
 		}
 	}
@@ -240,10 +240,11 @@ func TestBlockCacheEviction(t *testing.T) {
 	verifyDay(t, r, 0, cells)
 }
 
-// TestRotateWithLazyBlocks forces a generation rotate on a reopened store:
-// the rewrite must fetch the disk-resident payloads it never decoded,
-// re-point their refs at the fresh generation, and keep every read exact
-// before, during and after — including across one more reopen.
+// TestRotateWithLazyBlocks forces write errors on a reopened store: the log
+// abandons its failed files and rewrites only the blocks that are not yet
+// durable into a new one, the disk-resident blocks keep their refs (which
+// never move), and every read stays exact before, during and after —
+// including across one more reopen.
 func TestRotateWithLazyBlocks(t *testing.T) {
 	faults := chaos.New(chaos.Config{Seed: 13, SyncErrProb: 1})
 	faults.SetEnabled(false)
@@ -265,17 +266,17 @@ func TestRotateWithLazyBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	faults.SetEnabled(true) // every sync fails → the store owes a rewrite
+	faults.SetEnabled(true) // every sync fails → the log owes a rewrite
 	day1 := fillDay(t, r, 1, 5)
 	_ = r.Flush()
 	if r.Stats().WriteErrors == 0 {
 		t.Fatal("no write errors under a 100% sync-fault disk")
 	}
 	faults.SetEnabled(false)
-	if err := r.Flush(); err != nil { // heals: rotate rewrites every block
+	if err := r.Flush(); err != nil { // heals: the rewrite lands in a new file
 		t.Fatal(err)
 	}
-	verifyDay(t, r, 0, day0) // refs now point at the fresh generation
+	verifyDay(t, r, 0, day0) // refs still point at the first file
 	verifyDay(t, r, 1, day1)
 
 	if err := r.Close(); err != nil {

@@ -41,11 +41,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 		blocks: reg.Counter("history_blocks_total",
 			"Columnar blocks sealed (encoded) by the history store."),
 		bytes: reg.Gauge("history_bytes",
-			"Encoded history bytes on disk (file headers + CRC-framed blocks)."),
+			"History log bytes on disk (file headers + CRC-framed blocks)."),
 		truncations: reg.Counter("history_truncations_total",
 			"Recoveries that truncated a damaged history file tail."),
 		writeErrs: reg.Counter("history_write_errors_total",
-			"Failed history frame writes or syncs (generation rotated)."),
+			"Failed history log commits (the next commit rewrites the blocks into a new file)."),
 		summaryHits: reg.Counter("history_summary_hits_total",
 			"Range-aggregation blocks served from their summary without decoding."),
 		summaryMisses: reg.Counter("history_summary_misses_total",

@@ -1,13 +1,13 @@
 package ingest
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
 	"taxiqueue/internal/chaos"
 	"taxiqueue/internal/core"
 	"taxiqueue/internal/history"
+	"taxiqueue/internal/store"
 )
 
 // historyStore opens a history store matching the fixture day's grid and
@@ -89,7 +89,6 @@ func TestHistoryCrashRestartRecovers(t *testing.T) {
 	d := getDay(t)
 	base := d.serviceConfig()
 	base.Shards = 4
-	base.CheckpointEvery = 1 << 30 // checkpoints under test control
 
 	// Fault-free reference.
 	refHist := historyStore(t, d, t.TempDir())
@@ -124,9 +123,9 @@ func TestHistoryCrashRestartRecovers(t *testing.T) {
 	svc.Abort() // no Flush: pending history appends die with the process
 
 	// The crash also tears the history file's tail.
-	gens, err := filepath.Glob(filepath.Join(histDir, "hist-*.hb"))
+	gens, err := store.LogFiles(histDir)
 	if err != nil || len(gens) == 0 {
-		t.Fatalf("no history generation files (%v)", err)
+		t.Fatalf("no history log files (%v)", err)
 	}
 	if err := chaos.TearTail(gens[len(gens)-1], 37); err != nil {
 		t.Fatal(err)

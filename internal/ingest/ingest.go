@@ -11,7 +11,7 @@
 //	        │  route by taxi-ID hash
 //	   ┌────┴────┬─────────┐
 //	 shard 0   shard 1 … shard N-1     bounded queues + backpressure
-//	   │ WAL      │ WAL      │ WAL     per-shard store.Store, atomic
+//	   │ WAL      │ WAL      │ WAL     per-shard store.Log, group commit
 //	   │ engine   │ engine   │ engine  per-shard stream.Live
 //	   └────┬────┴─────────┘
 //	     aggregator                    exact cross-shard SlotStats merge
@@ -25,15 +25,13 @@
 // served labels are byte-identical to a single engine that saw every
 // record.
 //
-// Durability is a segmented append-only WAL (format TQST3): each shard
-// streams every arriving record raw (pre-clean) into its active segment
-// and fsyncs in batches — group commit: one write and one sync cover up to
-// SyncEvery records under load, and the log syncs immediately when the
-// queue goes idle. A checkpoint seals the active segment with an O(1)
-// rename; a background compactor folds small sealed segments so restart
-// replay cost stays proportional to the data. On startup the service
-// replays each shard's segments in order through a fresh cleaner and
-// engine — the exact live code path — so the recovered state is
+// Durability is a per-shard write-ahead log on store.Log, one checksummed
+// frame per record: each shard streams every arriving record raw
+// (pre-clean) into its log and fsyncs in batches — group commit: one write
+// and one sync cover up to SyncEvery records under load, and the log syncs
+// immediately when the queue goes idle. Files rotate by size. On startup
+// the service replays each shard's log in order through a fresh cleaner
+// and engine — the exact live code path — so the recovered state is
 // byte-identical to the pre-crash state at the last commit, including
 // records the cleaner held undecided. A crash loses at most the records
 // of the current commit window (bounded by SyncEvery).
@@ -49,7 +47,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,22 +109,19 @@ type Config struct {
 	// before reporting backpressure; 2s when 0.
 	BlockTimeout time.Duration
 	// WALDir, when non-empty, enables durability: shard i appends the raw
-	// records it accepted to segment files under WALDir/shard-NNN/ and
-	// replays them on startup.
+	// records it accepted to the log under WALDir/shard-NNN/ and replays
+	// them on startup.
 	WALDir string
-	// CheckpointEvery is the number of logged records between automatic
-	// WAL checkpoints (sealing the active segment); 4096 when 0.
-	CheckpointEvery int
 	// SyncEvery is the group-commit interval: how many logged records may
 	// accumulate before the WAL fsyncs (it also syncs whenever a shard's
 	// queue goes idle, so a trickle feed is durable almost immediately).
 	// The crash-loss window, in records. 256 when 0.
 	SyncEvery int
-	// SegmentBytes rotates a shard's active WAL segment when it reaches
-	// this size; 4 MiB when 0.
+	// SegmentBytes rotates a shard's active WAL file when it reaches this
+	// size; 4 MiB when 0.
 	SegmentBytes int64
-	// FS is the filesystem the WAL checkpoints go through; the real
-	// filesystem when nil. The chaos harness injects disk faults here.
+	// FS is the filesystem the WAL writes go through; the real filesystem
+	// when nil. The chaos harness injects disk faults here.
 	FS store.FS
 	// Metrics is the registry the service's collectors live in; a private
 	// registry when nil. Hand it obs.Default (as queued does) to surface
@@ -166,9 +160,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BlockTimeout == 0 {
 		c.BlockTimeout = 2 * time.Second
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 4096
 	}
 	if c.SyncEvery == 0 {
 		c.SyncEvery = 256
@@ -303,14 +294,6 @@ func NewService(cfg Config) (*Service, error) {
 	if cfg.WALDir != "" {
 		if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
 			return nil, fmt.Errorf("ingest: wal dir: %w", err)
-		}
-		// A crash between a checkpoint's temp-write and its rename leaves a
-		// stale temp file; the committed copies are unaffected. Sweep them
-		// so they never accumulate or get mistaken for checkpoints.
-		if removed, err := store.RemoveTemps(cfg.WALDir); err != nil {
-			return nil, fmt.Errorf("ingest: wal temp sweep: %w", err)
-		} else if len(removed) > 0 {
-			log.Printf("ingest: swept %d stale checkpoint temp file(s) from %s", len(removed), cfg.WALDir)
 		}
 	}
 	// Publish the epoch-1 snapshot before the shards exist so a replayed
@@ -483,8 +466,9 @@ func (s *Service) broadcast(op ctlOp, at time.Time) error {
 }
 
 // Flush drains every shard, releases the cleaners' held records, closes
-// every open slot, and checkpoints — the whole grid becomes final. Late
-// records are still counted afterwards but can no longer change a label.
+// every open slot, and commits — the whole grid becomes final and durable.
+// Late records are still counted afterwards but can no longer change a
+// label.
 // For a paused feed the op runs after the backlog drains (the "end of day"
 // switch, and what graceful Close uses); under sustained load it runs
 // after at most one queue depth of records. Returns ErrClosed after
@@ -524,13 +508,13 @@ func (s *Service) FlushUntil(now time.Time) error {
 // buffered write, pipelined group commit — still runs on the clock.
 func (s *Service) drainUntil(now time.Time) error { return s.control(opDrainUntil, now) }
 
-// Checkpoint forces an immediate WAL checkpoint on every shard: commit
-// everything logged and seal the active segment (an O(1) rename). Returns
-// ErrClosed after Close/Abort.
+// Checkpoint is the bare durability barrier: every shard drains its queue
+// and commits its WAL, so every record accepted before the call is on
+// stable storage when it returns nil. Returns ErrClosed after Close/Abort.
 func (s *Service) Checkpoint() error { return s.control(opCheckpoint, time.Time{}) }
 
 // Close gracefully shuts down: stops accepting, drains the queues, flushes
-// cleaners and engines, takes a final checkpoint and stops the workers.
+// cleaners and engines, takes a final commit and stops the workers.
 // Close is idempotent; concurrent control ops either finish first (the
 // write lock waits for them) or observe ErrClosed.
 func (s *Service) Close() error {
@@ -548,8 +532,8 @@ func (s *Service) Close() error {
 	return err
 }
 
-// Abort stops the workers without flushing, draining or checkpointing —
-// the crash-test switch: on-disk state stays at the last checkpoint.
+// Abort stops the workers without flushing, draining or committing — the
+// crash-test switch: on-disk state stays as the last write-out left it.
 func (s *Service) Abort() {
 	s.closed.Store(true)
 	s.ctlMu.Lock()
@@ -589,8 +573,8 @@ func (s *Service) Health() error {
 // the history side's per-day watermark makes overlapping calls no-ops, so
 // ordering between racing shards does not matter. Append errors are
 // logged, not propagated — a failing history disk must not stall ingest
-// (the sink rotates/recovers on its own and the flush barrier surfaces
-// persistent failure).
+// (the sink's log rewrites what is not durable into a new file, and the
+// flush barrier surfaces persistent failure).
 func (s *Service) appendHistory() {
 	h := s.cfg.History
 	if h == nil {
@@ -734,19 +718,17 @@ func (s *Service) EstimateVersion() uint64 { return s.estVersion.Load() }
 // ShardStats is one shard's counters.
 type ShardStats struct {
 	Shard       int   `json:"shard"`
-	Accepted    int64 `json:"accepted"`       // survived cleaning, in the engine
-	Rejected    int64 `json:"rejected"`       // removed by validation/cleaning/ordering
-	Dropped     int64 `json:"dropped"`        // discarded by DropOldest backpressure
-	Replayed    int64 `json:"replayed"`       // raw WAL records replayed at startup
-	Deduped     int64 `json:"resend_deduped"` // re-sent records dropped pre-WAL
-	QueueDepth  int   `json:"queue_depth"`    // records waiting right now
-	ClosedBelow int   `json:"closed_below"`   // this shard's slot finality watermark
-	WALPending  int64 `json:"wal_pending"`    // records appended since the last fsync (what a crash would lose)
-	WALSyncs    int64 `json:"wal_syncs"`      // group commits (one fsync covering a batch)
-	WALSegments int64 `json:"wal_segments"`   // sealed segment files on disk
-	Compactions int64 `json:"wal_compactions"`
-	Checkpoints int64 `json:"checkpoints"`
-	CkptErrors  int64 `json:"checkpoint_errors"` // checkpoint/commit attempts that failed
+	Accepted    int64 `json:"accepted"`          // survived cleaning, in the engine
+	Rejected    int64 `json:"rejected"`          // removed by validation/cleaning/ordering
+	Dropped     int64 `json:"dropped"`           // discarded by DropOldest backpressure
+	Replayed    int64 `json:"replayed"`          // raw WAL records replayed at startup
+	Deduped     int64 `json:"resend_deduped"`    // re-sent records dropped pre-WAL
+	QueueDepth  int   `json:"queue_depth"`       // records waiting right now
+	ClosedBelow int   `json:"closed_below"`      // this shard's slot finality watermark
+	WALPending  int64 `json:"wal_pending"`       // records appended since the last fsync (what a crash would lose)
+	WALSyncs    int64 `json:"wal_syncs"`         // group commits (one fsync covering a batch)
+	WALSegments int64 `json:"wal_segments"`      // WAL log files on disk
+	CkptErrors  int64 `json:"checkpoint_errors"` // WAL commit attempts that failed
 	Truncations int64 `json:"wal_truncations"`   // startups that cut a torn WAL tail
 }
 
@@ -785,8 +767,6 @@ func (s *Service) Stats() Stats {
 			WALPending:  sm.walPending.Value(),
 			WALSyncs:    sm.walSyncs.Value(),
 			WALSegments: sm.walSegments.Value(),
-			Compactions: sm.walCompactions.Value(),
-			Checkpoints: sm.checkpoints.Value(),
 			CkptErrors:  sm.ckptErrors.Value(),
 			Truncations: sm.walTruncations.Value(),
 		}
@@ -799,9 +779,13 @@ func (s *Service) Stats() Stats {
 	return out
 }
 
-// WALPath names shard i's active WAL segment under dir — exported so tools
-// and the chaos harness can aim at the one file a crash may legitimately
-// tear. Sealed segments live next to it as seg-<lo>-<hi>.seg files.
+// WALPath names shard i's newest WAL file under dir, or "" when the shard
+// has none — exported so tools and the chaos harness can aim at the one
+// file a crash may legitimately tear.
 func WALPath(dir string, i int) string {
-	return filepath.Join(shardWALDir(dir, i), "active.seg")
+	files, _ := store.LogFiles(shardWALDir(dir, i))
+	if len(files) == 0 {
+		return ""
+	}
+	return files[len(files)-1]
 }

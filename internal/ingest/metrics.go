@@ -12,7 +12,7 @@ import (
 // the JSON view and the Prometheus /metrics scrape read the same atomics
 // and can never disagree. Histograms cover each stage of the live path:
 // HTTP decode → shard queue wait → per-record processing (clean + engine)
-// → WAL checkpoint → slot-close-to-serve lag.
+// → WAL group commit → slot-close-to-serve lag.
 type metrics struct {
 	reg *obs.Registry
 
@@ -20,7 +20,6 @@ type metrics struct {
 	queueWait *obs.Histogram // ingest_queue_wait_seconds
 	process   *obs.Histogram // ingest_process_seconds
 	batchRecs *obs.Histogram // ingest_batch_records
-	ckpt      *obs.Histogram // ingest_wal_checkpoint_seconds
 	walSync   *obs.Histogram // ingest_wal_sync_seconds
 	serveLag  *obs.Histogram // ingest_slot_serve_lag_seconds
 
@@ -55,11 +54,9 @@ type shardMetrics struct {
 	dropped        *obs.Counter
 	replayed       *obs.Counter
 	deduped        *obs.Counter
-	checkpoints    *obs.Counter
 	ckptErrors     *obs.Counter
 	walTruncations *obs.Counter
 	walSyncs       *obs.Counter
-	walCompactions *obs.Counter
 	walPending     *obs.Gauge
 	walSegments    *obs.Gauge
 	watermark      *obs.Gauge
@@ -77,7 +74,6 @@ func newMetrics(reg *obs.Registry, shards int) *metrics {
 		queueWait: reg.Histogram("ingest_queue_wait_seconds", "Time one record spent in its shard queue before processing.", obs.DefBuckets),
 		process:   reg.Histogram("ingest_process_seconds", "Per-batch shard processing time (ordering checks, WAL appends, clean, engine ingest, group commit).", obs.DefBuckets),
 		batchRecs: reg.Histogram("ingest_batch_records", "Records per queued batch the shard worker processed.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
-		ckpt:      reg.Histogram("ingest_wal_checkpoint_seconds", "Duration of one WAL checkpoint (commit + segment seal).", obs.DefBuckets),
 		walSync:   reg.Histogram("ingest_wal_sync_seconds", "Duration of one WAL group commit (buffered write + fsync).", obs.DefBuckets),
 		serveLag:  reg.Histogram("ingest_slot_serve_lag_seconds", "Lag from a (spot, slot) cell first closing in a shard to its first read.", obs.DefBuckets),
 
@@ -113,13 +109,11 @@ func newMetrics(reg *obs.Registry, shards int) *metrics {
 			dropped:        reg.Counter("ingest_dropped_total", "Records discarded by DropOldest backpressure.", l),
 			replayed:       reg.Counter("ingest_replayed_total", "Raw WAL records replayed at startup.", l),
 			deduped:        reg.Counter("ingest_resend_dedup_total", "Re-sent records dropped by the pre-WAL dedup window.", l),
-			checkpoints:    reg.Counter("ingest_checkpoints_total", "Completed atomic WAL checkpoints.", l),
-			ckptErrors:     reg.Counter("ingest_checkpoint_errors_total", "WAL checkpoint or group-commit attempts that failed (retried on the next trigger).", l),
+			ckptErrors:     reg.Counter("ingest_checkpoint_errors_total", "WAL commit attempts that failed (the next commit rewrites the records into a new file).", l),
 			walTruncations: reg.Counter("ingest_wal_truncations_total", "Startups that truncated a torn WAL tail instead of replaying it.", l),
 			walSyncs:       reg.Counter("ingest_wal_syncs_total", "WAL group commits: one fsync covering every record since the last.", l),
-			walCompactions: reg.Counter("ingest_wal_compactions_total", "Background merges folding small sealed WAL segments.", l),
 			walPending:     reg.Gauge("ingest_wal_pending", "Records appended since the last fsync (what a crash would lose).", l),
-			walSegments:    reg.Gauge("ingest_wal_segments", "Sealed WAL segment files on disk.", l),
+			walSegments:    reg.Gauge("ingest_wal_segments", "WAL log files on disk.", l),
 			watermark:      reg.Gauge("ingest_watermark_slot", "Shard finality watermark: slots below are final here.", l),
 			openSlots:      reg.Gauge("ingest_engine_open_slots", "Engine accumulator cells still open in this shard.", l),
 			taxis:          reg.Gauge("ingest_engine_taxis", "Distinct taxis this shard's engine is tracking.", l),

@@ -2,8 +2,6 @@ package ingest
 
 import (
 	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"taxiqueue/internal/mdt"
@@ -31,7 +29,6 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 
 	base := d.serviceConfig()
 	base.Shards = 4
-	base.CheckpointEvery = 1 << 30 // checkpoints under test control
 
 	// Reference: one uninterrupted run (durability on, same config).
 	refCfg := base
@@ -87,7 +84,6 @@ func TestGroupCommitClosesTheDurabilityGap(t *testing.T) {
 	k := len(d.raw) / 3
 	cfg := d.serviceConfig()
 	cfg.Shards = 2
-	cfg.CheckpointEvery = 1 << 30
 	cfg.WALDir = t.TempDir()
 
 	svc, err := NewService(cfg)
@@ -204,31 +200,10 @@ func TestDurabilityModesAgreeOnOutOfOrderFeed(t *testing.T) {
 	}
 }
 
-// newestSegment returns the lexicographically last sealed segment file in
-// shard i's WAL directory — the zero-padded seal-sequence names make that
-// the newest one, the only segment recovery is allowed to truncate.
-func newestSegment(t *testing.T, dir string, shard int) string {
-	t.Helper()
-	ents, err := os.ReadDir(shardWALDir(dir, shard))
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := ""
-	for _, e := range ents {
-		if name := e.Name(); strings.HasPrefix(name, "seg-") && name > last {
-			last = name
-		}
-	}
-	if last == "" {
-		t.Fatal("no sealed segment to damage")
-	}
-	return filepath.Join(shardWALDir(dir, shard), last)
-}
-
-// TestRecoveryTruncatesTornWAL: a WAL whose newest segment has a torn tail
+// TestRecoveryTruncatesTornWAL: a WAL whose newest file has a torn tail
 // (a crash mid-write, or a lying disk) no longer fails startup — the
 // service resumes from the longest clean prefix, counts and reports the
-// truncation, and immediately rewrites the segment clean so the damage is
+// truncation, and truncates the file to its clean prefix so the damage is
 // not rediscovered forever.
 func TestRecoveryTruncatesTornWAL(t *testing.T) {
 	d := getDay(t)
@@ -241,9 +216,8 @@ func TestRecoveryTruncatesTornWAL(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Tear shard 0's newest segment mid-payload. (Close sealed the active
-	// segment, so the newest sealed file carries the tail of the log.)
-	path := newestSegment(t, dir, 0)
+	// Tear shard 0's newest log file mid-payload.
+	path := WALPath(dir, 0)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +244,7 @@ func TestRecoveryTruncatesTornWAL(t *testing.T) {
 	if err := svc2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The damaged segment was rewritten clean at startup: a second restart
+	// The damaged file was truncated clean at startup: a second restart
 	// replays the same prefix with no further truncation.
 	svc3, err := NewService(cfg)
 	if err != nil {
@@ -288,7 +262,7 @@ func TestRecoveryTruncatesTornWAL(t *testing.T) {
 	}
 }
 
-// TestRecoveryRejectsHopelessWAL: tolerance has a floor — a segment that
+// TestRecoveryRejectsHopelessWAL: tolerance has a floor — a file that
 // carries a full-size header with the wrong magic was never written by
 // this WAL, so startup fails loudly instead of silently truncating away
 // data that may exist under a different format.
@@ -302,7 +276,7 @@ func TestRecoveryRejectsHopelessWAL(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// An active segment with a wrong-magic header (≥ 8 bytes, so it cannot
+	// The newest file with a wrong-magic header (≥ 8 bytes, so it cannot
 	// be a torn creation) must fail the open, not be swept aside.
 	if err := os.WriteFile(WALPath(dir, 0), []byte("not a wal segment!"), 0o644); err != nil {
 		t.Fatal(err)
@@ -365,7 +339,6 @@ func TestCrashRestartResendByteIdentical(t *testing.T) {
 	d := getDay(t)
 	base := d.serviceConfig()
 	base.Shards = 4
-	base.CheckpointEvery = 1 << 30
 
 	refCfg := base
 	refCfg.WALDir = t.TempDir()

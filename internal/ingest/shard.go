@@ -21,9 +21,9 @@ import (
 type ctlOp uint8
 
 const (
-	opFlush      ctlOp = iota // cleaner flush + close every slot + checkpoint
-	opFlushUntil              // close slots final as of msg.at
-	opCheckpoint              // seal the active WAL segment
+	opFlush      ctlOp = iota // cleaner flush + close every slot + commit
+	opFlushUntil              // close slots final as of msg.at, then commit
+	opCheckpoint              // commit the WAL
 	opStop                    // graceful: opFlush then exit
 	opAbort                   // crash-test: exit immediately, no drain, no commit
 	opDrainUntil              // opFlushUntil minus the durability barrier (benchmarks)
@@ -69,9 +69,10 @@ type recBatch struct {
 const engineGaugeEvery = 256
 
 // shard owns one partition of the fleet: a bounded record queue, a
-// streaming cleaner, a segmented WAL and an online engine. Only the
-// shard's worker goroutine touches the cleaner/engine/WAL; everything the
-// rest of the service reads is an atomic registry collector.
+// streaming cleaner, a WAL (a store.Log with one record per frame) and an
+// online engine. Only the shard's worker goroutine touches the
+// cleaner/engine/WAL; everything the rest of the service reads is an
+// atomic registry collector.
 type shard struct {
 	id  int
 	svc *Service
@@ -88,8 +89,9 @@ type shard struct {
 
 	cleaner *clean.Streamer
 	engine  *stream.Live
-	wal     *store.WAL // nil when durability is off
+	wal     *store.Log // nil when durability is off
 	walDir  string
+	walBuf  []byte // reused encoding of the record being logged
 
 	// tails enforces the per-taxi time-order rule uniformly: it applies
 	// before the WAL *and* when durability is off, so both modes reject the
@@ -121,9 +123,6 @@ type shard struct {
 	// the worker stores, Service.Estimate loads.
 	prov atomic.Pointer[stream.Provisional]
 
-	ckptRecs int64 // records logged since the last successful checkpoint
-	nextCkpt int64 // ckptRecs level that triggers the next auto checkpoint
-
 	done chan struct{}
 }
 
@@ -146,46 +145,38 @@ func (t *taxiTail) contains(r mdt.Record) bool {
 	return false
 }
 
-// shardWALDir is shard i's segment directory under the service WAL dir.
+// shardWALDir is shard i's log directory under the service WAL dir.
 func shardWALDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 }
 
-// newShard builds shard i, replaying its segmented WAL if one exists. A
-// torn tail on the last segment — what a crash mid-commit leaves — recovers
-// the longest clean prefix instead of failing startup: the service resumes
-// from the last durable byte and the truncation is counted and logged.
-// Damage to an older sealed segment is real corruption and fails loudly.
+// newShard builds shard i, replaying its WAL if one exists. A torn tail on
+// the newest file — what a crash mid-commit leaves — recovers the longest
+// clean prefix instead of failing startup: the service resumes from the
+// last durable frame and the truncation is counted and logged. Damage to
+// an older file is real corruption and fails loudly.
 func newShard(s *Service, i int) (*shard, error) {
 	sh := &shard{
-		id:       i,
-		svc:      s,
-		ch:       make(chan recBatch, s.cfg.QueueDepth),
-		ctl:      make(chan ctlMsg, 4),
-		space:    make(chan struct{}, 1),
-		cleaner:  clean.NewStreamer(s.cfg.Clean),
-		engine:   stream.NewLive(s.cfg.Stream),
-		tails:    make(map[string]*taxiTail),
-		met:      s.met,
-		sm:       &s.met.shards[i],
-		nextCkpt: int64(s.cfg.CheckpointEvery),
-		done:     make(chan struct{}),
+		id:      i,
+		svc:     s,
+		ch:      make(chan recBatch, s.cfg.QueueDepth),
+		ctl:     make(chan ctlMsg, 4),
+		space:   make(chan struct{}, 1),
+		cleaner: clean.NewStreamer(s.cfg.Clean),
+		engine:  stream.NewLive(s.cfg.Stream),
+		tails:   make(map[string]*taxiTail),
+		met:     s.met,
+		sm:      &s.met.shards[i],
+		done:    make(chan struct{}),
 	}
 	if s.cfg.WALDir == "" {
 		return sh, nil
 	}
 	sh.walDir = shardWALDir(s.cfg.WALDir, i)
 	sm := sh.sm
-	walCfg := store.WALConfig{
+	walCfg := store.LogConfig{
 		FS:           s.cfg.FS,
 		SegmentBytes: s.cfg.SegmentBytes,
-		OnCompact: func(folded int, err error) {
-			if err != nil {
-				log.Printf("ingest: shard %d wal compaction: %v", i, err)
-				return
-			}
-			sm.walCompactions.Inc()
-		},
 		OnSync: func(took time.Duration, err error) {
 			if err != nil {
 				sm.ckptErrors.Inc()
@@ -196,23 +187,29 @@ func newShard(s *Service, i int) (*shard, error) {
 			s.met.walSync.Observe(took.Seconds())
 		},
 	}
-	var n int64
-	wal, rec, err := store.OpenWAL(sh.walDir, walCfg, func(r mdt.Record) {
+	wal, rec, err := store.OpenLog(sh.walDir, nil, walCfg, func(_ store.Ref, p []byte) error {
+		r, n, err := mdt.DecodeBinary(p)
+		if err == nil && n != len(p) {
+			err = fmt.Errorf("%d trailing bytes after the record", len(p)-n)
+		}
+		if err != nil {
+			return err
+		}
 		sh.trackTail(sh.tails[r.TaxiID], r)
 		sh.pushClean(r)
-		n++
+		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ingest: shard %d recovery: %w", i, err)
 	}
 	sh.wal = wal
-	sh.sm.replayed.Add(n)
+	sh.sm.replayed.Add(int64(rec.Records))
 	if rec.Truncated() {
 		sh.sm.walTruncations.Inc()
 		log.Printf("ingest: shard %d WAL %s damaged (%v): recovered %d records, torn tail truncated",
 			i, sh.walDir, rec.Err, rec.Records)
 	}
-	sh.sm.walSegments.Set(int64(sh.wal.Stats().Segments))
+	sh.sm.walSegments.Set(int64(wal.Files()))
 	return sh, nil
 }
 
@@ -345,29 +342,23 @@ func (sh *shard) handle(msg ctlMsg) bool {
 	switch msg.op {
 	case opFlush:
 		sh.flushAll()
-		err = sh.checkpoint()
+		err = sh.commit()
 	case opFlushUntil:
 		sh.emit(sh.engine.FlushUntil(msg.at))
 		// A FlushUntil doubles as a durability barrier: callers use it to
 		// settle the queue, so everything logged must be on stable storage
 		// (and wal_pending truthful) when the reply lands.
-		if sh.wal != nil {
-			if err := sh.wal.Commit(); err != nil {
-				sh.sm.ckptErrors.Inc()
-				log.Printf("ingest: shard %d wal commit: %v", sh.id, err)
-			}
-			sh.sm.walPending.Set(int64(sh.wal.Pending()))
-		}
+		sh.commit()
 	case opDrainUntil:
 		// The queue-settling half of opFlushUntil without the commit:
 		// benchmarks use it as a pure drain barrier so the per-record
 		// numbers aren't charged a per-flush fsync at an artificial rate.
 		sh.emit(sh.engine.FlushUntil(msg.at))
 	case opCheckpoint:
-		err = sh.checkpoint()
+		err = sh.commit()
 	case opStop:
 		sh.flushAll()
-		err = sh.checkpoint()
+		err = sh.commit()
 		exit = true
 	case opAbort:
 		exit = true
@@ -426,8 +417,8 @@ func (sh *shard) processBatch(b recBatch) {
 
 // process applies the ordering rule and the re-send dedup window, logs one
 // arriving record to the WAL, cleans it and ingests the survivors. The
-// record hits the WAL before the cleaner sees it so that a checkpoint
-// always captures the cleaner's held records too. Returns the record's tail
+// record hits the WAL before the cleaner sees it so that a commit always
+// captures the cleaner's held records too. Returns the record's tail
 // window for the caller's memoization.
 func (sh *shard) process(rec mdt.Record, tail *taxiTail) *taxiTail {
 	// One ordering rule for both durability modes: per-taxi time order
@@ -456,20 +447,8 @@ func (sh *shard) process(rec mdt.Record, tail *taxiTail) *taxiTail {
 	}
 	tail = sh.trackTail(tail, rec)
 	if sh.wal != nil {
-		if err := sh.wal.Append(rec); err != nil {
-			// The record is buffered regardless; the error reports a failed
-			// segment rotation, which the WAL retries on its own backoff.
-			sh.sm.ckptErrors.Inc()
-			log.Printf("ingest: shard %d wal rotation: %v", sh.id, err)
-		}
-		if sh.ckptRecs++; sh.ckptRecs >= sh.nextCkpt {
-			if err := sh.checkpoint(); err != nil {
-				// A checkpoint attempt per record would hammer a sick disk;
-				// back off by one interval and keep serving — the records
-				// are safe in memory and re-covered by the next success.
-				sh.nextCkpt += int64(sh.svc.cfg.CheckpointEvery)
-			}
-		}
+		sh.walBuf = rec.AppendBinary(sh.walBuf[:0])
+		sh.wal.Append(sh.walBuf)
 	}
 	sh.pushClean(rec)
 	return tail
@@ -490,6 +469,7 @@ func (sh *shard) maybeSync() {
 		}
 	}
 	sh.sm.walPending.Set(int64(sh.wal.Pending()))
+	sh.sm.walSegments.Set(int64(sh.wal.Files()))
 }
 
 // pushClean feeds one raw record to the streaming cleaner, ingests the
@@ -559,27 +539,20 @@ func (sh *shard) refreshEngineGauges() {
 	sh.svc.estVersion.Add(1)
 }
 
-// checkpoint makes everything logged so far durable and seals the active
-// segment — an O(1) rename however many records the shard has ever seen,
-// where the old single-file format rewrote the entire store. A failed seal
-// leaves the log consistent (the segment keeps growing), is counted, and
-// is retried by the next checkpoint trigger.
-func (sh *shard) checkpoint() error {
+// commit is the synchronous durability barrier: everything logged so far
+// is on stable storage when it returns nil. A failure is counted and
+// logged; the records stay held by the log and the next commit retries
+// them in a new file.
+func (sh *shard) commit() error {
 	if sh.wal == nil {
 		return nil
 	}
-	t0 := time.Now()
-	if err := sh.wal.Seal(); err != nil {
+	err := sh.wal.Commit()
+	if err != nil {
 		sh.sm.ckptErrors.Inc()
-		log.Printf("ingest: shard %d checkpoint: %v", sh.id, err)
-		return err
+		log.Printf("ingest: shard %d wal commit: %v", sh.id, err)
 	}
-	sh.met.ckpt.Since(t0)
-	st := sh.wal.Stats()
-	sh.sm.walPending.Set(int64(st.Pending))
-	sh.sm.walSegments.Set(int64(st.Segments))
-	sh.ckptRecs = 0
-	sh.nextCkpt = int64(sh.svc.cfg.CheckpointEvery)
-	sh.sm.checkpoints.Inc()
-	return nil
+	sh.sm.walPending.Set(int64(sh.wal.Pending()))
+	sh.sm.walSegments.Set(int64(sh.wal.Files()))
+	return err
 }

@@ -9,8 +9,8 @@ import (
 	"taxiqueue/internal/store"
 )
 
-// copySegDir clones one shard's WAL segment directory so a test can damage
-// the copy without touching the original.
+// copySegDir clones one shard's WAL directory so a test can damage the
+// copy without touching the original.
 func copySegDir(t *testing.T, src, dst string) {
 	t.Helper()
 	if err := os.MkdirAll(dst, 0o755); err != nil {
@@ -32,14 +32,14 @@ func copySegDir(t *testing.T, src, dst string) {
 }
 
 // TestSegmentedRecoveryMatchesWALOffAnyCut is the crash-cut recovery
-// property: for an arbitrary crash cut in the active segment, a service
-// recovered from the torn segmented log must serve contexts byte-identical
-// to a WAL-off service fed exactly the records that survived the cut.
+// property: for an arbitrary crash cut in the newest file, a service
+// recovered from the torn log must serve contexts byte-identical to a
+// WAL-off service fed exactly the records that survived the cut.
 func TestSegmentedRecoveryMatchesWALOffAnyCut(t *testing.T) {
 	d := getDay(t)
 	cfg := d.serviceConfig()
 	cfg.Shards = 1
-	cfg.CheckpointEvery = 1500 // several sealed segments plus an active tail
+	cfg.SegmentBytes = 64 << 10 // several full files plus an active tail
 	dir := t.TempDir()
 	cfg.WALDir = dir
 
@@ -49,16 +49,17 @@ func TestSegmentedRecoveryMatchesWALOffAnyCut(t *testing.T) {
 	}
 	feed(t, svc, d.raw[:6000])
 	// Drain barrier: the idle group commit makes every logged byte durable,
-	// so the Abort below leaves a fully written active segment to cut into.
+	// so the Abort below leaves a fully written newest file to cut into.
 	if err := svc.FlushUntil(d.grid.Start); err != nil {
 		t.Fatal(err)
 	}
-	if n := svc.Stats().Shards[0].Checkpoints; n < 3 {
-		t.Fatalf("fixture sealed %d segments, want several for a meaningful cut", n)
+	if n := svc.Stats().Shards[0].WALSegments; n < 3 {
+		t.Fatalf("fixture wrote %d files, want several for a meaningful cut", n)
 	}
 	svc.Abort()
 	src := shardWALDir(dir, 0)
-	active, err := os.Stat(filepath.Join(src, "active.seg"))
+	activeName := filepath.Base(WALPath(dir, 0))
+	active, err := os.Stat(filepath.Join(src, activeName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +67,17 @@ func TestSegmentedRecoveryMatchesWALOffAnyCut(t *testing.T) {
 	for _, frac := range []float64{0.15, 0.5, 0.97} {
 		cut := int64(float64(active.Size()) * frac)
 
-		// Service A: recover the segmented log with its active segment torn
-		// at the cut.
+		// Service A: recover the log with its newest file torn at the cut.
 		dirA := t.TempDir()
 		copySegDir(t, src, shardWALDir(dirA, 0))
-		if err := os.Truncate(filepath.Join(shardWALDir(dirA, 0), "active.seg"), cut); err != nil {
+		if err := os.Truncate(filepath.Join(shardWALDir(dirA, 0), activeName), cut); err != nil {
 			t.Fatal(err)
 		}
 		cfgA := cfg
 		cfgA.WALDir = dirA
 		svcA, err := NewService(cfgA)
 		if err != nil {
-			t.Fatalf("cut %d: segmented recovery: %v", cut, err)
+			t.Fatalf("cut %d: recovery: %v", cut, err)
 		}
 		replayed := svcA.Stats().Replayed
 		if replayed <= 0 || replayed >= 6000 {
@@ -91,23 +91,25 @@ func TestSegmentedRecoveryMatchesWALOffAnyCut(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Collect the surviving records from a scratch copy of the same torn
+		// Collect the surviving records from a second copy of the same torn
 		// log — the exact set service A replayed.
-		scratch := filepath.Join(t.TempDir(), "scratch")
-		copySegDir(t, src, scratch)
-		if err := os.Truncate(filepath.Join(scratch, "active.seg"), cut); err != nil {
+		spare := filepath.Join(t.TempDir(), "spare")
+		copySegDir(t, src, spare)
+		if err := os.Truncate(filepath.Join(spare, activeName), cut); err != nil {
 			t.Fatal(err)
 		}
 		var recs []mdt.Record
-		w, _, err := store.OpenWAL(scratch, store.WALConfig{}, func(r mdt.Record) {
+		w, _, err := store.OpenLog(spare, nil, store.LogConfig{}, func(_ store.Ref, p []byte) error {
+			r, _, err := mdt.DecodeBinary(p)
 			recs = append(recs, r)
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.Abort()
 		if int64(len(recs)) != replayed {
-			t.Fatalf("cut %d: scratch replay %d records, service replayed %d", cut, len(recs), replayed)
+			t.Fatalf("cut %d: spare replay %d records, service replayed %d", cut, len(recs), replayed)
 		}
 
 		// Service B: no WAL, fed exactly the surviving records through the
@@ -119,55 +121,6 @@ func TestSegmentedRecoveryMatchesWALOffAnyCut(t *testing.T) {
 		if err := svcB.Close(); err != nil {
 			t.Fatal(err)
 		}
-		sameContexts(t, "segmented recovery vs WAL-off", aL, aF, bL, bF)
-	}
-}
-
-// TestCompactionBoundsSegmentCount: a day of aggressive checkpointing must
-// not leave a segment per checkpoint behind — the background compactor
-// folds runs of small segments, so replay cost stays proportional to the
-// data instead of the checkpoint count.
-func TestCompactionBoundsSegmentCount(t *testing.T) {
-	d := getDay(t)
-	cfg := d.serviceConfig()
-	cfg.Shards = 1
-	cfg.CheckpointEvery = 400
-	dir := t.TempDir()
-	cfg.WALDir = dir
-	svc := runService(t, cfg, d.raw)
-	logged := int64(len(d.raw)) - preWALRejected(svc)
-	if err := svc.Close(); err != nil { // waits out the compactor
-		t.Fatal(err)
-	}
-	st := svc.Stats().Shards[0]
-	if st.Checkpoints < 20 {
-		t.Fatalf("only %d checkpoints, fixture too small to exercise compaction", st.Checkpoints)
-	}
-	if st.Compactions == 0 {
-		t.Fatal("no compactions over a day of 400-record checkpoints")
-	}
-	ents, err := os.ReadDir(shardWALDir(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := 0
-	for _, e := range ents {
-		if name := e.Name(); filepath.Ext(name) == ".seg" && name != "active.seg" {
-			segs++
-		}
-	}
-	if bound := int(st.Checkpoints) / 2; segs >= bound {
-		t.Fatalf("%d sealed segments survive %d checkpoints, want compaction to fold them below %d",
-			segs, st.Checkpoints, bound)
-	}
-
-	// The compacted log still replays every record.
-	svc2, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Close()
-	if got := svc2.Stats().Replayed; got != logged {
-		t.Fatalf("replayed %d over the compacted log, logged %d", got, logged)
+		sameContexts(t, "log recovery vs WAL-off", aL, aF, bL, bF)
 	}
 }

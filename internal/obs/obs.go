@@ -57,7 +57,7 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adjusts the value by n (negative allowed) and returns the new value,
 // so a caller can both publish and act on a running total with one atomic
-// op (e.g. the WAL-pending trigger for automatic checkpoints).
+// op.
 func (g *Gauge) Add(n int64) int64 { return g.v.Add(n) }
 
 // Value returns the current value.

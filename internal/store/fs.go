@@ -6,14 +6,14 @@ import (
 )
 
 // FS abstracts the handful of filesystem operations the store's durability
-// path uses (SaveFileFS / RemoveTemps). Production code uses OS; the chaos
+// paths use (Log and SaveFileFS). Production code uses OS; the chaos
 // harness substitutes a fault-injecting implementation to simulate short
 // writes, fsync failures and crashes between temp-write and rename without
 // touching the real syscall layer.
 type FS interface {
-	// Create creates (or truncates) the named file for writing — the WAL's
-	// active segment goes through this, so injected write/sync faults land
-	// on the group-commit path too.
+	// Create creates (or truncates) the named file for writing — every Log
+	// file goes through this, so injected write/sync faults land on the
+	// group-commit path too.
 	Create(name string) (File, error)
 	// CreateTemp creates a new temporary file in dir (see os.CreateTemp).
 	CreateTemp(dir, pattern string) (File, error)

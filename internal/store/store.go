@@ -9,7 +9,8 @@
 //     k-way merge across partitions with block-level time pruning.
 //
 // A Store serializes to a single file (Save/Load) with a magic header and
-// per-block time index.
+// per-block time index. The package also holds Log (log.go), the
+// checksummed append-only log under the ingest WAL and the history store.
 package store
 
 import (
@@ -296,27 +297,8 @@ func (s *Store) SaveFileFS(fsys FS, path string) error {
 	return nil
 }
 
-// tempSuffix marks SaveFileFS temp files; RemoveTemps matches on it.
+// tempSuffix marks SaveFileFS temp files.
 const tempSuffix = ".tmp"
-
-// RemoveTemps deletes stale SaveFileFS temp files left in dir by a crash
-// between temp-write and rename. The committed files are untouched — the
-// rename either happened (new copy) or did not (old copy); either way the
-// temp is garbage. Returns the removed paths.
-func RemoveTemps(dir string) ([]string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*"+tempSuffix+"-*"))
-	if err != nil {
-		return nil, err
-	}
-	var removed []string
-	for _, m := range matches {
-		if err := os.Remove(m); err != nil {
-			return removed, err
-		}
-		removed = append(removed, m)
-	}
-	return removed, nil
-}
 
 // LoadFile reads a store previously written by SaveFile (or Save to a
 // file). Errors are wrapped with the source path.
@@ -399,20 +381,6 @@ func Load(r io.Reader) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Recovery reports what a tolerant WAL open salvaged (see OpenWAL).
-type Recovery struct {
-	// Records is the number of records recovered.
-	Records int
-	// Err is the corruption recovery stopped at; nil for a clean log.
-	Err error
-	// TruncatedAt names the segment file the corruption was found in.
-	// Empty for a clean log.
-	TruncatedAt string
-}
-
-// Truncated reports whether the log was damaged and only a prefix loaded.
-func (r Recovery) Truncated() bool { return r.Err != nil }
 
 // loadBody reads partitions into s until EOF, failing on the first
 // structural error.

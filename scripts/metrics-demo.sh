@@ -26,7 +26,7 @@ go build -o "$bin/mdtgen" ./cmd/mdtgen
 "$bin/queued" -addr "$ADDR" -live -seed "$SEED" -scale "$SCALE" \
 	-minpts "$MINPTS" -wal "$WAL" -pprof &
 qpid=$!
-# Let queued finish its shutdown checkpoint before removing the WAL dir.
+# Let queued finish its shutdown commit before removing the WAL dir.
 trap 'kill $qpid 2>/dev/null || true; wait $qpid 2>/dev/null || true; rm -rf "$WAL" "$bin"' EXIT
 
 echo ">> waiting for /healthz"

@@ -101,7 +101,7 @@ run_surge() {
 	fi
 	syncs="$(metric ingest_wal_syncs_total)"
 	segs="$(metric ingest_wal_segments)"
-	echo "   wal: pending=$pending syncs=$syncs sealed_segments=$segs"
+	echo "   wal: pending=$pending syncs=$syncs files=$segs"
 	echo ">> surge scenario clean (${surge}x survived, WAL drained)"
 }
 
