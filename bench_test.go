@@ -6,8 +6,10 @@ package taxiqueue
 // the table/figure regeneration itself.
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"taxiqueue/internal/citymap"
 	"taxiqueue/internal/clean"
@@ -18,6 +20,7 @@ import (
 	"taxiqueue/internal/mdt"
 	"taxiqueue/internal/sim"
 	"taxiqueue/internal/spatial"
+	"taxiqueue/internal/store"
 )
 
 var (
@@ -192,6 +195,33 @@ func BenchmarkStageSplitByTaxi(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mdt.SplitByTaxi(recs)
+	}
+}
+
+// BenchmarkStageLoadDay is the batch job's set-up: the day saved as a store
+// file, read back with store.LoadFile and one full time-ordered Scan.
+func BenchmarkStageLoadDay(b *testing.B) {
+	recs, _ := getDay(b)
+	s := store.New()
+	if err := s.AppendAll(recs); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "day.tqs")
+	if err := s.SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loaded, err := store.LoadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		loaded.Scan(time.Time{}, time.Unix(1<<40, 0), func(mdt.Record) bool { n++; return true })
+		if n != len(recs) {
+			b.Fatalf("scanned %d of %d records", n, len(recs))
+		}
 	}
 }
 

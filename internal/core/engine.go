@@ -24,9 +24,10 @@ type EngineConfig struct {
 	// Amplify is the §6.2.1 dataset-coverage correction;
 	// PaperAmplification suits a 60% feed.
 	Amplify Amplification
-	// Parallelism fans the per-taxi and per-spot stages over a worker
-	// pool; 0 uses GOMAXPROCS, 1 forces the sequential path. Results are
-	// identical at any setting.
+	// Parallelism fans spot detection and the per-spot stages over a
+	// worker pool; 0 uses GOMAXPROCS, 1 forces the sequential path.
+	// Results are identical at any setting. PEA runs in one sequential
+	// pass over the day whatever the setting.
 	Parallelism int
 }
 
@@ -122,8 +123,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		return nil, fmt.Errorf("core: negative parallelism %d", cfg.Parallelism)
 	}
 	if cfg.Detector.Parallelism == 0 {
-		// One knob drives the whole pipeline: PEA fan-out, per-zone
-		// clustering, DBSCAN itself and per-spot QCD.
+		// One knob drives the whole pipeline: per-zone clustering,
+		// DBSCAN itself and per-spot QCD.
 		cfg.Detector.Parallelism = cfg.Parallelism
 	}
 	if err := cfg.Detector.Cluster.Validate(); err != nil {
@@ -154,8 +155,7 @@ func (e *Engine) Analyze(recs []mdt.Record) (*Result, error) {
 
 	// Tier 1: queue spot detection.
 	t0 := time.Now()
-	byTaxi := mdt.SplitByTaxi(recs)
-	pickups := ExtractAllParallel(byTaxi, cfg.SpeedThresholdKmh, cfg.Parallelism)
+	pickups := extractDay(recs, cfg.SpeedThresholdKmh)
 	stagePEA.Since(t0)
 	t0 = time.Now()
 	spots, err := DetectSpots(pickups, cfg.Detector)

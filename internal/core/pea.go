@@ -24,10 +24,12 @@ type Pickup struct {
 	Centroid geo.Point
 }
 
-// ExtractPickups is the Pickup Extraction Algorithm (Algorithm 1). It scans
-// one taxi's time-ordered trajectory and returns the sub-trajectory set ω
-// of slow pickup events: runs of at least two consecutive records at or
-// below the speed threshold that
+// PEA is the Pickup Extraction Algorithm (Algorithm 1) as a state machine
+// for one taxi: the σ1/σ2 flags and the open low-speed run Rᵏ carried from
+// one record to the next. Step scans the taxi's time-ordered records one
+// at a time and reports the slow pickup events of the sub-trajectory set
+// ω: runs of at least two consecutive records at or below the speed
+// threshold that
 //
 //   - contain no non-operational state (BREAK/OFFLINE/POWEROFF resets the
 //     scan),
@@ -36,56 +38,72 @@ type Pickup struct {
 //     elsewhere), and
 //   - change state at least once (filters traffic jams and red lights).
 //
-// The run is delimited by the next record above the threshold; a run still
-// open at the end of the trajectory is discarded, exactly as in the paper's
-// loop.
-func ExtractPickups(tr mdt.Trajectory, speedThresholdKmh float64) []Pickup {
+// A run is delimited by the next record above the threshold; a run still
+// open when the records stop is never reported, exactly as in the paper's
+// loop. The batch engine runs one PEA per taxi over the time-ordered day,
+// the online engine one per live taxi. The zero value is ready to use.
+type PEA struct {
+	run      mdt.Trajectory // Rᵏ
+	sigma1   bool           // one low-speed record seen
+	sigma2   bool           // collecting (>= two consecutive low-speed records)
+	prev     mdt.Record
+	havePrev bool
+}
+
+// Step feeds the taxi's next record through Algorithm 1 and returns the
+// pickup it completes, if any. speedThresholdKmh <= 0 selects
+// DefaultSpeedThresholdKmh.
+func (st *PEA) Step(p mdt.Record, speedThresholdKmh float64) (Pickup, bool) {
+	if p.State.NonOperational() {
+		st.reset()
+		st.havePrev = false
+		return Pickup{}, false
+	}
 	if speedThresholdKmh <= 0 {
 		speedThresholdKmh = DefaultSpeedThresholdKmh
 	}
+	var pk Pickup
+	committed := false
+	low := p.Speed <= speedThresholdKmh
+	switch {
+	case low && !st.sigma1:
+		st.sigma1 = true
+	case low && st.sigma1 && !st.sigma2:
+		// Second consecutive low-speed record: open the run with the
+		// previous record and this one (Algorithm 1 line 7).
+		if st.havePrev {
+			st.run = append(st.run, st.prev)
+		}
+		st.run = append(st.run, p)
+		st.sigma2 = true
+	case low && st.sigma2:
+		st.run = append(st.run, p)
+	case !low && st.sigma1 && !st.sigma2:
+		st.sigma1 = false
+	case !low && st.sigma2:
+		pk, committed = commitRun(st.run)
+		st.reset()
+	}
+	st.prev = p
+	st.havePrev = true
+	return pk, committed
+}
+
+func (st *PEA) reset() {
+	st.run = st.run[:0]
+	st.sigma1, st.sigma2 = false, false
+}
+
+// ExtractPickups runs Algorithm 1 over one taxi's time-ordered trajectory
+// and returns its slow pickup events in order (see PEA).
+func ExtractPickups(tr mdt.Trajectory, speedThresholdKmh float64) []Pickup {
+	var st PEA
 	var out []Pickup
-	var run mdt.Trajectory // Rᵏ
-	sigma1 := false        // one low-speed record seen
-	sigma2 := false        // collecting (>= two consecutive low-speed records)
-	reset := func() {
-		run = run[:0]
-		sigma1, sigma2 = false, false
-	}
-	var prev mdt.Record
-	havePrev := false
 	for _, p := range tr {
-		if p.State.NonOperational() {
-			reset()
-			havePrev = false
-			continue
+		if pk, ok := st.Step(p, speedThresholdKmh); ok {
+			out = append(out, pk)
 		}
-		low := p.Speed <= speedThresholdKmh
-		switch {
-		case low && !sigma1:
-			sigma1 = true
-		case low && sigma1 && !sigma2:
-			// Second consecutive low-speed record: open the run with the
-			// previous record and this one (Algorithm 1 line 7).
-			if havePrev {
-				run = append(run, prev)
-			}
-			run = append(run, p)
-			sigma2 = true
-		case low && sigma2:
-			run = append(run, p)
-		case !low && sigma1 && !sigma2:
-			sigma1 = false
-		case !low && sigma2:
-			if pk, ok := commitRun(run); ok {
-				out = append(out, pk)
-			}
-			reset()
-		}
-		prev = p
-		havePrev = true
 	}
-	// A run still open at trajectory end is dropped (no terminating
-	// above-threshold record), matching the paper.
 	return out
 }
 
@@ -123,6 +141,40 @@ func commitRun(run mdt.Trajectory) (Pickup, bool) {
 		pts[i] = r.Pos
 	}
 	return Pickup{Sub: sub, Centroid: geo.Centroid(pts)}, true
+}
+
+// extractDay is Algorithm 1 over a whole day in one pass: recs, time-ordered
+// per taxi, is walked once in order with one PEA per taxi. It returns
+// exactly ExtractAll(mdt.SplitByTaxi(recs), speedThresholdKmh) — each
+// taxi's pickups in time order, taxis in ascending ID order — without
+// building SplitByTaxi's per-taxi copy of the day.
+func extractDay(recs []mdt.Record, speedThresholdKmh float64) []Pickup {
+	type taxi struct {
+		id      string
+		pea     PEA
+		pickups []Pickup
+	}
+	byID := make(map[string]*taxi)
+	var taxis []*taxi
+	total := 0
+	for i := range recs {
+		t := byID[recs[i].TaxiID]
+		if t == nil {
+			t = &taxi{id: recs[i].TaxiID}
+			byID[t.id] = t
+			taxis = append(taxis, t)
+		}
+		if pk, ok := t.pea.Step(recs[i], speedThresholdKmh); ok {
+			t.pickups = append(t.pickups, pk)
+			total++
+		}
+	}
+	sort.Slice(taxis, func(a, b int) bool { return taxis[a].id < taxis[b].id })
+	out := make([]Pickup, 0, total)
+	for _, t := range taxis {
+		out = append(out, t.pickups...)
+	}
+	return out
 }
 
 // ExtractAll runs PEA over every taxi's trajectory and returns the combined

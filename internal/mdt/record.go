@@ -88,6 +88,14 @@ const binMagic = 0x4D45 // "ME"
 
 var errBadMagic = errors.New("mdt: bad binary record magic")
 
+// MaxTaxiIDLen is the longest taxi ID the binary codec can carry: its
+// length travels in one byte.
+const MaxTaxiIDLen = 255
+
+// BinarySize is the length of the binary encoding of a record whose taxi ID
+// is idLen bytes long.
+func BinarySize(idLen int) int { return 3 + idLen + 8 + 8 + 8 + 8 + 1 }
+
 // AppendBinary appends the fixed-prefix binary encoding of r to dst and
 // returns the extended slice. Layout: magic(2) idLen(1) id(idLen)
 // unixNano(8) lat(8) lon(8) speed(4 as float32 centi-km/h would lose
@@ -95,7 +103,7 @@ var errBadMagic = errors.New("mdt: bad binary record magic")
 // a WAL replay reproduces wait durations exactly.
 func (r Record) AppendBinary(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, binMagic)
-	if len(r.TaxiID) > 255 {
+	if len(r.TaxiID) > MaxTaxiIDLen {
 		panic("mdt: taxi ID longer than 255 bytes")
 	}
 	dst = append(dst, byte(len(r.TaxiID)))
@@ -110,7 +118,13 @@ func (r Record) AppendBinary(dst []byte) []byte {
 
 // DecodeBinary decodes one binary record from b and returns it along with
 // the number of bytes consumed.
-func DecodeBinary(b []byte) (Record, int, error) {
+func DecodeBinary(b []byte) (Record, int, error) { return DecodeBinaryID(b, "") }
+
+// DecodeBinaryID is DecodeBinary for a caller that knows which taxi the
+// record most likely belongs to: when the encoded taxi ID equals id, the
+// record shares id's string instead of allocating a copy, so decoding a run
+// of one taxi's records allocates nothing.
+func DecodeBinaryID(b []byte, id string) (Record, int, error) {
 	if len(b) < 3 {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
@@ -118,11 +132,13 @@ func DecodeBinary(b []byte) (Record, int, error) {
 		return Record{}, 0, errBadMagic
 	}
 	idLen := int(b[2])
-	n := 3 + idLen + 8 + 8 + 8 + 8 + 1
+	n := BinarySize(idLen)
 	if len(b) < n {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
-	id := string(b[3 : 3+idLen])
+	if raw := b[3 : 3+idLen]; string(raw) != id {
+		id = string(raw)
+	}
 	off := 3 + idLen
 	nano := int64(binary.BigEndian.Uint64(b[off:]))
 	lat := math.Float64frombits(binary.BigEndian.Uint64(b[off+8:]))

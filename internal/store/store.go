@@ -1,12 +1,9 @@
 // Package store is an embedded append-only store for MDT log records: the
 // repository's stand-in for the PostgreSQL system the deployed engine reads
 // from (§7.1). Records are partitioned per taxi and packed into
-// time-indexed binary blocks, so the two access patterns the analytics
-// engine needs are both cheap:
-//
-//   - per-taxi time-ordered scans (PEA runs per trajectory), and
-//   - global time-window scans (slot feature extraction), served by a
-//     k-way merge across partitions with block-level time pruning.
+// time-ordered binary blocks. The analytics engine reads them back with
+// global time-window scans: a k-way merge that walks every partition's
+// blocks in place, skipping blocks wholly outside the window.
 //
 // A Store serializes to a single file (Save/Load) with a magic header and
 // per-block time index. The package also holds Log (log.go), the
@@ -19,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,7 +25,8 @@ import (
 	"taxiqueue/internal/mdt"
 )
 
-// blockTarget is the record count at which an open block is sealed.
+// blockTarget is the most records a block holds; a partition starts a new
+// block once its last one is full.
 const blockTarget = 512
 
 var (
@@ -36,32 +35,12 @@ var (
 	errBadFile    = errors.New("store: bad file format")
 )
 
-// block is a sealed run of consecutive records for one taxi.
-type block struct {
-	minT, maxT int64 // unix seconds
-	recs       []mdt.Record
-}
-
-// partition holds one taxi's blocks plus the currently open block.
+// partition holds one taxi's records as a run of blocks, each non-empty and
+// at most blockTarget long; appends go to the last block. Records are in
+// non-decreasing Unix-second order across the whole run.
 type partition struct {
-	taxiID string
-	blocks []block
-	open   []mdt.Record
+	blocks [][]mdt.Record
 	lastT  int64
-	count  int
-}
-
-func (p *partition) seal() {
-	if len(p.open) == 0 {
-		return
-	}
-	b := block{
-		minT: p.open[0].Time.Unix(),
-		maxT: p.open[len(p.open)-1].Time.Unix(),
-		recs: p.open,
-	}
-	p.blocks = append(p.blocks, b)
-	p.open = nil
 }
 
 // Store is the embedded MDT log store. It is not safe for concurrent
@@ -82,21 +61,22 @@ func New() *Store {
 func (s *Store) Append(r mdt.Record) error {
 	p := s.parts[r.TaxiID]
 	if p == nil {
-		p = &partition{taxiID: r.TaxiID}
+		p = &partition{}
 		s.parts[r.TaxiID] = p
 		s.order = append(s.order, r.TaxiID)
 	}
 	t := r.Time.Unix()
-	if p.count > 0 && t < p.lastT {
+	n := len(p.blocks)
+	if n > 0 && t < p.lastT {
 		return fmt.Errorf("%w %s: %v after %v", ErrOutOfOrder, r.TaxiID, r.Time, time.Unix(p.lastT, 0).UTC())
 	}
-	p.open = append(p.open, r)
-	p.lastT = t
-	p.count++
-	s.count++
-	if len(p.open) >= blockTarget {
-		p.seal()
+	if n == 0 || len(p.blocks[n-1]) >= blockTarget {
+		p.blocks = append(p.blocks, nil)
+		n++
 	}
+	p.blocks[n-1] = append(p.blocks[n-1], r)
+	p.lastT = t
+	s.count++
 	return nil
 }
 
@@ -118,126 +98,124 @@ func (s *Store) Taxis() []string {
 	return append([]string(nil), s.order...)
 }
 
-// Trajectory returns taxi id's records with time in [from, to), in time
-// order. Blocks wholly outside the window are skipped without scanning.
-func (s *Store) Trajectory(id string, from, to time.Time) mdt.Trajectory {
-	p := s.parts[id]
-	if p == nil {
-		return nil
-	}
-	fromS, toS := from.Unix(), to.Unix()
-	var out mdt.Trajectory
-	emit := func(recs []mdt.Record) {
-		for _, r := range recs {
-			if t := r.Time.Unix(); t >= fromS && t < toS {
-				out = append(out, r)
-			}
-		}
-	}
-	for _, b := range p.blocks {
-		if b.maxT < fromS || b.minT >= toS {
-			continue
-		}
-		emit(b.recs)
-	}
-	if len(p.open) > 0 && p.lastT >= fromS && p.open[0].Time.Unix() < toS {
-		emit(p.open)
-	}
-	return out
-}
-
-// FullTrajectory returns all of taxi id's records.
-func (s *Store) FullTrajectory(id string) mdt.Trajectory {
-	p := s.parts[id]
-	if p == nil {
-		return nil
-	}
-	out := make(mdt.Trajectory, 0, p.count)
-	for _, b := range p.blocks {
-		out = append(out, b.recs...)
-	}
-	out = append(out, p.open...)
-	return out
-}
-
 // Scan streams every record with time in [from, to) in global time order
 // (ties broken by taxi first-seen order) to fn; fn returning false stops
-// the scan early.
+// the scan early. The window is taken at second resolution (Time.Unix),
+// the order at full precision.
+//
+// Scan is a k-way merge over one cursor per taxi that walks the taxi's
+// blocks in place, so no record is copied before fn sees it. The merge
+// heap holds each cursor's current record as an integer key — Unix
+// second, nanosecond, first-seen taxi order — so a heap step compares
+// integers and moves 16 bytes.
 func (s *Store) Scan(from, to time.Time, fn func(mdt.Record) bool) {
-	// k-way merge over per-taxi cursors.
-	var cursors []*scanCursor
-	for ord, id := range s.order {
-		tr := s.Trajectory(id, from, to)
-		if len(tr) > 0 {
-			cursors = append(cursors, &scanCursor{recs: tr, ord: ord})
+	fromS, toS := from.Unix(), to.Unix()
+	cursors := make([]scanCursor, 0, len(s.order))
+	h := make(mergeHeap, 0, len(s.order))
+	for _, id := range s.order {
+		c := scanCursor{blocks: s.parts[id].blocks}
+		c.seek(fromS)
+		if k, ok := c.key(toS); ok {
+			k.c = int32(len(cursors))
+			cursors = append(cursors, c)
+			h = append(h, k)
 		}
 	}
-	h := cursorHeap(cursors)
 	h.init()
-	for h.Len() > 0 {
-		c := h.min()
-		if !fn(c.recs[c.pos]) {
+	for len(h) > 0 {
+		c := &cursors[h[0].c]
+		if !fn(c.recs[0]) {
 			return
 		}
-		c.pos++
-		if c.pos >= len(c.recs) {
-			h.popMin()
+		c.recs = c.recs[1:]
+		if k, ok := c.key(toS); ok {
+			h[0].sec, h[0].nsec = k.sec, k.nsec
+			h.down(0)
 		} else {
-			h.fix()
+			h.pop()
 		}
 	}
 }
 
-// scanCursor walks one taxi's windowed trajectory during a merge scan.
+// scanCursor walks one taxi's records in place: recs[0] is the current
+// record, the rest of recs and then blocks are still to come.
 type scanCursor struct {
-	recs mdt.Trajectory
-	pos  int
-	ord  int
+	recs   []mdt.Record
+	blocks [][]mdt.Record
 }
 
-// cursorHeap is a tiny binary heap keyed by (time, ord) of each cursor's
-// current record.
-type cursorHeap []*scanCursor
-
-func (h cursorHeap) less(i, j int) bool {
-	a, b := h[i].recs[h[i].pos], h[j].recs[h[j].pos]
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
+// seek drops the cursor's records before second fromS: whole blocks by
+// their last record, then the first overlapping block by binary search.
+func (c *scanCursor) seek(fromS int64) {
+	for len(c.blocks) > 0 && c.blocks[0][len(c.blocks[0])-1].Time.Unix() < fromS {
+		c.blocks = c.blocks[1:]
 	}
-	return h[i].ord < h[j].ord
+	if len(c.blocks) == 0 {
+		return
+	}
+	b := c.blocks[0]
+	c.recs = b[sort.Search(len(b), func(i int) bool { return b[i].Time.Unix() >= fromS }):]
+	c.blocks = c.blocks[1:]
 }
 
-func (h cursorHeap) Len() int { return len(h) }
+// key moves on to the next block when recs is spent and returns the merge
+// key of the current record; ok is false once the taxi has no record
+// before second toS (its records are in time order, so none follow).
+func (c *scanCursor) key(toS int64) (k mergeKey, ok bool) {
+	for len(c.recs) == 0 {
+		if len(c.blocks) == 0 {
+			return k, false
+		}
+		c.recs, c.blocks = c.blocks[0], c.blocks[1:]
+	}
+	t := c.recs[0].Time
+	k.sec, k.nsec = t.Unix(), int32(t.Nanosecond())
+	return k, k.sec < toS
+}
 
-func (h cursorHeap) init() {
+// mergeKey orders the merge: a cursor's current record time, then the
+// cursor's index c, which follows first-seen taxi order.
+type mergeKey struct {
+	sec  int64
+	nsec int32
+	c    int32
+}
+
+func (a mergeKey) less(b mergeKey) bool {
+	if a.sec != b.sec {
+		return a.sec < b.sec
+	}
+	if a.nsec != b.nsec {
+		return a.nsec < b.nsec
+	}
+	return a.c < b.c
+}
+
+// mergeHeap is a binary min-heap of merge keys.
+type mergeHeap []mergeKey
+
+func (h mergeHeap) init() {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
-func (h cursorHeap) min() *scanCursor { return h[0] }
-
-func (h *cursorHeap) popMin() {
+func (h *mergeHeap) pop() {
 	old := *h
-	n := len(old)
-	old[0] = old[n-1]
-	*h = old[:n-1]
-	if len(*h) > 0 {
-		h.down(0)
-	}
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
 }
 
-func (h cursorHeap) fix() { h.down(0) }
-
-func (h cursorHeap) down(i int) {
+func (h mergeHeap) down(i int) {
 	n := len(h)
 	for {
-		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && h.less(l, small) {
+		if l := 2*i + 1; l < n && h[l].less(h[small]) {
 			small = l
 		}
-		if r < n && h.less(r, small) {
+		if r := 2*i + 2; r < n && h[r].less(h[small]) {
 			small = r
 		}
 		if small == i {
@@ -315,9 +293,9 @@ func LoadFile(path string) (*Store, error) {
 	return s, nil
 }
 
-// Save writes the store to w in the single-file format. Open blocks are
-// sealed first. When w is the store's only on-disk copy, prefer SaveFile:
-// writing in place can corrupt that copy if the process dies mid-write.
+// Save writes the store to w in the single-file format. When w is the
+// store's only on-disk copy, prefer SaveFile: writing in place can corrupt
+// that copy if the process dies mid-write.
 func (s *Store) Save(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(fileMagic[:]); err != nil {
@@ -332,7 +310,6 @@ func (s *Store) Save(w io.Writer) error {
 	var buf []byte
 	for _, id := range ids {
 		p := s.parts[id]
-		p.seal()
 		if err := writeString(bw, id); err != nil {
 			return err
 		}
@@ -341,20 +318,13 @@ func (s *Store) Save(w io.Writer) error {
 		}
 		for _, b := range p.blocks {
 			buf = buf[:0]
-			for _, r := range b.recs {
+			for _, r := range b {
 				buf = r.AppendBinary(buf)
 			}
-			if err := writeUvarint(bw, uint64(len(b.recs))); err != nil {
-				return err
-			}
-			if err := writeUvarint(bw, uint64(b.minT)); err != nil {
-				return err
-			}
-			if err := writeUvarint(bw, uint64(b.maxT)); err != nil {
-				return err
-			}
-			if err := writeUvarint(bw, uint64(len(buf))); err != nil {
-				return err
+			for _, v := range []uint64{uint64(len(b)), uint64(b[0].Time.Unix()), uint64(b[len(b)-1].Time.Unix()), uint64(len(buf))} {
+				if err := writeUvarint(bw, v); err != nil {
+					return err
+				}
 			}
 			if _, err := bw.Write(buf); err != nil {
 				return err
@@ -383,65 +353,74 @@ func Load(r io.Reader) (*Store, error) {
 }
 
 // loadBody reads partitions into s until EOF, failing on the first
-// structural error.
+// structural error. Everything is checked against what Save writes:
+// partitions in ascending taxi-ID order; blocks of at most blockTarget
+// records, all of the partition's taxi, in time order, between the
+// header's first and last second. A block's payload size must be exactly
+// what its record count encodes to, so a crafted header cannot make Load
+// allocate more than one legal block before the payload is read. One
+// payload buffer serves every block, and each record shares its
+// partition's taxi-ID string.
 func loadBody(br *bufio.Reader, s *Store) error {
 	nParts, err := binary.ReadUvarint(br)
 	if err != nil {
 		return fmt.Errorf("store: partition count: %w", err)
 	}
+	var buf []byte
 	for pi := uint64(0); pi < nParts; pi++ {
 		id, err := readString(br)
 		if err != nil {
 			return fmt.Errorf("store: partition %d name: %w", pi, err)
 		}
+		if pi > 0 && id <= s.order[len(s.order)-1] {
+			return fmt.Errorf("store: partition %d: taxi %q out of order: %w", pi, id, errBadFile)
+		}
 		nBlocks, err := binary.ReadUvarint(br)
 		if err != nil {
 			return fmt.Errorf("store: %s block count: %w", id, err)
 		}
-		p := &partition{taxiID: id}
+		p := &partition{lastT: math.MinInt64}
 		s.parts[id] = p
 		s.order = append(s.order, id)
+		recSize := uint64(mdt.BinarySize(len(id)))
 		for bi := uint64(0); bi < nBlocks; bi++ {
-			nRecs, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("store: %s block header: %w", id, err)
+			var hdr [4]uint64 // record count, first second, last second, payload size
+			for i := range hdr {
+				if hdr[i], err = binary.ReadUvarint(br); err != nil {
+					return fmt.Errorf("store: %s block header: %w", id, err)
+				}
 			}
-			minT, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("store: %s block header: %w", id, err)
+			nRecs, size := hdr[0], hdr[3]
+			if nRecs > blockTarget || size != nRecs*recSize {
+				return fmt.Errorf("store: %s block of %d records in %d bytes: %w", id, nRecs, size, errBadFile)
 			}
-			maxT, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("store: %s block header: %w", id, err)
+			if nRecs == 0 {
+				continue
 			}
-			size, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("store: %s block header: %w", id, err)
+			if uint64(cap(buf)) < size {
+				buf = make([]byte, size)
 			}
-			payload := make([]byte, size)
+			payload := buf[:size]
 			if _, err := io.ReadFull(br, payload); err != nil {
 				return fmt.Errorf("store: %s torn block payload: %w", id, err)
 			}
-			b := block{minT: int64(minT), maxT: int64(maxT), recs: make([]mdt.Record, 0, nRecs)}
-			for len(payload) > 0 {
-				r, n, err := mdt.DecodeBinary(payload)
+			b := make([]mdt.Record, nRecs)
+			for i := range b {
+				r, n, err := mdt.DecodeBinaryID(payload, id)
 				if err != nil {
 					return fmt.Errorf("store: corrupt block for %s: %w", id, err)
 				}
-				b.recs = append(b.recs, r)
-				payload = payload[n:]
+				t := r.Time.Unix()
+				if r.TaxiID != id || t < p.lastT {
+					return fmt.Errorf("store: %s block record %d misfiled or out of order: %w", id, i, errBadFile)
+				}
+				b[i], p.lastT, payload = r, t, payload[n:]
 			}
-			if uint64(len(b.recs)) != nRecs {
-				return fmt.Errorf("store: %s block holds %d of %d records: %w",
-					id, len(b.recs), nRecs, errBadFile)
+			if int64(hdr[1]) != b[0].Time.Unix() || int64(hdr[2]) != p.lastT {
+				return fmt.Errorf("store: %s block time index disagrees with its records: %w", id, errBadFile)
 			}
-			if len(b.recs) > 0 {
-				b.maxT = b.recs[len(b.recs)-1].Time.Unix()
-				p.blocks = append(p.blocks, b)
-				p.count += len(b.recs)
-				s.count += len(b.recs)
-				p.lastT = b.maxT
-			}
+			p.blocks = append(p.blocks, b)
+			s.count += len(b)
 		}
 	}
 	return nil
@@ -467,7 +446,7 @@ func readString(r *bufio.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<20 {
+	if n > mdt.MaxTaxiIDLen {
 		return "", errBadFile
 	}
 	buf := make([]byte, n)

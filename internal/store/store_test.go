@@ -53,15 +53,31 @@ func TestAppendOutOfOrderRejected(t *testing.T) {
 	}
 }
 
+// taxiScan is one taxi's records with time in [from, to), read back
+// through Scan.
+func taxiScan(s *Store, id string, from, to time.Time) mdt.Trajectory {
+	var out mdt.Trajectory
+	s.Scan(from, to, func(r mdt.Record) bool {
+		if r.TaxiID == id {
+			out = append(out, r)
+		}
+		return true
+	})
+	return out
+}
+
 func TestTrajectoryWindow(t *testing.T) {
 	s := New()
 	for i := 0; i < 2000; i++ { // spans multiple sealed blocks
 		if err := s.Append(rec("A", i*10, mdt.Free)); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.Append(rec("B", i*10+5, mdt.Free)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	from, to := t0.Add(5000*time.Second), t0.Add(10000*time.Second)
-	tr := s.Trajectory("A", from, to)
+	tr := taxiScan(s, "A", from, to)
 	if len(tr) != 500 {
 		t.Fatalf("window returned %d records, want 500", len(tr))
 	}
@@ -73,7 +89,7 @@ func TestTrajectoryWindow(t *testing.T) {
 	if !tr.Sorted() {
 		t.Fatal("windowed trajectory not sorted")
 	}
-	if s.Trajectory("NOPE", from, to) != nil {
+	if taxiScan(s, "NOPE", from, to) != nil {
 		t.Fatal("unknown taxi returned records")
 	}
 }
@@ -86,9 +102,9 @@ func TestFullTrajectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr := s.FullTrajectory("A")
+	tr := taxiScan(s, "A", t0, t0.Add(time.Duration(n)*time.Second))
 	if len(tr) != n {
-		t.Fatalf("FullTrajectory returned %d, want %d", len(tr), n)
+		t.Fatalf("full scan returned %d, want %d", len(tr), n)
 	}
 	if !tr.Sorted() {
 		t.Fatal("full trajectory not sorted")
@@ -187,8 +203,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Len() != s.Len() {
 		t.Fatalf("loaded %d records, want %d", loaded.Len(), s.Len())
 	}
-	a := s.FullTrajectory("SH0001A")
-	b := loaded.FullTrajectory("SH0001A")
+	all := t0.Add(100 * time.Hour)
+	a := taxiScan(s, "SH0001A", t0, all)
+	b := taxiScan(loaded, "SH0001A", t0, all)
 	if len(a) != len(b) {
 		t.Fatalf("trajectory lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -212,7 +229,7 @@ func TestSaveIsAppendableAfter(t *testing.T) {
 	if err := s.Append(rec("A", 10, mdt.POB)); err != nil {
 		t.Fatalf("append after save failed: %v", err)
 	}
-	if got := s.FullTrajectory("A"); len(got) != 2 {
+	if got := taxiScan(s, "A", t0, t0.Add(time.Hour)); len(got) != 2 {
 		t.Fatalf("trajectory after save+append = %d records", len(got))
 	}
 }

@@ -135,7 +135,7 @@ type Live struct {
 	cfg     Config
 	spotPts []geo.Point
 	spotIdx *spatial.Grid
-	taxis   map[string]*peaState
+	taxis   map[string]*core.PEA
 	accs    []map[int]*SlotStats // per spot: open slots
 	closed  int                  // all slots below this are final everywhere
 	clock   time.Time            // newest record time seen (the feed's clock)
@@ -155,7 +155,7 @@ func NewLive(cfg Config) *Live {
 	}
 	l := &Live{
 		cfg:   cfg,
-		taxis: make(map[string]*peaState),
+		taxis: make(map[string]*core.PEA),
 		accs:  make([]map[int]*SlotStats, len(cfg.Spots)),
 	}
 	l.spotPts = make([]geo.Point, len(cfg.Spots))
@@ -184,13 +184,13 @@ func (l *Live) Ingest(rec mdt.Record) []Event {
 	} else if !rec.Time.Before(l.gridEnd()) {
 		events = l.closeBelow(l.cfg.Grid.Slots, events)
 	}
-	// Incremental PEA for this taxi.
+	// Incremental PEA for this taxi: the batch engine's state machine.
 	st := l.taxis[rec.TaxiID]
 	if st == nil {
-		st = &peaState{}
+		st = &core.PEA{}
 		l.taxis[rec.TaxiID] = st
 	}
-	if pk, ok := st.step(rec, l.cfg.SpeedThresholdKmh); ok {
+	if pk, ok := st.Step(rec, l.cfg.SpeedThresholdKmh); ok {
 		events = append(events, l.acceptPickup(pk))
 	}
 	return events

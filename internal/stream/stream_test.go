@@ -60,20 +60,24 @@ func liveFromBatch(d *batchDay) *Live {
 	})
 }
 
-// TestIncrementalPEAMatchesBatch: feeding each taxi's records one by one
-// must produce exactly the pickups of the batch algorithm.
+// TestIncrementalPEAMatchesBatch: streaming the day through Live must
+// produce, taxi by taxi, exactly the pickups of the batch algorithm.
 func TestIncrementalPEAMatchesBatch(t *testing.T) {
 	d := getBatchDay(t)
+	live := liveFromBatch(d)
+	streamedBy := map[string][]core.Pickup{}
+	for _, rec := range d.records {
+		for _, ev := range live.Ingest(rec) {
+			if ev.Kind == PickupDetected {
+				id := ev.Pickup.Sub[0].TaxiID
+				streamedBy[id] = append(streamedBy[id], ev.Pickup)
+			}
+		}
+	}
 	byTaxi := mdt.SplitByTaxi(d.records)
 	for id, tr := range byTaxi {
 		batch := core.ExtractPickups(tr, core.DefaultSpeedThresholdKmh)
-		var st peaState
-		var streamed []core.Pickup
-		for _, rec := range tr {
-			if pk, ok := st.step(rec, core.DefaultSpeedThresholdKmh); ok {
-				streamed = append(streamed, pk)
-			}
-		}
+		streamed := streamedBy[id]
 		if len(streamed) != len(batch) {
 			t.Fatalf("taxi %s: streamed %d pickups, batch %d", id, len(streamed), len(batch))
 		}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The pre-PR gate: build everything, vet, run the full test suite, then
-# re-run the concurrent packages under the race detector. Green here is the
-# bar every change must clear (ROADMAP tier-1 plus the race gate).
+# The pre-PR gate: build everything, vet, run the full test suite, re-run
+# the concurrent packages under the race detector, then fuzz the byte
+# parsers. Green here is the bar every change must clear (ROADMAP tier-1
+# plus the race and fuzz gates).
 #
 # Usage:
 #   scripts/check.sh
@@ -23,5 +24,12 @@ go test -race -count=1 \
 	./internal/feedclient ./internal/forecast ./internal/history \
 	./internal/ingest ./internal/obs ./internal/store ./internal/stream \
 	./cmd/queued ./cmd/queueload
+
+# Fuzz the byte parsers for a fixed budget each (go test fuzzes one target
+# of one package per run). A crasher lands in the package's testdata/fuzz
+# and fails every later go test until it is fixed.
+echo ">> go test -fuzz (15s per target)"
+go test -run '^$' -fuzz '^FuzzDecodeBinary$' -fuzztime=15s ./internal/mdt
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime=15s ./internal/store
 
 echo ">> all checks clean"
