@@ -19,7 +19,6 @@ import (
 	"taxiqueue/internal/geo"
 	"taxiqueue/internal/mdt"
 	"taxiqueue/internal/sim"
-	"taxiqueue/internal/spatial"
 	"taxiqueue/internal/store"
 )
 
@@ -266,8 +265,9 @@ func BenchmarkAblationClusterIslandWide(b *testing.B) {
 	}
 }
 
-// DBSCAN neighbour-search backends over the day's real pickup centroids.
-func benchDBSCANBackend(b *testing.B, build func(pts []geo.Point) spatial.Index) {
+// DBSCAN neighbour-search backends over the day's real pickup centroids:
+// the grid index against the linear-scan reference.
+func benchDBSCANBackend(b *testing.B, dbscan func(pts []geo.Point, p cluster.Params) (cluster.Result, error)) {
 	b.Helper()
 	_, pickups := getDay(b)
 	pts := make([]geo.Point, len(pickups))
@@ -277,23 +277,14 @@ func benchDBSCANBackend(b *testing.B, build func(pts []geo.Point) spatial.Index)
 	params := cluster.Params{EpsMeters: 15, MinPoints: 50}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.DBSCANWithIndex(pts, params, build(pts)); err != nil {
+		if _, err := dbscan(pts, params); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkAblationDBSCANGrid(b *testing.B) {
-	benchDBSCANBackend(b, func(pts []geo.Point) spatial.Index { return spatial.NewGrid(pts, 15) })
-}
-
-func BenchmarkAblationDBSCANRTree(b *testing.B) {
-	benchDBSCANBackend(b, func(pts []geo.Point) spatial.Index { return spatial.NewRTree(pts, 0) })
-}
-
-func BenchmarkAblationDBSCANNaive(b *testing.B) {
-	benchDBSCANBackend(b, func(pts []geo.Point) spatial.Index { return spatial.NewLinear(pts) })
-}
+func BenchmarkAblationDBSCANGrid(b *testing.B)  { benchDBSCANBackend(b, cluster.DBSCAN) }
+func BenchmarkAblationDBSCANNaive(b *testing.B) { benchDBSCANBackend(b, cluster.DBSCANNaive) }
 
 // Partitioned DBSCAN with union-find merge at fixed worker counts, against
 // the sequential grid run above.

@@ -55,10 +55,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"log"
 	"math"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -273,6 +275,47 @@ func shutdown(svc *ingest.Service, hist *history.Store, fc *forecast.Learner) er
 	return first
 }
 
+// HTTP edge limits. A client has readHeaderTimeout to send its request
+// headers and idleTimeout between keep-alive requests, and may send at most
+// maxHeaderBytes of them. A stop signal waits at most drainTimeout for
+// in-flight requests before the durable state closes regardless.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+	drainTimeout      = 5 * time.Second
+)
+
+// serve answers HTTP on ln until the server fails or ctx is done (the stop
+// signal). Then it stops accepting and drains the in-flight requests (at
+// most drainTimeout); only then does closeState run, so no request is cut
+// short by the exit and no handler reads a closed store. It returns the
+// server's error, nil after a stop.
+func serve(ctx context.Context, ln net.Listener, h http.Handler, closeState func()) error {
+	srv := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		log.Printf("queued: stopping: draining HTTP requests...")
+		drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		if derr := srv.Shutdown(drain); derr != nil {
+			log.Printf("queued: HTTP drain: %v", derr)
+		}
+		cancel()
+		<-served // http.ErrServerClosed
+	}
+	closeState()
+	return err
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 1, "simulation seed")
@@ -388,7 +431,7 @@ func main() {
 				}
 			}
 			if snap := svc.Snapshot(); snap != nil && snap.FinalBelow > 0 {
-				return grid.Start.Add(time.Duration(snap.FinalBelow-1) * grid.SlotLen), true
+				return grid.TimeOf(0, snap.FinalBelow-1), true
 			}
 			return time.Time{}, false
 		}
@@ -409,14 +452,10 @@ func main() {
 		}
 	}
 
-	// Both modes close their durable state on SIGINT/SIGTERM.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		shutdown(srv.svc, hist, fc)
-		os.Exit(0)
-	}()
+	// Both modes drain HTTP, then close their durable state, on
+	// SIGINT/SIGTERM (see serve).
+	stopped, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	if *refresh > 0 {
 		go func() {
@@ -464,6 +503,12 @@ func main() {
 	mux.Handle("/monitors", monSvc)
 	mux.Handle("/monitors/", monSvc)
 	registerOps(mux, srv, obs.Default, *withPprof)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	log.Printf("queued: listening on %s", *addr)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	if err := serve(stopped, ln, mux, func() { shutdown(srv.svc, hist, fc) }); err != nil {
+		log.Fatal(err)
+	}
 }

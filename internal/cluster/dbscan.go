@@ -98,23 +98,6 @@ func DBSCAN(pts []geo.Point, p Params) (Result, error) {
 	return run(pts, p, spatial.NewGrid(pts, p.EpsMeters)), nil
 }
 
-// DBSCANWithIndex clusters pts using the supplied neighbour index. The index
-// must have been built over exactly pts. Used by the ablation benches to
-// compare grid, R-tree and brute-force neighbour search.
-func DBSCANWithIndex(pts []geo.Point, p Params, idx spatial.Index) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if idx.Len() != len(pts) {
-		return Result{}, errIndexMismatch(idx.Len(), len(pts))
-	}
-	return run(pts, p, idx), nil
-}
-
-func errIndexMismatch(indexed, input int) error {
-	return fmt.Errorf("cluster: index holds %d points, input has %d", indexed, input)
-}
-
 // DBSCANNaive is the textbook O(n²) variant, kept as the correctness
 // reference and benchmark baseline.
 func DBSCANNaive(pts []geo.Point, p Params) (Result, error) {

@@ -108,14 +108,8 @@ func TestDBSCANMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtree, err := DBSCANWithIndex(pts, p, spatial.NewRTree(pts, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, other := range map[string]Result{"naive": naive, "rtree": rtree} {
-		if !equivalentLabelings(fast.Labels, other.Labels) {
-			t.Errorf("grid DBSCAN and %s disagree", name)
-		}
+	if !equivalentLabelings(fast.Labels, naive.Labels) {
+		t.Error("grid DBSCAN and naive disagree")
 	}
 }
 
@@ -184,9 +178,6 @@ func TestDBSCANParamValidation(t *testing.T) {
 	}
 	if _, err := DBSCAN(nil, Params{EpsMeters: 15, MinPoints: 0}); err == nil {
 		t.Error("minPts=0 accepted")
-	}
-	if _, err := DBSCANWithIndex(make([]geo.Point, 3), Params{EpsMeters: 15, MinPoints: 2}, spatial.NewLinear(nil)); err == nil {
-		t.Error("index/point length mismatch accepted")
 	}
 }
 
@@ -263,7 +254,6 @@ func TestCentroidsAndSizesEmptyResult(t *testing.T) {
 
 func BenchmarkDBSCANGrid5k(b *testing.B)  { benchDBSCAN(b, "grid") }
 func BenchmarkDBSCANNaive5k(b *testing.B) { benchDBSCAN(b, "naive") }
-func BenchmarkDBSCANRTree5k(b *testing.B) { benchDBSCAN(b, "rtree") }
 
 func benchDBSCAN(b *testing.B, kind string) {
 	rng := rand.New(rand.NewSource(8))
@@ -282,8 +272,6 @@ func benchDBSCAN(b *testing.B, kind string) {
 			_, err = DBSCAN(pts, p)
 		case "naive":
 			_, err = DBSCANNaive(pts, p)
-		case "rtree":
-			_, err = DBSCANWithIndex(pts, p, spatial.NewRTree(pts, 0))
 		}
 		if err != nil {
 			b.Fatal(err)

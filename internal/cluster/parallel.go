@@ -60,23 +60,6 @@ func DBSCANParallel(pts []geo.Point, p Params, workers int) (Result, error) {
 	return runParallel(pts, p, idx, workers), nil
 }
 
-// DBSCANParallelWithIndex is DBSCANParallel over a caller-supplied
-// neighbour index (built over exactly pts). The index must be safe for
-// concurrent reads; the grid, R-tree and linear indexes all are.
-func DBSCANParallelWithIndex(pts []geo.Point, p Params, idx spatial.Index, workers int) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	if idx.Len() != len(pts) {
-		return Result{}, errIndexMismatch(idx.Len(), len(pts))
-	}
-	workers = capWorkers(workers)
-	if workers == 1 || len(pts) < parallelMinPoints {
-		return run(pts, p, idx), nil
-	}
-	return runParallel(pts, p, idx, workers), nil
-}
-
 // parallelBlockSize is the unit of work handed to workers: large enough to
 // amortize the atomic cursor, small enough to balance skewed density.
 const parallelBlockSize = 256

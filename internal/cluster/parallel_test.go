@@ -164,9 +164,6 @@ func TestDBSCANParallelValidation(t *testing.T) {
 	if _, err := DBSCANParallel(nil, Params{EpsMeters: 0, MinPoints: 5}, 4); err == nil {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := DBSCANParallelWithIndex(make([]geo.Point, 3), Params{EpsMeters: 15, MinPoints: 2}, spatial.NewLinear(nil), 4); err == nil {
-		t.Error("index/point length mismatch accepted")
-	}
 }
 
 func TestSweepParallelMatchesSweep(t *testing.T) {

@@ -61,6 +61,13 @@ func DaySlots(midnight time.Time) SlotGrid {
 	return SlotGrid{Start: midnight, SlotLen: DefaultSlotLength, Slots: 48}
 }
 
+// DayLen is the span the grid covers, Slots·SlotLen: one day index of a
+// multi-day layout.
+func (g SlotGrid) DayLen() time.Duration { return time.Duration(g.Slots) * g.SlotLen }
+
+// End returns the first instant after the last slot.
+func (g SlotGrid) End() time.Time { return g.Start.Add(g.DayLen()) }
+
 // Index returns the slot index for t, or -1 when t is outside the grid.
 func (g SlotGrid) Index(t time.Time) int {
 	if t.Before(g.Start) {
@@ -75,76 +82,121 @@ func (g SlotGrid) Index(t time.Time) int {
 
 // Bounds returns slot j's [from, to) interval.
 func (g SlotGrid) Bounds(j int) (from, to time.Time) {
-	from = g.Start.Add(time.Duration(j) * g.SlotLen)
+	from = g.TimeOf(0, j)
 	return from, from.Add(g.SlotLen)
+}
+
+// TimeOf returns the start instant of (day, slot) when the grid repeats
+// day after day: day d, slot j begins at Start + d·DayLen + j·SlotLen.
+func (g SlotGrid) TimeOf(day, slot int) time.Time {
+	return g.Start.Add(time.Duration(day)*g.DayLen() + time.Duration(slot)*g.SlotLen)
+}
+
+// Locate maps t onto the repeating grid's (day, slot); ok is false before
+// Start. Days past the first are fine.
+func (g SlotGrid) Locate(t time.Time) (day, slot int, ok bool) {
+	d := t.Sub(g.Start)
+	if d < 0 {
+		return 0, 0, false
+	}
+	dayLen := g.DayLen()
+	return int(d / dayLen), int((d % dayLen) / g.SlotLen), true
+}
+
+// SlotStats is the raw accumulator behind one (spot, slot) cell: every
+// field is a sum or a concatenation, so the SlotStats of engines that each
+// saw part of the fleet merge exactly, and Features over the merge equals
+// Features over one accumulator that saw every wait. The batch
+// ComputeFeatures and the live engine both build cells through it.
+type SlotStats struct {
+	// WaitSum/WaitN accumulate street waits that started in this slot.
+	WaitSum time.Duration
+	WaitN   int
+	// Street/Booking count departures (wait ends) in this slot by job kind.
+	Street  int
+	Booking int
+	// DepEnds are the departure instants in this slot, in fold order.
+	DepEnds []time.Time
+}
+
+// AddArrival folds a wait that started in this slot into the arrival
+// statistics. Only street waits are FREE-taxi arrivals (§5.2); a booking
+// wait is ignored.
+func (s *SlotStats) AddArrival(w Wait) {
+	if w.Street() {
+		s.WaitSum += w.Duration()
+		s.WaitN++
+	}
+}
+
+// AddDeparture folds a wait that ended in this slot into the departure
+// statistics.
+func (s *SlotStats) AddDeparture(w Wait) {
+	if w.Street() {
+		s.Street++
+	} else {
+		s.Booking++
+	}
+	s.DepEnds = append(s.DepEnds, w.End)
+}
+
+// Empty reports whether the cell saw no activity.
+func (s *SlotStats) Empty() bool { return s.WaitN == 0 && len(s.DepEnds) == 0 }
+
+// Merge folds o into s. Merging is commutative up to DepEnds order, which
+// Features re-sorts, so merge order never changes the outcome.
+func (s *SlotStats) Merge(o *SlotStats) {
+	s.WaitSum += o.WaitSum
+	s.WaitN += o.WaitN
+	s.Street += o.Street
+	s.Booking += o.Booking
+	s.DepEnds = append(s.DepEnds, o.DepEnds...)
+}
+
+// Features converts the raw statistics into the §5.2 5-tuple. DepEnds is
+// sorted in place. An empty accumulator yields the zero 5-tuple.
+func (s *SlotStats) Features(slotLen time.Duration, amp Amplification) SlotFeatures {
+	if amp.Factor == 0 {
+		amp = NoAmplification
+	}
+	var f SlotFeatures
+	if s.WaitN > 0 {
+		f.TWait = s.WaitSum / time.Duration(s.WaitN)
+	}
+	f.NArr = float64(s.WaitN) * amp.Factor
+	// L̄ = t̄wait·λ̄ with λ̄ = N_arr/slot length, grouped exactly so.
+	f.QLen = f.TWait.Seconds() * (f.NArr / slotLen.Seconds())
+	deps := s.DepEnds
+	sort.Slice(deps, func(a, b int) bool { return deps[a].Before(deps[b]) })
+	if len(deps) > 1 {
+		total := deps[len(deps)-1].Sub(deps[0])
+		mean := total / time.Duration(len(deps)-1)
+		f.TDep = time.Duration(float64(mean) * amp.IntervalFactor)
+	}
+	f.NDep = float64(len(deps)) * amp.Factor
+	f.StreetDepartures = s.Street
+	f.BookingDepartures = s.Booking
+	return f
 }
 
 // ComputeFeatures derives the per-slot 5-tuples Ω(r) from a spot's wait set
 // Y(r). Street-job waits provide the arrival features; all departures
-// provide the departure features, matching §5.2 exactly.
+// provide the departure features, matching §5.2 exactly: each wait folds
+// into the SlotStats of its start slot (arrival) and of its end slot
+// (departure).
 func ComputeFeatures(waits []Wait, grid SlotGrid, amp Amplification) []SlotFeatures {
-	if amp.Factor == 0 {
-		amp = NoAmplification
+	stats := make([]SlotStats, grid.Slots)
+	for _, w := range waits {
+		if j := grid.Index(w.Start); j >= 0 {
+			stats[j].AddArrival(w)
+		}
+		if j := grid.Index(w.End); j >= 0 {
+			stats[j].AddDeparture(w)
+		}
 	}
 	feats := make([]SlotFeatures, grid.Slots)
-	waitSum := make([]time.Duration, grid.Slots)
-	waitN := make([]int, grid.Slots)
-	departures := make([][]time.Time, grid.Slots)
-
-	for _, w := range waits {
-		if w.Street() {
-			if j := grid.Index(w.Start); j >= 0 {
-				waitSum[j] += w.Duration()
-				waitN[j]++
-			}
-		}
-		if j := grid.Index(w.End); j >= 0 {
-			departures[j] = append(departures[j], w.End)
-			if w.Street() {
-				feats[j].StreetDepartures++
-			} else {
-				feats[j].BookingDepartures++
-			}
-		}
-	}
-
-	slotSec := grid.SlotLen.Seconds()
-	for j := range feats {
-		f := &feats[j]
-		if waitN[j] > 0 {
-			f.TWait = waitSum[j] / time.Duration(waitN[j])
-		}
-		f.NArr = float64(waitN[j]) * amp.Factor
-		lambda := f.NArr / slotSec
-		f.QLen = f.TWait.Seconds() * lambda
-		deps := departures[j]
-		sort.Slice(deps, func(a, b int) bool { return deps[a].Before(deps[b]) })
-		if len(deps) > 1 {
-			total := deps[len(deps)-1].Sub(deps[0])
-			mean := total / time.Duration(len(deps)-1)
-			f.TDep = time.Duration(float64(mean) * amp.IntervalFactor)
-		}
-		f.NDep = float64(len(deps)) * amp.Factor
+	for j := range stats {
+		feats[j] = stats[j].Features(grid.SlotLen, amp)
 	}
 	return feats
-}
-
-// DepartureIntervals returns every consecutive within-slot departure
-// interval for a spot's waits (raw, unamplified); threshold selection uses
-// the shortest 20% of these.
-func DepartureIntervals(waits []Wait, grid SlotGrid) []time.Duration {
-	departures := make([][]time.Time, grid.Slots)
-	for _, w := range waits {
-		if j := grid.Index(w.End); j >= 0 {
-			departures[j] = append(departures[j], w.End)
-		}
-	}
-	var out []time.Duration
-	for _, deps := range departures {
-		sort.Slice(deps, func(a, b int) bool { return deps[a].Before(deps[b]) })
-		for i := 1; i < len(deps); i++ {
-			out = append(out, deps[i].Sub(deps[i-1]))
-		}
-	}
-	return out
 }

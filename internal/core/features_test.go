@@ -155,21 +155,22 @@ func TestComputeFeaturesEmpty(t *testing.T) {
 	}
 }
 
+// TestDepartureIntervalsWithinSlotOnly: t̄dep averages only the intervals
+// between departures of the same slot; the gap to a departure in the next
+// slot never enters either slot.
 func TestDepartureIntervalsWithinSlotOnly(t *testing.T) {
 	g := DaySlots(midnight())
-	// Two departures in slot 0, one in slot 1: one interval (in slot 0);
-	// the cross-slot gap must not appear.
 	waits := []Wait{
 		streetWait(midnight().Add(1*time.Minute), time.Minute),  // ends 0:02
 		streetWait(midnight().Add(10*time.Minute), time.Minute), // ends 0:11
 		streetWait(midnight().Add(31*time.Minute), time.Minute), // ends 0:32 (slot 1)
 	}
-	ivs := DepartureIntervals(waits, g)
-	if len(ivs) != 1 {
-		t.Fatalf("intervals = %v, want 1 entry", ivs)
+	f := ComputeFeatures(waits, g, NoAmplification)
+	if f[0].TDep != 9*time.Minute {
+		t.Fatalf("slot 0 TDep = %v, want 9m", f[0].TDep)
 	}
-	if ivs[0] != 9*time.Minute {
-		t.Fatalf("interval = %v, want 9m", ivs[0])
+	if f[1].TDep != 0 {
+		t.Fatalf("slot 1 TDep = %v, want 0 (one departure, no interval)", f[1].TDep)
 	}
 }
 

@@ -198,20 +198,8 @@ func (d *LiveDetector) Spots() []QueueSpot {
 			spots = append(spots, QueueSpot{Pos: cents[i], Zone: zone, PickupCount: sizes[i]})
 		}
 	}
-	sortSpots(spots)
+	sort.Slice(spots, func(i, j int) bool { return spotBefore(&spots[i], &spots[j]) })
 	return spots
-}
-
-func sortSpots(spots []QueueSpot) {
-	sort.Slice(spots, func(i, j int) bool {
-		if spots[i].PickupCount != spots[j].PickupCount {
-			return spots[i].PickupCount > spots[j].PickupCount
-		}
-		if spots[i].Pos.Lat != spots[j].Pos.Lat {
-			return spots[i].Pos.Lat < spots[j].Pos.Lat
-		}
-		return spots[i].Pos.Lon < spots[j].Pos.Lon
-	})
 }
 
 // Refresh expires stale window points, extracts the current clusters and
@@ -307,16 +295,7 @@ func (d *LiveDetector) Refresh() []LiveSpot {
 		d.spots = append(d.spots, ls)
 	}
 
-	sort.Slice(d.spots, func(i, j int) bool {
-		a, b := &d.spots[i], &d.spots[j]
-		if a.Spot.PickupCount != b.Spot.PickupCount {
-			return a.Spot.PickupCount > b.Spot.PickupCount
-		}
-		if a.Spot.Pos.Lat != b.Spot.Pos.Lat {
-			return a.Spot.Pos.Lat < b.Spot.Pos.Lat
-		}
-		return a.Spot.Pos.Lon < b.Spot.Pos.Lon
-	})
+	sort.Slice(d.spots, func(i, j int) bool { return spotBefore(&d.spots[i].Spot, &d.spots[j].Spot) })
 	out := make([]LiveSpot, len(d.spots))
 	copy(out, d.spots)
 	return out

@@ -166,7 +166,8 @@ func TestFeatureInvariantsOnRandomWaits(t *testing.T) {
 }
 
 // TestClassifyTotalOnRandomFeatures: Classify labels every slot with one of
-// the five values and never panics on arbitrary feature values.
+// the five values and never panics on arbitrary feature values; each label
+// is ClassifyCell of that slot alone, and ClassifyCell allocates nothing.
 func TestClassifyTotalOnRandomFeatures(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -190,12 +191,19 @@ func TestClassifyTotalOnRandomFeatures(t *testing.T) {
 		if len(labels) != len(feats) {
 			return false
 		}
-		for _, l := range labels {
+		for j, l := range labels {
 			switch l {
 			case C1, C2, C3, C4, Unidentified:
 			default:
 				return false
 			}
+			if ClassifyCell(feats[j], th) != l {
+				return false
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { ClassifyCell(feats[0], th) }); allocs != 0 {
+			t.Errorf("ClassifyCell allocates %.0f times per call", allocs)
+			return false
 		}
 		return true
 	}

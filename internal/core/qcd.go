@@ -128,21 +128,6 @@ func SelectThresholds(rawFeats []SlotFeatures, grid SlotGrid, streetRatio float6
 	}
 }
 
-// StreetJobRatio returns the street share of all departures in the feature
-// set: the paper's daily "street jobs / (street + booking jobs)" ratio used
-// for τ_ratio (about 0.84 in the central zone on Sundays).
-func StreetJobRatio(feats []SlotFeatures) float64 {
-	street, total := 0, 0
-	for _, f := range feats {
-		street += f.StreetDepartures
-		total += f.StreetDepartures + f.BookingDepartures
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(street) / float64(total)
-}
-
 // Classify is the Queue Context Disambiguation algorithm (Algorithm 3):
 // given the per-slot 5-tuples Ω(r) and the spot's thresholds, it labels
 // every slot C1..C4 or Unidentified.
@@ -160,38 +145,45 @@ func StreetJobRatio(feats []SlotFeatures) float64 {
 // passengers are struggling to hail (C1 or C2 by L̄).
 func Classify(feats []SlotFeatures, th Thresholds) []QueueType {
 	labels := make([]QueueType, len(feats))
+	for j := range feats {
+		labels[j] = ClassifyCell(feats[j], th)
+	}
+	return labels
+}
+
+// ClassifyCell runs Algorithm 3 on one slot's 5-tuple. Both routines look
+// only at the slot's own features, so Classify is ClassifyCell per slot;
+// batch, live, history and forecast all label a cell through it. An empty
+// slot's label is ClassifyCell(SlotFeatures{}, th).
+func ClassifyCell(f SlotFeatures, th Thresholds) QueueType {
 	// Routine 1.
-	for j, f := range feats {
-		switch {
-		case f.QLen < 1:
-			if f.NArr >= th.TauArr && f.TWait < th.EtaWait {
-				labels[j] = C2
-			} else if f.NArr < th.TauArr && f.TWait >= th.EtaWait {
-				labels[j] = C4
-			}
-		default: // L̄ >= 1
-			if f.NDep >= th.TauDep && f.TDep < th.EtaDep {
-				labels[j] = C1
-			} else if f.NDep < th.TauDep && f.TDep >= th.EtaDep {
-				labels[j] = C3
-			}
+	if f.QLen < 1 {
+		if f.NArr >= th.TauArr && f.TWait < th.EtaWait {
+			return C2
+		}
+		if f.NArr < th.TauArr && f.TWait >= th.EtaWait {
+			return C4
+		}
+	} else {
+		if f.NDep >= th.TauDep && f.TDep < th.EtaDep {
+			return C1
+		}
+		if f.NDep < th.TauDep && f.TDep >= th.EtaDep {
+			return C3
 		}
 	}
 	// Routine 2.
-	for j, f := range feats {
-		if labels[j] != Unidentified || f.NDep == 0 {
-			continue
-		}
-		span := time.Duration(f.NDep * float64(f.TDep))
-		if span > th.EtaDur && f.NArr/f.NDep < th.TauRatio {
-			if f.QLen >= 1 {
-				labels[j] = C1
-			} else {
-				labels[j] = C2
-			}
-		}
+	if f.NDep == 0 {
+		return Unidentified
 	}
-	return labels
+	span := time.Duration(f.NDep * float64(f.TDep))
+	if span > th.EtaDur && f.NArr/f.NDep < th.TauRatio {
+		if f.QLen >= 1 {
+			return C1
+		}
+		return C2
+	}
+	return Unidentified
 }
 
 // Proportions tallies label shares across any number of label slices

@@ -132,19 +132,6 @@ func TestSelectThresholdsFloorsDegenerate(t *testing.T) {
 	}
 }
 
-func TestStreetJobRatio(t *testing.T) {
-	feats := []SlotFeatures{
-		{StreetDepartures: 8, BookingDepartures: 2},
-		{StreetDepartures: 4, BookingDepartures: 2},
-	}
-	if r := StreetJobRatio(feats); math.Abs(r-0.75) > 1e-9 {
-		t.Fatalf("ratio = %g, want 0.75", r)
-	}
-	if r := StreetJobRatio(nil); r != 1 {
-		t.Fatalf("empty ratio = %g, want 1", r)
-	}
-}
-
 func TestProportions(t *testing.T) {
 	labels := []QueueType{C1, C1, C2, C4, Unidentified}
 	p := Proportions(labels)

@@ -120,16 +120,21 @@ func DetectSpots(pickups []Pickup, cfg DetectorConfig) ([]QueueSpot, error) {
 		}
 		spots = zs
 	}
-	sort.Slice(spots, func(i, j int) bool {
-		if spots[i].PickupCount != spots[j].PickupCount {
-			return spots[i].PickupCount > spots[j].PickupCount
-		}
-		if spots[i].Pos.Lat != spots[j].Pos.Lat {
-			return spots[i].Pos.Lat < spots[j].Pos.Lat
-		}
-		return spots[i].Pos.Lon < spots[j].Pos.Lon
-	})
+	sort.Slice(spots, func(i, j int) bool { return spotBefore(&spots[i], &spots[j]) })
 	return spots, nil
+}
+
+// spotBefore is the one spot order: descending pickup count, ties broken
+// by position for determinism. DetectSpots, LiveDetector.Spots and
+// LiveDetector.Refresh all sort with it.
+func spotBefore(a, b *QueueSpot) bool {
+	if a.PickupCount != b.PickupCount {
+		return a.PickupCount > b.PickupCount
+	}
+	if a.Pos.Lat != b.Pos.Lat {
+		return a.Pos.Lat < b.Pos.Lat
+	}
+	return a.Pos.Lon < b.Pos.Lon
 }
 
 func clusterZone(pts []geo.Point, zone citymap.Zone, p cluster.Params, workers int) ([]QueueSpot, error) {
@@ -149,6 +154,37 @@ func clusterZone(pts []geo.Point, zone citymap.Zone, p cluster.Params, workers i
 	return spots, nil
 }
 
+// SpotIndex matches a point to the nearest queue spot within a radius —
+// the pickup-to-spot assignment of W(r), shared by the batch AssignPickups
+// and the live engine. Not safe for concurrent use (one scratch buffer).
+type SpotIndex struct {
+	pts    []geo.Point
+	grid   *spatial.Grid
+	radius float64
+	buf    []int
+}
+
+// NewSpotIndex indexes spots for Nearest lookups within radiusMeters.
+func NewSpotIndex(spots []QueueSpot, radiusMeters float64) *SpotIndex {
+	pts := SpotPositions(spots)
+	return &SpotIndex{pts: pts, grid: spatial.NewGrid(pts, radiusMeters), radius: radiusMeters}
+}
+
+// Nearest returns the index of the spot nearest p within the radius, or -1
+// when none is in range. Of equidistant spots the first the grid reports
+// wins.
+func (x *SpotIndex) Nearest(p geo.Point) int {
+	x.buf = x.grid.Within(p, x.radius, x.buf[:0])
+	best := -1
+	bestD := x.radius + 1
+	for _, id := range x.buf {
+		if d := geo.Equirect(p, x.pts[id]); d < bestD {
+			best, bestD = id, d
+		}
+	}
+	return best
+}
+
 // AssignPickups builds the per-spot pickup-event sets W(r): each pickup is
 // assigned to the nearest detected spot within maxMeters of its centroid;
 // pickups with no spot in range are dropped (they are scatter noise).
@@ -158,22 +194,9 @@ func AssignPickups(pickups []Pickup, spots []QueueSpot, maxMeters float64) [][]P
 	if len(spots) == 0 {
 		return out
 	}
-	pts := make([]geo.Point, len(spots))
-	for i, s := range spots {
-		pts[i] = s.Pos
-	}
-	idx := spatial.NewGrid(pts, maxMeters)
-	var buf []int
+	idx := NewSpotIndex(spots, maxMeters)
 	for _, p := range pickups {
-		buf = idx.Within(p.Centroid, maxMeters, buf[:0])
-		best := -1
-		bestD := maxMeters + 1
-		for _, id := range buf {
-			if d := geo.Equirect(p.Centroid, pts[id]); d < bestD {
-				best, bestD = id, d
-			}
-		}
-		if best >= 0 {
+		if best := idx.Nearest(p.Centroid); best >= 0 {
 			out[best] = append(out[best], p)
 		}
 	}
@@ -181,7 +204,7 @@ func AssignPickups(pickups []Pickup, spots []QueueSpot, maxMeters float64) [][]P
 }
 
 // SpotPositions extracts the coordinate set of a spot list (the input to
-// the Table 5 Hausdorff comparison).
+// the Table 5 Hausdorff comparison and to SpotIndex).
 func SpotPositions(spots []QueueSpot) []geo.Point {
 	pts := make([]geo.Point, len(spots))
 	for i, s := range spots {

@@ -212,14 +212,13 @@ type Forecast struct {
 // the table once, read plain memory.
 type Table struct {
 	grid     core.SlotGrid
-	dayLen   time.Duration
 	slotSec  float64
 	servers  int
 	minModel float64
 	maxRho   float64
-	profiles [][]SlotProfile // [spot][slot-of-day]
-	empty    []core.QueueType
-	met      *metrics // nil-safe; query latency only
+	profiles [][]SlotProfile   // [spot][slot-of-day]
+	ths      []core.Thresholds // per spot; labels a never-observed slot
+	met      *metrics          // nil-safe; query latency only
 }
 
 // Spots returns how many queue spots the table profiles.
@@ -235,16 +234,6 @@ func (t *Table) Profile(spot, slot int) SlotProfile {
 		return SlotProfile{}
 	}
 	return t.profiles[spot][slot]
-}
-
-// Locate maps an instant onto (day, slot-of-day); ok is false before the
-// grid start. Future days are fine — that is the point.
-func (t *Table) Locate(at time.Time) (day, slot int, ok bool) {
-	d := at.Sub(t.grid.Start)
-	if d < 0 {
-		return 0, 0, false
-	}
-	return int(d / t.dayLen), int((d % t.dayLen) / t.grid.SlotLen), true
 }
 
 // Forecast evaluates spot's expected queue state at the instant at; ok is
@@ -264,17 +253,15 @@ func (t *Table) Forecast(spot int, at time.Time) (Forecast, bool) {
 	if spot < 0 || spot >= len(t.profiles) {
 		return Forecast{}, false
 	}
-	day, slot, ok := t.Locate(at)
+	// Future days are fine — that is the point.
+	day, slot, ok := t.grid.Locate(at)
 	if !ok {
 		return Forecast{}, false
 	}
-	f := Forecast{
-		Time: t.grid.Start.Add(time.Duration(day)*t.dayLen + time.Duration(slot)*t.grid.SlotLen),
-		Day:  day, Slot: slot,
-	}
+	f := Forecast{Time: t.grid.TimeOf(day, slot), Day: day, Slot: slot}
 	p := t.profiles[spot][slot]
 	if p.Weight == 0 {
-		f.Label = t.empty[spot]
+		f.Label = core.ClassifyCell(core.SlotFeatures{}, t.ths[spot])
 		return f, true
 	}
 	f.Label = p.label()
@@ -314,7 +301,6 @@ func (t *Table) Forecast(spot int, at time.Time) (Forecast, bool) {
 type Learner struct {
 	cfg     Config
 	slotSec float64
-	dayLen  time.Duration
 	met     *metrics
 
 	pub atomic.Pointer[Table]
@@ -337,7 +323,6 @@ func Open(cfg Config) (*Learner, error) {
 	l := &Learner{
 		cfg:     cfg,
 		slotSec: cfg.Grid.SlotLen.Seconds(),
-		dayLen:  time.Duration(cfg.Grid.Slots) * cfg.Grid.SlotLen,
 		met:     newMetrics(cfg.Metrics),
 		cells:   make([][]cell, cfg.Spots),
 	}
@@ -366,13 +351,12 @@ func (l *Learner) Table() *Table { return l.pub.Load() }
 func (l *Learner) publishLocked() {
 	t := &Table{
 		grid:     l.cfg.Grid,
-		dayLen:   l.dayLen,
 		slotSec:  l.slotSec,
 		servers:  l.cfg.Servers,
 		minModel: l.cfg.MinModelWeight,
 		maxRho:   l.cfg.MaxModelRho,
 		profiles: make([][]SlotProfile, len(l.cells)),
-		empty:    make([]core.QueueType, len(l.cells)),
+		ths:      l.cfg.Thresholds,
 		met:      l.met,
 	}
 	for spot, row := range l.cells {
@@ -381,7 +365,6 @@ func (l *Learner) publishLocked() {
 			ps[j] = row[j].p
 		}
 		t.profiles[spot] = ps
-		t.empty[spot] = core.Classify([]core.SlotFeatures{{}}, l.cfg.Thresholds[spot])[0]
 	}
 	l.pub.Store(t)
 	l.met.weight.Set(int64(totalWeight(t)))

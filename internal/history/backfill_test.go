@@ -77,7 +77,7 @@ func TestBackfillMatchesBatchResult(t *testing.T) {
 		t.Fatalf("backfill left watermark at %d", w)
 	}
 	for spot := range res.Spots {
-		pts := s.Series(spot, grid.Start, grid.Start.Add(s.DayLen()))
+		pts := s.Series(spot, grid.Start, grid.Start.Add(s.Grid().DayLen()))
 		if len(pts) != grid.Slots {
 			t.Fatalf("spot %d: %d points", spot, len(pts))
 		}

@@ -101,8 +101,6 @@ type Config struct {
 	// pre-lazy resident behavior (every CRC check still runs either way).
 	// Identity tests and the open-cost benchmarks compare against it.
 	EagerOpen bool
-	// TileMeters is the heatmap tile edge length; 400 m when 0.
-	TileMeters float64
 	// Metrics is the registry the store's collectors live in; a private
 	// registry when nil.
 	Metrics *obs.Registry
@@ -111,9 +109,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BlockRecords == 0 {
 		c.BlockRecords = 512
-	}
-	if c.TileMeters == 0 {
-		c.TileMeters = 400
 	}
 	if c.Amplify.Factor == 0 {
 		c.Amplify = core.NoAmplification
@@ -152,19 +147,12 @@ func (ix *index) days() []int {
 	return out
 }
 
-// emptyCell is one spot's synthesized no-activity context, computed once.
-type emptyCell struct {
-	once  sync.Once
-	label core.QueueType
-}
-
 // Store is the embedded history store. Appends are safe for concurrent
 // use (serialized internally); reads are lock-free against the published
 // index.
 type Store struct {
 	cfg     Config
 	slotSec float64
-	dayLen  time.Duration
 	met     *metrics
 
 	pub atomic.Pointer[index]
@@ -172,8 +160,6 @@ type Store struct {
 	// cache fronts disk-resident (lazily recovered) blocks with decoded
 	// records; see lazy.go.
 	cache *blockCache
-
-	empty []emptyCell
 
 	mu      sync.Mutex
 	blocks  []*block
@@ -203,9 +189,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:         cfg,
 		slotSec:     cfg.Grid.SlotLen.Seconds(),
-		dayLen:      time.Duration(cfg.Grid.Slots) * cfg.Grid.SlotLen,
 		met:         newMetrics(cfg.Metrics),
-		empty:       make([]emptyCell, len(cfg.Spots)),
 		wm:          make(map[int]int),
 		persistedWM: make(map[int]int),
 	}
@@ -269,15 +253,11 @@ func (s *Store) stamp() []byte {
 }
 
 // emptyContext returns spot's synthesized no-activity cell: the zero
-// feature 5-tuple and the label Classify assigns it under the spot's
+// feature 5-tuple and the label ClassifyCell assigns it under the spot's
 // thresholds — identical to what the batch engine and the live aggregator
 // produce for a slot nobody fed.
 func (s *Store) emptyContext(spot int) (core.SlotFeatures, core.QueueType) {
-	e := &s.empty[spot]
-	e.once.Do(func() {
-		e.label = core.Classify([]core.SlotFeatures{{}}, s.cfg.Thresholds[spot])[0]
-	})
-	return core.SlotFeatures{}, e.label
+	return core.SlotFeatures{}, core.ClassifyCell(core.SlotFeatures{}, s.cfg.Thresholds[spot])
 }
 
 // Grid returns the store's slot grid.
@@ -286,23 +266,8 @@ func (s *Store) Grid() core.SlotGrid { return s.cfg.Grid }
 // Spots returns how many queue spots the store records.
 func (s *Store) Spots() int { return len(s.cfg.Spots) }
 
-// DayLen is the span one day index covers (Slots · SlotLen).
-func (s *Store) DayLen() time.Duration { return s.dayLen }
-
-// TimeOf returns the start instant of (day, slot).
-func (s *Store) TimeOf(day, slot int) time.Time {
-	return s.cfg.Grid.Start.Add(time.Duration(day)*s.dayLen + time.Duration(slot)*s.cfg.Grid.SlotLen)
-}
-
-// Locate maps an instant onto (day, slot); ok is false before the grid
-// start.
-func (s *Store) Locate(t time.Time) (day, slot int, ok bool) {
-	d := t.Sub(s.cfg.Grid.Start)
-	if d < 0 {
-		return 0, 0, false
-	}
-	return int(d / s.dayLen), int((d % s.dayLen) / s.cfg.Grid.SlotLen), true
-}
+// TimeOf returns the start instant of (day, slot): Grid().TimeOf.
+func (s *Store) TimeOf(day, slot int) time.Time { return s.cfg.Grid.TimeOf(day, slot) }
 
 // Watermark returns day's appended-below slot: every slot strictly below
 // it is recorded (0 when the day is absent).
@@ -350,37 +315,6 @@ func (s *Store) AppendSlots(day, lo, hi int, at func(spot, slot int) (core.SlotF
 	s.wm[day] = hi
 	s.met.appends.Inc()
 	s.met.records.Add(int64(appended))
-	s.sealFullLocked()
-	s.publishLocked()
-	return nil
-}
-
-// Append records pre-built cells (the tooling and test entry point; the
-// live path uses AppendSlots). Records at slots already below their day's
-// watermark are dropped (idempotence); each surviving record advances the
-// watermark to just past its slot.
-func (s *Store) Append(recs []Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	kept := 0
-	for _, r := range recs {
-		if r.Slot < 0 || r.Slot >= s.cfg.Grid.Slots || r.Spot < 0 || r.Spot >= len(s.cfg.Spots) {
-			continue
-		}
-		if r.Slot < s.wm[r.Day] {
-			continue
-		}
-		if r.Feats != (core.SlotFeatures{}) {
-			s.pending = append(s.pending, r)
-			kept++
-		}
-		s.wm[r.Day] = r.Slot + 1
-	}
-	s.met.appends.Inc()
-	s.met.records.Add(int64(kept))
 	s.sealFullLocked()
 	s.publishLocked()
 	return nil

@@ -125,7 +125,7 @@ func verifyDay(t *testing.T, s *Store, day int, cells map[[2]int]Record) {
 	t.Helper()
 	grid := s.Grid()
 	from := s.TimeOf(day, 0)
-	to := from.Add(s.DayLen())
+	to := from.Add(s.Grid().DayLen())
 	for spot := 0; spot < s.Spots(); spot++ {
 		pts := s.Series(spot, from, to)
 		if len(pts) != grid.Slots {

@@ -35,12 +35,12 @@ func (s *Store) Series(spot int, from, to time.Time) []Point {
 	if from.Before(s.cfg.Grid.Start) {
 		from = s.cfg.Grid.Start
 	}
-	fromDay, fromSlot, ok := s.Locate(from)
+	fromDay, fromSlot, ok := s.cfg.Grid.Locate(from)
 	if !ok {
 		return nil
 	}
 	// The slot containing to-1ns is included iff to extends past its start.
-	toDay, toSlot, ok := s.Locate(to.Add(-time.Nanosecond))
+	toDay, toSlot, ok := s.cfg.Grid.Locate(to.Add(-time.Nanosecond))
 	if !ok {
 		return nil
 	}
@@ -103,8 +103,11 @@ func (s *Store) Series(spot int, from, to time.Time) []Point {
 	return out
 }
 
+// tileMeters is the heatmap tile edge length, reported in every Heatmap.
+const tileMeters = 400.0
+
 // Tile is one heatmap cell: all spots whose position falls in the same
-// TileMeters × TileMeters grid square, aggregated at one slot.
+// tileMeters × tileMeters grid square, aggregated at one slot.
 type Tile struct {
 	Lat    float64               `json:"lat"` // tile center
 	Lon    float64               `json:"lon"`
@@ -129,13 +132,13 @@ type Heatmap struct {
 const metersPerDegLat = 111320.0
 
 // Heatmap buckets every spot's context at the slot containing at into
-// TileMeters-edge tiles; ok is false when that slot is not yet final (or
+// tileMeters-edge tiles; ok is false when that slot is not yet final (or
 // precedes the grid). Empty spots count toward the tile's Spots and the
 // empty context's label bucket but contribute zero intensity.
 func (s *Store) Heatmap(at time.Time) (Heatmap, bool) {
 	t0 := time.Now()
 	defer s.met.qHeatmap.Since(t0)
-	day, slot, ok := s.Locate(at)
+	day, slot, ok := s.cfg.Grid.Locate(at)
 	if !ok {
 		return Heatmap{}, false
 	}
@@ -180,14 +183,14 @@ func (s *Store) Heatmap(at time.Time) (Heatmap, bool) {
 			feats[i], labels[i] = s.emptyContext(i)
 		}
 		k := key{
-			y: int(math.Floor(sp.Pos.Lat * metersPerDegLat / s.cfg.TileMeters)),
-			x: int(math.Floor(sp.Pos.Lon * lonScale / s.cfg.TileMeters)),
+			y: int(math.Floor(sp.Pos.Lat * metersPerDegLat / tileMeters)),
+			x: int(math.Floor(sp.Pos.Lon * lonScale / tileMeters)),
 		}
 		t := tiles[k]
 		if t == nil {
 			t = &Tile{
-				Lat: (float64(k.y) + 0.5) * s.cfg.TileMeters / metersPerDegLat,
-				Lon: (float64(k.x) + 0.5) * s.cfg.TileMeters / lonScale,
+				Lat: (float64(k.y) + 0.5) * tileMeters / metersPerDegLat,
+				Lon: (float64(k.x) + 0.5) * tileMeters / lonScale,
 			}
 			tiles[k] = t
 		}
@@ -200,7 +203,7 @@ func (s *Store) Heatmap(at time.Time) (Heatmap, bool) {
 		t.NDep += feats[i].NDep
 	}
 
-	hm := Heatmap{Day: day, Slot: slot, Time: s.TimeOf(day, slot), TileMeters: s.cfg.TileMeters}
+	hm := Heatmap{Day: day, Slot: slot, Time: s.TimeOf(day, slot), TileMeters: tileMeters}
 	hm.Tiles = make([]Tile, 0, len(tiles))
 	for _, t := range tiles {
 		hm.Tiles = append(hm.Tiles, *t)
@@ -221,8 +224,8 @@ func (s *Store) Heatmap(at time.Time) (Heatmap, bool) {
 // -1 when it isn't. The serve layer uses this to answer out-of-range
 // /heatmap?t queries with a valid body instead of an error.
 func (s *Store) EmptyHeatmap(at time.Time) Heatmap {
-	hm := Heatmap{Day: -1, Slot: -1, Time: at, TileMeters: s.cfg.TileMeters, Tiles: []Tile{}}
-	if day, slot, ok := s.Locate(at); ok {
+	hm := Heatmap{Day: -1, Slot: -1, Time: at, TileMeters: tileMeters, Tiles: []Tile{}}
+	if day, slot, ok := s.cfg.Grid.Locate(at); ok {
 		hm.Day, hm.Slot = day, slot
 		hm.Time = s.TimeOf(day, slot)
 	}

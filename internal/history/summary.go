@@ -109,11 +109,11 @@ func (s *Store) rangeSummary(from, to time.Time, decodeAll bool) (RangeSummary, 
 		return RangeSummary{}, false
 	}
 	ix := s.pub.Load()
-	fromDay, fromSlot, ok := s.Locate(from)
+	fromDay, fromSlot, ok := s.cfg.Grid.Locate(from)
 	if !ok {
 		return RangeSummary{}, false
 	}
-	toDay, toSlot, ok := s.Locate(to.Add(-time.Nanosecond))
+	toDay, toSlot, ok := s.cfg.Grid.Locate(to.Add(-time.Nanosecond))
 	if !ok {
 		return RangeSummary{}, false
 	}

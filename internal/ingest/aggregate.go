@@ -15,7 +15,7 @@ type cellKey struct{ spot, slot int }
 // cell is one merged (spot, slot): raw statistics while shards are still
 // closing, then the computed context once first published.
 type cell struct {
-	stats    stream.SlotStats
+	stats    core.SlotStats
 	label    core.QueueType
 	feats    core.SlotFeatures
 	closedAt time.Time // when the first shard closing arrived
@@ -23,7 +23,7 @@ type cell struct {
 }
 
 // aggregator merges per-shard slot closings into served contexts. Because
-// stream.SlotStats merging is exact (sums and concatenations, with
+// core.SlotStats merging is exact (sums and concatenations, with
 // departure ends re-sorted at feature time), the merged context equals what
 // one engine over the whole fleet would have produced.
 //
@@ -37,9 +37,9 @@ type cell struct {
 // tests and serve benchmarks compare against.
 //
 // Cells exist only for (spot, slot) pairs a shard actually fed: a read of a
-// never-fed pair is served from the per-spot empty context without
-// allocating, so a scraper walking the whole grid cannot grow the map. The
-// live cell count is exported as the ingest_aggregator_cells gauge.
+// never-fed pair is served the empty context without allocating, so a
+// scraper walking the whole grid cannot grow the map. The live cell count
+// is exported as the ingest_aggregator_cells gauge.
 type aggregator struct {
 	grid core.SlotGrid
 	ths  []core.Thresholds
@@ -51,20 +51,9 @@ type aggregator struct {
 
 	mu    sync.Mutex
 	cells map[cellKey]*cell
-	// Per-spot context of a slot with no activity, computed on first need;
-	// identical for every empty slot of a spot, so one cached copy serves
-	// arbitrarily many reads.
-	empty []emptyCtx
 	// live is the latest online-discovered spot list, carried verbatim into
 	// every snapshot publish (nil when live discovery is off).
 	live []core.LiveSpot
-}
-
-// emptyCtx is one spot's lazily computed no-activity context.
-type emptyCtx struct {
-	feats core.SlotFeatures
-	label core.QueueType
-	done  bool
 }
 
 // init publishes the epoch-1 snapshot covering finalBelow slots (0 for a

@@ -36,7 +36,7 @@ func historyContexts(t testing.TB, s *history.Store, d *day) ([][]core.QueueType
 	labels := make([][]core.QueueType, len(d.scfg.Spots))
 	feats := make([][]core.SlotFeatures, len(d.scfg.Spots))
 	from := d.grid.Start
-	to := from.Add(s.DayLen())
+	to := from.Add(s.Grid().DayLen())
 	for i := range labels {
 		labels[i] = make([]core.QueueType, d.grid.Slots)
 		feats[i] = make([]core.SlotFeatures, d.grid.Slots)

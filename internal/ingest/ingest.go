@@ -21,7 +21,7 @@
 // Sharding is by taxi ID, so each taxi's trajectory — the unit over which
 // PEA, cleaning and the store's time-order invariant all operate — lives
 // entirely inside one shard. Per-shard slot closings carry their raw
-// accumulators (stream.SlotStats) and the aggregator merges them, so the
+// accumulators (core.SlotStats) and the aggregator merges them, so the
 // served labels are byte-identical to a single engine that saw every
 // record.
 //
@@ -278,7 +278,6 @@ func NewService(cfg Config) (*Service, error) {
 			amp:   cfg.Stream.Amplify,
 			met:   met,
 			cells: make(map[cellKey]*cell),
-			empty: make([]emptyCtx, len(cfg.Stream.Spots)),
 		},
 	}
 	if cfg.LiveSpots.Enabled {
@@ -480,7 +479,7 @@ func (s *Service) Flush() error {
 	if s.live != nil {
 		// The feed is over: push the discovery clock to the grid's end so
 		// window points expire and decaying spots age out.
-		s.live.advance(s.grid.Start.Add(time.Duration(s.grid.Slots) * s.grid.SlotLen))
+		s.live.advance(s.grid.End())
 	}
 	return s.flushHistory()
 }
@@ -699,7 +698,7 @@ func (s *Service) Estimate() Estimate {
 		return est
 	}
 	for spot := range est.Labels {
-		var merged stream.SlotStats
+		var merged core.SlotStats
 		for _, p := range provs {
 			if p.Slot == est.Slot && p.Stats != nil && p.Stats[spot] != nil {
 				merged.Merge(p.Stats[spot])

@@ -92,7 +92,7 @@ func snapshot(t testing.TB, svc *Service, d *day) ([][]core.QueueType, [][]core.
 func singleEngineContexts(d *day) ([][]core.QueueType, [][]core.SlotFeatures) {
 	cl := clean.NewStreamer(clean.Config{ValidFrame: citymap.Island})
 	eng := stream.NewLive(d.scfg)
-	stats := make(map[cellKey]*stream.SlotStats)
+	stats := make(map[cellKey]*core.SlotStats)
 	collect := func(events []stream.Event) {
 		for i := range events {
 			ev := &events[i]
@@ -101,7 +101,7 @@ func singleEngineContexts(d *day) ([][]core.QueueType, [][]core.SlotFeatures) {
 			}
 			k := cellKey{ev.Spot, ev.Slot}
 			if stats[k] == nil {
-				stats[k] = &stream.SlotStats{}
+				stats[k] = &core.SlotStats{}
 			}
 			stats[k].Merge(&ev.Stats)
 		}
@@ -121,13 +121,13 @@ func singleEngineContexts(d *day) ([][]core.QueueType, [][]core.SlotFeatures) {
 		labels[i] = make([]core.QueueType, d.grid.Slots)
 		feats[i] = make([]core.SlotFeatures, d.grid.Slots)
 		for j := 0; j < d.grid.Slots; j++ {
-			var s stream.SlotStats
+			var s core.SlotStats
 			if p := stats[cellKey{i, j}]; p != nil {
 				s = *p
 			}
 			f := s.Features(d.grid.SlotLen, d.scfg.Amplify)
 			feats[i][j] = f
-			labels[i][j] = core.Classify([]core.SlotFeatures{f}, d.scfg.Thresholds[i])[0]
+			labels[i][j] = core.ClassifyCell(f, d.scfg.Thresholds[i])
 		}
 	}
 	return labels, feats

@@ -522,8 +522,7 @@ func (sh *shard) emit(events []stream.Event) {
 		if lt := sh.svc.live; lt != nil {
 			// A slot just became untouchable here: the feed clock has
 			// reached at least its end, so let discovery expire and decay.
-			g := sh.svc.grid
-			lt.advance(g.Start.Add(time.Duration(wm) * g.SlotLen))
+			lt.advance(sh.svc.grid.TimeOf(0, wm))
 		}
 	}
 }

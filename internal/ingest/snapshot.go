@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"taxiqueue/internal/core"
-	"taxiqueue/internal/stream"
 )
 
 // CellContext is one (spot, slot) cell of a published snapshot: the merged
@@ -132,19 +131,12 @@ func (a *aggregator) publish(finalBelow int) {
 func (a *aggregator) contextLocked(spot, slot int, now time.Time) CellContext {
 	c := a.cells[cellKey{spot, slot}]
 	if c == nil {
-		e := &a.empty[spot]
-		if !e.done {
-			var zero stream.SlotStats
-			e.feats = zero.Features(a.grid.SlotLen, a.amp)
-			e.label = core.Classify([]core.SlotFeatures{e.feats}, a.ths[spot])[0]
-			e.done = true
-		}
-		return CellContext{Features: e.feats, Label: e.label}
+		return CellContext{Label: core.ClassifyCell(core.SlotFeatures{}, a.ths[spot])}
 	}
 	if !c.done {
 		c.feats = c.stats.Features(a.grid.SlotLen, a.amp)
-		c.label = core.Classify([]core.SlotFeatures{c.feats}, a.ths[spot])[0]
-		c.stats = stream.SlotStats{} // raw stats are spent
+		c.label = core.ClassifyCell(c.feats, a.ths[spot])
+		c.stats = core.SlotStats{} // raw stats are spent
 		c.done = true
 		if a.met != nil && !c.closedAt.IsZero() {
 			// With eager publication the serve lag is close-to-publish, not

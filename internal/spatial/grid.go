@@ -1,9 +1,10 @@
-// Package spatial provides the 2-D point indexes the system uses to tame the
-// O(n²) neighbour searches inside DBSCAN and the dispatch circle queries:
-// a uniform grid index and an R-tree (§4.3 of the paper suggests "the R-Tree
-// based or grid based spatial index").
+// Package spatial provides the 2-D point index the system uses to tame the
+// O(n²) neighbour searches inside DBSCAN and pickup-to-spot matching: a
+// uniform grid index (§4.3 of the paper suggests "the R-Tree based or grid
+// based spatial index"; the grid is the one kept), plus a linear scan that
+// is the correctness reference.
 //
-// Both indexes answer the same two queries over a fixed point set:
+// Both answer the same two queries over a fixed point set:
 //
 //   - Range(rect):   all point IDs inside a bounding rectangle
 //   - Within(p, r):  all point IDs within r meters of p
@@ -18,8 +19,8 @@ import (
 	"taxiqueue/internal/geo"
 )
 
-// Index is the query interface shared by the grid and R-tree indexes and by
-// the brute-force reference implementation used in tests.
+// Index is the query interface shared by the grid index and the
+// brute-force reference implementation used in tests.
 type Index interface {
 	// Range appends to dst the IDs of all points inside rect and returns
 	// the extended slice.
@@ -172,8 +173,8 @@ func (g *Grid) Within(center geo.Point, radiusMeters float64, dst []int) []int {
 	return dst
 }
 
-// Linear is the brute-force reference Index used to validate the grid and
-// R-tree in tests and as the baseline in ablation benches.
+// Linear is the brute-force reference Index used to validate the grid in
+// tests and as the baseline in ablation benches.
 type Linear struct{ pts []geo.Point }
 
 // NewLinear wraps pts in a brute-force index.

@@ -62,8 +62,6 @@ func indexesUnderTest(pts []geo.Point) map[string]Index {
 	return map[string]Index{
 		"grid15":  NewGrid(pts, 15),
 		"grid100": NewGrid(pts, 100),
-		"rtree":   NewRTree(pts, 0),
-		"rtree4":  NewRTree(pts, 4),
 	}
 }
 
@@ -168,20 +166,6 @@ func TestWithinAppendsToDst(t *testing.T) {
 	}
 }
 
-func TestRTreeDepthGrows(t *testing.T) {
-	small := NewRTree(randomPoints(10, 51), 16)
-	big := NewRTree(randomPoints(5000, 52), 16)
-	if small.Depth() < 1 {
-		t.Errorf("small tree depth %d", small.Depth())
-	}
-	if big.Depth() <= small.Depth() {
-		t.Errorf("big tree depth %d not greater than small %d", big.Depth(), small.Depth())
-	}
-	if empty := NewRTree(nil, 16); empty.Depth() != 0 {
-		t.Errorf("empty tree depth %d, want 0", empty.Depth())
-	}
-}
-
 func TestGridDefaultCellSize(t *testing.T) {
 	// Non-positive cell size must not panic and must still be correct.
 	pts := randomPoints(200, 61)
@@ -199,14 +183,13 @@ func benchIndexes(b *testing.B, n int) map[string]Index {
 	return map[string]Index{
 		"linear": NewLinear(pts),
 		"grid":   NewGrid(pts, 15),
-		"rtree":  NewRTree(pts, 0),
 	}
 }
 
 func BenchmarkWithin10k(b *testing.B) {
 	idxs := benchIndexes(b, 10000)
 	center := geo.Point{Lat: 1.3, Lon: 103.8}
-	for _, name := range []string{"linear", "grid", "rtree"} {
+	for _, name := range []string{"linear", "grid"} {
 		idx := idxs[name]
 		b.Run(name, func(b *testing.B) {
 			var dst []int

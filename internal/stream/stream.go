@@ -18,13 +18,10 @@
 package stream
 
 import (
-	"sort"
 	"time"
 
 	"taxiqueue/internal/core"
-	"taxiqueue/internal/geo"
 	"taxiqueue/internal/mdt"
-	"taxiqueue/internal/spatial"
 )
 
 // EventKind tags what an Ingest call produced.
@@ -54,8 +51,8 @@ type Event struct {
 	Label    core.QueueType
 	// Stats carries the raw accumulator behind Features so a sharded
 	// deployment can merge closings from engines that each saw only part
-	// of the fleet (see SlotStats). The engine hands over ownership.
-	Stats SlotStats
+	// of the fleet (see core.SlotStats). The engine hands over ownership.
+	Stats core.SlotStats
 }
 
 // Config parameterizes the online engine.
@@ -75,71 +72,15 @@ type Config struct {
 	Amplify core.Amplification
 }
 
-// SlotStats is the raw accumulator behind one (spot, slot) cell. It is
-// exported so sharded ingestion can merge per-shard slot closings exactly:
-// every field is a sum or a concatenation, so folding the SlotStats of N
-// engines that partitioned the fleet by taxi and then calling Features
-// yields byte-identical results to one engine that saw every record.
-type SlotStats struct {
-	// WaitSum/WaitN accumulate street waits that started in this slot.
-	WaitSum time.Duration
-	WaitN   int
-	// Street/Booking count departures (wait ends) in this slot by job kind.
-	Street  int
-	Booking int
-	// DepEnds are the departure instants in this slot, in fold order.
-	DepEnds []time.Time
-}
-
-// Empty reports whether the cell saw no activity.
-func (s *SlotStats) Empty() bool { return s.WaitN == 0 && len(s.DepEnds) == 0 }
-
-// Merge folds o into s. Merging is commutative up to DepEnds order, which
-// Features re-sorts, so shard merge order never changes the outcome.
-func (s *SlotStats) Merge(o *SlotStats) {
-	s.WaitSum += o.WaitSum
-	s.WaitN += o.WaitN
-	s.Street += o.Street
-	s.Booking += o.Booking
-	s.DepEnds = append(s.DepEnds, o.DepEnds...)
-}
-
-// Features converts the raw statistics into the §5.2 5-tuple exactly as the
-// batch ComputeFeatures does. DepEnds is sorted in place.
-func (s *SlotStats) Features(slotLen time.Duration, amp core.Amplification) core.SlotFeatures {
-	if amp.Factor == 0 {
-		amp = core.NoAmplification
-	}
-	var f core.SlotFeatures
-	if s.WaitN > 0 {
-		f.TWait = s.WaitSum / time.Duration(s.WaitN)
-	}
-	f.NArr = float64(s.WaitN) * amp.Factor
-	f.QLen = f.TWait.Seconds() * f.NArr / slotLen.Seconds()
-	deps := s.DepEnds
-	sort.Slice(deps, func(a, b int) bool { return deps[a].Before(deps[b]) })
-	if len(deps) > 1 {
-		total := deps[len(deps)-1].Sub(deps[0])
-		mean := total / time.Duration(len(deps)-1)
-		f.TDep = time.Duration(float64(mean) * amp.IntervalFactor)
-	}
-	f.NDep = float64(len(deps)) * amp.Factor
-	f.StreetDepartures = s.Street
-	f.BookingDepartures = s.Booking
-	return f
-}
-
 // Live is the online engine. It is not safe for concurrent use; shard by
 // taxi and merge events if parallel ingest is needed.
 type Live struct {
 	cfg     Config
-	spotPts []geo.Point
-	spotIdx *spatial.Grid
+	spotIdx *core.SpotIndex
 	taxis   map[string]*core.PEA
-	accs    []map[int]*SlotStats // per spot: open slots
-	closed  int                  // all slots below this are final everywhere
-	clock   time.Time            // newest record time seen (the feed's clock)
-	buf     []int
+	accs    []map[int]*core.SlotStats // per spot: open slots
+	closed  int                       // all slots below this are final everywhere
+	clock   time.Time                 // newest record time seen (the feed's clock)
 }
 
 // NewLive validates cfg and builds the engine.
@@ -154,16 +95,14 @@ func NewLive(cfg Config) *Live {
 		cfg.Amplify = core.NoAmplification
 	}
 	l := &Live{
-		cfg:   cfg,
-		taxis: make(map[string]*core.PEA),
-		accs:  make([]map[int]*SlotStats, len(cfg.Spots)),
+		cfg:     cfg,
+		spotIdx: core.NewSpotIndex(cfg.Spots, cfg.AssignRadiusMeters),
+		taxis:   make(map[string]*core.PEA),
+		accs:    make([]map[int]*core.SlotStats, len(cfg.Spots)),
 	}
-	l.spotPts = make([]geo.Point, len(cfg.Spots))
-	for i, s := range cfg.Spots {
-		l.spotPts[i] = s.Pos
-		l.accs[i] = make(map[int]*SlotStats)
+	for i := range l.accs {
+		l.accs[i] = make(map[int]*core.SlotStats)
 	}
-	l.spotIdx = spatial.NewGrid(l.spotPts, cfg.AssignRadiusMeters)
 	return l
 }
 
@@ -181,7 +120,7 @@ func (l *Live) Ingest(rec mdt.Record) []Event {
 	// left the grid.
 	if cur := l.cfg.Grid.Index(rec.Time); cur >= 0 {
 		events = l.closeBelow(cur-1, events)
-	} else if !rec.Time.Before(l.gridEnd()) {
+	} else if !rec.Time.Before(l.cfg.Grid.End()) {
 		events = l.closeBelow(l.cfg.Grid.Slots, events)
 	}
 	// Incremental PEA for this taxi: the batch engine's state machine.
@@ -220,14 +159,7 @@ func (l *Live) closeBelow(limit int, events []Event) []Event {
 // live spot-discovery window feeds on exactly those street pickups the
 // batch spot list cannot account for.
 func (l *Live) acceptPickup(pk core.Pickup) Event {
-	l.buf = l.spotIdx.Within(pk.Centroid, l.cfg.AssignRadiusMeters, l.buf[:0])
-	best := -1
-	bestD := l.cfg.AssignRadiusMeters + 1
-	for _, id := range l.buf {
-		if d := geo.Equirect(pk.Centroid, l.spotPts[id]); d < bestD {
-			best, bestD = id, d
-		}
-	}
+	best := l.spotIdx.Nearest(pk.Centroid)
 	ev := Event{Kind: PickupDetected, Spot: best, Pickup: pk}
 	if w, ok := core.ExtractWait(pk.Sub); ok {
 		ev.Wait = w
@@ -239,49 +171,39 @@ func (l *Live) acceptPickup(pk core.Pickup) Event {
 	return ev
 }
 
-// gridEnd returns the first instant after the last slot.
-func (l *Live) gridEnd() time.Time {
-	return l.cfg.Grid.Start.Add(time.Duration(l.cfg.Grid.Slots) * l.cfg.Grid.SlotLen)
-}
-
 // acc returns (creating if needed) the accumulator for (spot, slot); nil
 // when the slot is already final or outside the grid.
-func (l *Live) acc(spot, slot int) *SlotStats {
+func (l *Live) acc(spot, slot int) *core.SlotStats {
 	if slot < l.closed || slot < 0 {
 		return nil
 	}
 	a := l.accs[spot][slot]
 	if a == nil {
-		a = &SlotStats{}
+		a = &core.SlotStats{}
 		l.accs[spot][slot] = a
 	}
 	return a
 }
 
-// foldWait mirrors the batch feature attribution: arrival statistics go to
-// the slot of the wait's start, departure statistics to the slot of its
-// end.
+// foldWait is the batch feature attribution (core.ComputeFeatures): the
+// wait's arrival statistics go to the slot of its start, its departure
+// statistics to the slot of its end. Only a street wait is an arrival, so
+// only a street wait may open its start slot's accumulator.
 func (l *Live) foldWait(spot int, w core.Wait) {
 	if w.Street() {
 		if a := l.acc(spot, l.cfg.Grid.Index(w.Start)); a != nil {
-			a.WaitSum += w.Duration()
-			a.WaitN++
+			a.AddArrival(w)
 		}
 	}
 	if a := l.acc(spot, l.cfg.Grid.Index(w.End)); a != nil {
-		if w.Street() {
-			a.Street++
-		} else {
-			a.Booking++
-		}
-		a.DepEnds = append(a.DepEnds, w.End)
+		a.AddDeparture(w)
 	}
 }
 
 // finalize converts an accumulator into a SlotClosed event.
-func (l *Live) finalize(spot, slot int, acc *SlotStats) Event {
+func (l *Live) finalize(spot, slot int, acc *core.SlotStats) Event {
 	f := acc.Features(l.cfg.Grid.SlotLen, l.cfg.Amplify)
-	label := core.Classify([]core.SlotFeatures{f}, l.cfg.Thresholds[spot])[0]
+	label := core.ClassifyCell(f, l.cfg.Thresholds[spot])
 	return Event{Kind: SlotClosed, Spot: spot, Slot: slot, Features: f, Label: label, Stats: *acc}
 }
 
@@ -316,7 +238,7 @@ func (l *Live) Flush() []Event {
 // Drive it from a timer so slots do not linger provisional when the feed
 // pauses mid-slot; it applies the same one-slot safety lag as Ingest.
 func (l *Live) FlushUntil(now time.Time) []Event {
-	if !now.Before(l.gridEnd()) {
+	if !now.Before(l.cfg.Grid.End()) {
 		return l.Flush()
 	}
 	if cur := l.cfg.Grid.Index(now); cur >= 0 {
@@ -352,7 +274,7 @@ func (l *Live) CurrentEstimate(spot int, now time.Time) (core.QueueType, bool) {
 // the slot has elapsed (too little signal to extrapolate). Shared by
 // Live.CurrentEstimate and the sharded ingest service, whose per-shard
 // accumulators merge exactly before estimation.
-func EstimateFromStats(acc *SlotStats, grid core.SlotGrid, slot int, now time.Time, amp core.Amplification, th core.Thresholds) (core.QueueType, bool) {
+func EstimateFromStats(acc *core.SlotStats, grid core.SlotGrid, slot int, now time.Time, amp core.Amplification, th core.Thresholds) (core.QueueType, bool) {
 	if acc == nil || acc.Empty() {
 		return core.Unidentified, false
 	}
@@ -367,7 +289,7 @@ func EstimateFromStats(acc *SlotStats, grid core.SlotGrid, slot int, now time.Ti
 	f.NArr *= scale
 	f.NDep *= scale
 	f.QLen *= scale
-	return core.Classify([]core.SlotFeatures{f}, th)[0], true
+	return core.ClassifyCell(f, th), true
 }
 
 // Provisional is an immutable export of the engine's still-open state for
@@ -383,7 +305,7 @@ type Provisional struct {
 	Slot int
 	// Stats holds one cloned accumulator per spot (indexed like
 	// Config.Spots); nil entries saw no activity in Slot.
-	Stats []*SlotStats
+	Stats []*core.SlotStats
 }
 
 // ExportProvisional snapshots the current slot's accumulators. Same
@@ -400,7 +322,7 @@ func (l *Live) ExportProvisional() *Provisional {
 		return p
 	}
 	p.Slot = j
-	p.Stats = make([]*SlotStats, len(l.accs))
+	p.Stats = make([]*core.SlotStats, len(l.accs))
 	for spot := range l.accs {
 		if acc := l.accs[spot][j]; acc != nil && !acc.Empty() {
 			cl := *acc

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -146,6 +147,72 @@ func TestLiveSlotLabelsMatchBatch(t *testing.T) {
 	if rate := float64(mismatches) / float64(checked); rate > 0.10 {
 		t.Fatalf("live/batch label mismatch rate %.3f over %d slots", rate, checked)
 	}
+}
+
+// TestLiveCellsMatchBatchOnSameWaits: batch and live build a cell through
+// the same code, so a live cell that saw exactly the waits the batch sees
+// has bit-identical features. The batch side runs ComputeFeatures over the
+// waits the live engine itself detected at each spot; a live cell may only
+// differ where it closed before a cross-slot wait completed (its counts
+// then differ too).
+func TestLiveCellsMatchBatchOnSameWaits(t *testing.T) {
+	d := getBatchDay(t)
+	live := liveFromBatch(d)
+	type key struct{ spot, slot int }
+	closed := map[key]core.SlotFeatures{}
+	waits := make([][]core.Wait, len(d.result.Spots))
+	collect := func(events []Event) {
+		for _, ev := range events {
+			switch {
+			case ev.Kind == SlotClosed:
+				closed[key{ev.Spot, ev.Slot}] = ev.Features
+			case ev.HasWait && ev.Spot >= 0:
+				waits[ev.Spot] = append(waits[ev.Spot], ev.Wait)
+			}
+		}
+	}
+	for _, rec := range d.records {
+		collect(live.Ingest(rec))
+	}
+	collect(live.Flush())
+
+	batch := make([][]core.SlotFeatures, len(waits))
+	for spot := range waits {
+		batch[spot] = core.ComputeFeatures(waits[spot], d.grid, core.PaperAmplification)
+	}
+	compared, differ := 0, 0
+	for k, lf := range closed {
+		bf := batch[k.spot][k.slot]
+		if bf.NArr == 0 && bf.NDep == 0 {
+			t.Fatalf("spot %d slot %d closed live but has no batch activity", k.spot, k.slot)
+		}
+		if lf.NArr != bf.NArr || lf.NDep != bf.NDep {
+			continue // closed before a cross-slot wait completed
+		}
+		compared++
+		if !sameBits(lf, bf) {
+			differ++
+			if differ <= 3 {
+				t.Errorf("spot %d slot %d: live %+v, batch %+v", k.spot, k.slot, lf, bf)
+			}
+		}
+	}
+	t.Logf("%d cells closed, %d with matching counts, %d differ", len(closed), compared, differ)
+	if differ > 0 {
+		t.Fatalf("%d of %d same-wait cells differ from batch", differ, compared)
+	}
+	if compared < 800 {
+		t.Fatalf("only %d cells compared", compared)
+	}
+}
+
+// sameBits reports whether two 5-tuples are identical bit for bit.
+func sameBits(a, b core.SlotFeatures) bool {
+	return a.TWait == b.TWait && a.TDep == b.TDep &&
+		math.Float64bits(a.NArr) == math.Float64bits(b.NArr) &&
+		math.Float64bits(a.QLen) == math.Float64bits(b.QLen) &&
+		math.Float64bits(a.NDep) == math.Float64bits(b.NDep) &&
+		a.StreetDepartures == b.StreetDepartures && a.BookingDepartures == b.BookingDepartures
 }
 
 // TestLivePickupEventsMatchBatchAssignment: every streamed PickupDetected

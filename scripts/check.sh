@@ -1,13 +1,21 @@
 #!/usr/bin/env bash
-# The pre-PR gate: build everything, vet, run the full test suite, re-run
-# the concurrent packages under the race detector, then fuzz the byte
-# parsers. Green here is the bar every change must clear (ROADMAP tier-1
+# The pre-PR gate: check formatting, build everything, vet, run the full
+# test suite, re-run the concurrent packages under the race detector, then
+# fuzz the byte parsers. Green here is the bar every change must clear (ROADMAP tier-1
 # plus the race and fuzz gates).
 #
 # Usage:
 #   scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo ">> gofmt -l (tracked .go files)"
+unformatted="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo ">> go build ./..."
 go build ./...
