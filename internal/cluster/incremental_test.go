@@ -1,78 +1,151 @@
-package cluster
+package cluster_test
 
 import (
-	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
+	"taxiqueue/internal/citymap"
+	"taxiqueue/internal/cluster"
+	"taxiqueue/internal/core"
 	"taxiqueue/internal/geo"
 )
 
-// incInsertAll feeds pts into inc one second apart starting at t0.
-func incInsertAll(t *testing.T, inc *Incremental, pts []geo.Point, t0 time.Time) {
-	t.Helper()
-	for i, p := range pts {
-		if !inc.Insert(p, t0.Add(time.Duration(i)*time.Second)) {
-			t.Fatalf("insert %d rejected", i)
-		}
-	}
+// Incremental clustering is core.LiveDetector: a sliding window of pickup
+// centroids that this package's DBSCAN clusters at every extraction. The
+// tests below drive that window through inserts, churn, expiry splits and
+// bridge merges and check it against batch DBSCAN over the window's alive
+// points, recomputed here from what the test fed it.
+
+// liveWindow feeds a core.LiveDetector and keeps every pickup it was fed,
+// so the alive set can be derived independently of the detector.
+type liveWindow struct {
+	det    *core.LiveDetector
+	p      cluster.Params
+	window time.Duration
+	pts    []geo.Point
+	ts     []time.Time
+	now    time.Time
 }
 
-// requireBatchEqual asserts inc's extraction is identical — labels and
-// cluster count — to batch DBSCAN over the same alive points in the same
-// order. This is the incremental/batch equivalence contract.
-func requireBatchEqual(t *testing.T, inc *Incremental) Result {
+func newLiveWindow(t *testing.T, p cluster.Params, window time.Duration) *liveWindow {
 	t.Helper()
-	pts := inc.Points(nil)
-	if len(pts) != inc.Len() {
-		t.Fatalf("Points returned %d, Len says %d", len(pts), inc.Len())
-	}
-	got := inc.Result()
-	want, err := DBSCAN(pts, inc.p)
+	det, err := core.NewLiveDetector(core.LiveDetectorConfig{Cluster: p, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumClusters != want.NumClusters {
-		t.Fatalf("incremental found %d clusters, batch %d", got.NumClusters, want.NumClusters)
+	return &liveWindow{det: det, p: p, window: window}
+}
+
+func (w *liveWindow) insert(t *testing.T, p geo.Point, at time.Time) {
+	t.Helper()
+	if !w.det.Observe(p, at) {
+		t.Fatalf("insert of %v at %v rejected", p, at)
 	}
-	if len(got.Labels) != len(want.Labels) {
-		t.Fatalf("incremental has %d labels, batch %d", len(got.Labels), len(want.Labels))
+	w.pts = append(w.pts, p)
+	w.ts = append(w.ts, at)
+	w.advance(at)
+}
+
+// insertAll feeds pts one second apart starting at t0.
+func (w *liveWindow) insertAll(t *testing.T, pts []geo.Point, t0 time.Time) {
+	t.Helper()
+	for i, p := range pts {
+		w.insert(t, p, t0.Add(time.Duration(i)*time.Second))
 	}
-	for i := range got.Labels {
-		if got.Labels[i] != want.Labels[i] {
-			t.Fatalf("label[%d] = %d, batch says %d", i, got.Labels[i], want.Labels[i])
+}
+
+func (w *liveWindow) advance(at time.Time) {
+	w.det.Advance(at)
+	if at.After(w.now) {
+		w.now = at
+	}
+}
+
+// alive returns the fed points whose time is at least now − window, in
+// arrival order.
+func (w *liveWindow) alive() []geo.Point {
+	var out []geo.Point
+	cut := w.now.Add(-w.window)
+	for i, p := range w.pts {
+		if !w.ts[i].Before(cut) {
+			out = append(out, p)
 		}
 	}
-	return got
+	return out
+}
+
+// requireBatchEqual asserts the window's spots are batch DBSCAN over its
+// alive points in arrival order — one spot per cluster carrying the
+// cluster's centroid bit for bit and its size, ordered by size then
+// position — both before and after a Refresh drops the expired points.
+// This is the incremental/batch equivalence contract. It returns the
+// cluster count.
+func requireBatchEqual(t *testing.T, w *liveWindow) int {
+	t.Helper()
+	pts := w.alive()
+	res, err := cluster.DBSCAN(pts, w.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cents, sizes := res.Centroids(pts), res.ClusterSizes()
+	want := make([]core.QueueSpot, len(cents))
+	for i := range cents {
+		want[i] = core.QueueSpot{Pos: cents[i], Zone: citymap.ZoneOf(cents[i]), PickupCount: sizes[i]}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if a.PickupCount != b.PickupCount {
+			return a.PickupCount > b.PickupCount
+		}
+		if a.Pos.Lat != b.Pos.Lat {
+			return a.Pos.Lat < b.Pos.Lat
+		}
+		return a.Pos.Lon < b.Pos.Lon
+	})
+	for _, stage := range []string{"before Refresh", "after Refresh"} {
+		if stage == "after Refresh" {
+			w.det.Refresh()
+		}
+		if n := w.det.Stats().WindowPoints; n != len(pts) {
+			t.Fatalf("%s: window holds %d points, %d are alive", stage, n, len(pts))
+		}
+		got := w.det.Spots()
+		if len(got) != len(want) {
+			t.Fatalf("%s: window found %d clusters, batch %d", stage, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: spot[%d] = %v, batch says %v", stage, i, got[i], want[i])
+			}
+		}
+	}
+	return res.NumClusters
 }
 
 func TestIncrementalMatchesBatchInsertOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c1 := geo.Point{Lat: 1.30, Lon: 103.80}
 	var pts []geo.Point
-	pts = append(pts, blob(rng, c1, 120, 6)...)
-	pts = append(pts, blob(rng, geo.Offset(c1, 400, 120), 90, 6)...)
-	pts = append(pts, uniformNoise(rng, 150)...)
+	pts = append(pts, cluster.Blob(rng, c1, 120, 6)...)
+	pts = append(pts, cluster.Blob(rng, geo.Offset(c1, 400, 120), 90, 6)...)
+	pts = append(pts, cluster.UniformNoise(rng, 150)...)
 	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
 
-	inc, err := NewIncremental(Params{EpsMeters: 15, MinPoints: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newLiveWindow(t, cluster.Params{EpsMeters: 15, MinPoints: 10}, 3*time.Hour)
 	t0 := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
-	incInsertAll(t, inc, pts, t0)
-	res := requireBatchEqual(t, inc)
-	if res.NumClusters < 2 {
-		t.Fatalf("degenerate fixture: only %d clusters", res.NumClusters)
+	w.insertAll(t, pts, t0)
+	if n := requireBatchEqual(t, w); n < 2 {
+		t.Fatalf("degenerate fixture: only %d clusters", n)
 	}
 }
 
 // TestIncrementalMatchesBatchUnderChurn is the core property test: a
-// sliding window over a random day of points, expired and extracted at
-// random checkpoints, must match batch DBSCAN over the alive set at every
-// checkpoint — including checkpoints right after expiry (dirty rebuild)
-// and interleaved inserts.
+// sliding window over a random stream of points, extracted at random
+// checkpoints, must match batch DBSCAN over the alive set at every
+// checkpoint — with points expiring between checkpoints and inserts
+// interleaved.
 func TestIncrementalMatchesBatchUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	centers := []geo.Point{
@@ -80,32 +153,28 @@ func TestIncrementalMatchesBatchUnderChurn(t *testing.T) {
 		geo.Offset(geo.Point{Lat: 1.30, Lon: 103.80}, 300, 0),
 		geo.Offset(geo.Point{Lat: 1.30, Lon: 103.80}, 0, 250),
 	}
-	inc, err := NewIncremental(Params{EpsMeters: 15, MinPoints: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
-	window := 40 * time.Minute
-	clock := t0
+	w := newLiveWindow(t, cluster.Params{EpsMeters: 15, MinPoints: 8}, 40*time.Minute)
+	clock := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
 	for step := 0; step < 1500; step++ {
 		clock = clock.Add(time.Duration(rng.Intn(5)) * time.Second)
 		var p geo.Point
 		if rng.Intn(4) == 0 {
-			p = uniformNoise(rng, 1)[0]
+			p = cluster.UniformNoise(rng, 1)[0]
 		} else {
-			p = blob(rng, centers[rng.Intn(len(centers))], 1, 8)[0]
+			p = cluster.Blob(rng, centers[rng.Intn(len(centers))], 1, 8)[0]
 		}
-		if !inc.Insert(p, clock) {
-			t.Fatalf("insert rejected at step %d", step)
-		}
-		inc.ExpireBefore(clock.Add(-window))
+		w.insert(t, p, clock)
 		if step%97 == 0 {
-			requireBatchEqual(t, inc)
+			requireBatchEqual(t, w)
 		}
 	}
-	requireBatchEqual(t, inc)
-	if inc.Len() == 0 {
+	requireBatchEqual(t, w)
+	alive := len(w.alive())
+	if alive == 0 {
 		t.Fatal("window drained unexpectedly")
+	}
+	if alive == len(w.pts) {
+		t.Fatal("nothing expired: the window never churned")
 	}
 }
 
@@ -116,160 +185,80 @@ func TestIncrementalExpireSplitsCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	left := geo.Point{Lat: 1.30, Lon: 103.80}
 	right := geo.Offset(left, 0, 120)
-	inc, err := NewIncremental(Params{EpsMeters: 15, MinPoints: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	window := 2 * time.Hour
+	w := newLiveWindow(t, cluster.Params{EpsMeters: 15, MinPoints: 6}, window)
 	t0 := time.Date(2026, 1, 5, 9, 0, 0, 0, time.UTC)
 
 	// The bridge goes in first (oldest): clumps of 6 every 10 m so every
 	// bridge point is core.
 	var bridge []geo.Point
 	for d := 10.0; d < 120; d += 10 {
-		bridge = append(bridge, blob(rng, geo.Offset(left, 0, d), 6, 1)...)
+		bridge = append(bridge, cluster.Blob(rng, geo.Offset(left, 0, d), 6, 1)...)
 	}
-	incInsertAll(t, inc, bridge, t0)
-	newer := append(blob(rng, left, 40, 4), blob(rng, right, 40, 4)...)
-	for i, p := range newer {
-		if !inc.Insert(p, t0.Add(time.Hour).Add(time.Duration(i)*time.Second)) {
-			t.Fatalf("insert %d rejected", i)
-		}
-	}
-	if res := requireBatchEqual(t, inc); res.NumClusters != 1 {
-		t.Fatalf("dumbbell clustered into %d, want 1", res.NumClusters)
+	w.insertAll(t, bridge, t0)
+	newer := append(cluster.Blob(rng, left, 40, 4), cluster.Blob(rng, right, 40, 4)...)
+	w.insertAll(t, newer, t0.Add(time.Hour))
+	if n := requireBatchEqual(t, w); n != 1 {
+		t.Fatalf("dumbbell clustered into %d, want 1", n)
 	}
 
-	if n := inc.ExpireBefore(t0.Add(30 * time.Minute)); n != len(bridge) {
+	before := w.det.Stats().WindowPoints
+	w.advance(t0.Add(30 * time.Minute).Add(window))
+	if n := before - w.det.Stats().WindowPoints; n != len(bridge) {
 		t.Fatalf("expired %d points, want the %d bridge points", n, len(bridge))
 	}
-	if res := requireBatchEqual(t, inc); res.NumClusters != 2 {
-		t.Fatalf("after the bridge expired: %d clusters, want 2", res.NumClusters)
+	if n := requireBatchEqual(t, w); n != 2 {
+		t.Fatalf("after the bridge expired: %d clusters, want 2", n)
 	}
 }
 
-// TestIncrementalMergeAcrossCells verifies a cell-cluster merge is a
-// find/union, not a re-cluster: two blobs far enough apart to occupy
-// different grid cells (and different clusters) fuse into one when bridge
-// points land between them — with no expiry in between, so the structure
-// is never dirty and the merge must happen on the insert path itself.
+// TestIncrementalMergeAcrossCells checks that two blobs far enough apart
+// to occupy different grid cells (and different clusters) fuse into one
+// when bridge points land between them, with no expiry in between.
 func TestIncrementalMergeAcrossCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	left := geo.Point{Lat: 1.30, Lon: 103.80}
 	right := geo.Offset(left, 0, 60) // 4 eps-cells away: distinct cell columns
-	inc, err := NewIncremental(Params{EpsMeters: 15, MinPoints: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newLiveWindow(t, cluster.Params{EpsMeters: 15, MinPoints: 6}, 3*time.Hour)
 	t0 := time.Date(2026, 1, 5, 9, 0, 0, 0, time.UTC)
-	incInsertAll(t, inc, append(blob(rng, left, 30, 3), blob(rng, right, 30, 3)...), t0)
-	if res := requireBatchEqual(t, inc); res.NumClusters != 2 {
-		t.Fatalf("separated blobs clustered into %d, want 2", res.NumClusters)
+	w.insertAll(t, append(cluster.Blob(rng, left, 30, 3), cluster.Blob(rng, right, 30, 3)...), t0)
+	if n := requireBatchEqual(t, w); n != 2 {
+		t.Fatalf("separated blobs clustered into %d, want 2", n)
 	}
 
 	var bridge []geo.Point
 	for d := 10.0; d < 60; d += 10 {
-		bridge = append(bridge, blob(rng, geo.Offset(left, 0, d), 6, 1)...)
+		bridge = append(bridge, cluster.Blob(rng, geo.Offset(left, 0, d), 6, 1)...)
 	}
-	for i, p := range bridge {
-		if !inc.Insert(p, t0.Add(time.Minute).Add(time.Duration(i)*time.Second)) {
-			t.Fatalf("bridge insert %d rejected", i)
-		}
-	}
-	if res := requireBatchEqual(t, inc); res.NumClusters != 1 {
-		t.Fatalf("bridged blobs clustered into %d, want 1", res.NumClusters)
+	w.insertAll(t, bridge, t0.Add(time.Minute))
+	if n := requireBatchEqual(t, w); n != 1 {
+		t.Fatalf("bridged blobs clustered into %d, want 1", n)
 	}
 }
 
 // TestIncrementalWindowEmpties drains the window completely and checks
-// the structure stays usable: empty extraction, then a fresh blob
-// clusters again.
+// it stays usable: empty extraction, then a fresh blob clusters again.
 func TestIncrementalWindowEmpties(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	c := geo.Point{Lat: 1.28, Lon: 103.85}
-	inc, err := NewIncremental(Params{EpsMeters: 15, MinPoints: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	window := 30 * time.Minute
+	w := newLiveWindow(t, cluster.Params{EpsMeters: 15, MinPoints: 8}, window)
 	t0 := time.Date(2026, 1, 5, 9, 0, 0, 0, time.UTC)
-	incInsertAll(t, inc, blob(rng, c, 50, 4), t0)
-	if res := requireBatchEqual(t, inc); res.NumClusters != 1 {
-		t.Fatalf("blob clustered into %d, want 1", res.NumClusters)
+	w.insertAll(t, cluster.Blob(rng, c, 50, 4), t0)
+	if n := requireBatchEqual(t, w); n != 1 {
+		t.Fatalf("blob clustered into %d, want 1", n)
 	}
 
-	if n := inc.ExpireBefore(t0.Add(time.Hour)); n != 50 {
-		t.Fatalf("expired %d, want 50", n)
+	w.advance(t0.Add(time.Hour).Add(window))
+	if n := w.det.Stats().WindowPoints; n != 0 {
+		t.Fatalf("window still holds %d points", n)
 	}
-	if inc.Len() != 0 {
-		t.Fatalf("window still holds %d points", inc.Len())
-	}
-	if res := inc.Result(); res.NumClusters != 0 || len(res.Labels) != 0 {
-		t.Fatalf("empty window extracted %d clusters / %d labels", res.NumClusters, len(res.Labels))
-	}
-	if _, ok := inc.OldestTime(); ok {
-		t.Fatal("OldestTime reported ok on an empty window")
+	if n := requireBatchEqual(t, w); n != 0 {
+		t.Fatalf("empty window extracted %d clusters", n)
 	}
 
-	incInsertAll(t, inc, blob(rng, c, 40, 4), t0.Add(2*time.Hour))
-	if res := requireBatchEqual(t, inc); res.NumClusters != 1 {
-		t.Fatalf("post-drain blob clustered into %d, want 1", res.NumClusters)
-	}
-}
-
-// TestIncrementalCompaction pushes enough churn through the window to
-// trigger the dead-prefix compaction (both the dirty and clean remap
-// paths) and checks equivalence survives it.
-func TestIncrementalCompaction(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	c := geo.Point{Lat: 1.30, Lon: 103.80}
-	inc, err := NewIncremental(Params{EpsMeters: 15, MinPoints: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
-	clock := t0
-	// Island-wide scatter keeps neighbourhoods tiny so 3× compactMinDead
-	// inserts stay fast; sprinkle one dense blob so clusters exist.
-	for i := 0; i < 3*compactMinDead; i++ {
-		clock = clock.Add(200 * time.Millisecond)
-		var p geo.Point
-		if i%8 == 0 {
-			p = blob(rng, c, 1, 5)[0]
-		} else {
-			p = uniformNoise(rng, 1)[0]
-		}
-		inc.Insert(p, clock)
-		inc.ExpireBefore(clock.Add(-8 * time.Minute))
-	}
-	if len(inc.pts) > 2*inc.Len()+compactMinDead {
-		t.Fatalf("compaction never ran: %d backing entries for %d alive", len(inc.pts), inc.Len())
-	}
-	requireBatchEqual(t, inc)
-}
-
-func TestIncrementalRejectsDegenerateInput(t *testing.T) {
-	inc, err := NewIncremental(Params{EpsMeters: 15, MinPoints: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
-	bad := []geo.Point{
-		{Lat: math.NaN(), Lon: 103.8},
-		{Lat: 1.3, Lon: math.NaN()},
-		{Lat: math.Inf(1), Lon: 103.8},
-		{Lat: 1.3, Lon: math.Inf(-1)},
-	}
-	for _, p := range bad {
-		if inc.Insert(p, t0) {
-			t.Fatalf("non-finite point %v accepted", p)
-		}
-	}
-	if inc.Len() != 0 {
-		t.Fatalf("window holds %d points after rejects", inc.Len())
-	}
-	if _, err := NewIncremental(Params{EpsMeters: 0, MinPoints: 2}); err == nil {
-		t.Fatal("zero eps accepted")
-	}
-	if _, err := NewIncremental(Params{EpsMeters: 15, MinPoints: 0}); err == nil {
-		t.Fatal("zero min-points accepted")
+	w.insertAll(t, cluster.Blob(rng, c, 40, 4), t0.Add(2*time.Hour))
+	if n := requireBatchEqual(t, w); n != 1 {
+		t.Fatalf("post-drain blob clustered into %d, want 1", n)
 	}
 }

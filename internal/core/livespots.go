@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
-	"taxiqueue/internal/citymap"
 	"taxiqueue/internal/cluster"
 	"taxiqueue/internal/geo"
 )
@@ -66,8 +66,8 @@ type LiveDetectorConfig struct {
 	// MatchMeters is the centroid distance within which an extracted
 	// cluster is the same spot as a tracked one (default 2×EpsMeters).
 	MatchMeters float64
-	// ByZone mirrors DetectorConfig.ByZone: one independent window per
-	// Fig. 5 zone, which is also the unit the multi-node roadmap shards.
+	// ByZone mirrors DetectorConfig.ByZone: the window is clustered one
+	// Fig. 5 zone at a time.
 	ByZone bool
 }
 
@@ -105,24 +105,32 @@ func (c LiveDetectorConfig) withDefaults() LiveDetectorConfig {
 // the spot_live_*_total metrics) plus the current tracked population.
 type LiveStats struct {
 	Tracked        int    // spots currently tracked (any state)
-	WindowPoints   int    // pickups currently alive across zone windows
+	WindowPoints   int    // pickups currently alive in the window
 	EmergingTotal  uint64 // spots that started tracking
 	ConfirmedTotal uint64 // transitions into confirmed
 	DecayedTotal   uint64 // transitions into decaying
 	DroppedTotal   uint64 // spots removed (dissolved or timed out)
 }
 
-// LiveDetector discovers queue spots online: pickups stream into per-zone
-// sliding-window incremental DBSCAN (cluster.Incremental), and Refresh
-// reconciles the extracted clusters against tracked spots, advancing the
+// LiveDetector discovers queue spots online: pickups enter one sliding
+// window in arrival order, Spots runs the batch spot detector (detectSpots,
+// the code behind DetectSpots) over the window's alive points, and Refresh
+// reconciles those spots against the tracked ones, advancing the
 // emerging → confirmed → decaying lifecycle with hysteresis so labels
 // don't flap. Not safe for concurrent use; the ingest tracker serializes.
 type LiveDetector struct {
-	cfg   LiveDetectorConfig
-	zones []*cluster.Incremental // NumZones entries, or one when !ByZone
-	spots []LiveSpot
-	stats LiveStats
-	now   time.Time
+	cfg    LiveDetectorConfig
+	window []windowPickup // arrival order; expired points linger until Refresh
+	pts    []geo.Point    // alive points, reused by Spots
+	spots  []LiveSpot
+	stats  LiveStats
+	now    time.Time
+}
+
+// windowPickup is one pickup centroid in the live window.
+type windowPickup struct {
+	pos geo.Point
+	t   time.Time
 }
 
 // NewLiveDetector builds an empty detector; zero config fields take the
@@ -136,74 +144,62 @@ func NewLiveDetector(cfg LiveDetectorConfig) (*LiveDetector, error) {
 		return nil, fmt.Errorf("core: live detector decay threshold %d above confirm threshold %d (inverted hysteresis)",
 			cfg.DecayPoints, cfg.ConfirmPoints)
 	}
-	n := 1
-	if cfg.ByZone {
-		n = citymap.NumZones
-	}
-	d := &LiveDetector{cfg: cfg, zones: make([]*cluster.Incremental, n)}
-	for i := range d.zones {
-		inc, err := cluster.NewIncremental(cfg.Cluster)
-		if err != nil {
-			return nil, err
-		}
-		d.zones[i] = inc
-	}
-	return d, nil
+	return &LiveDetector{cfg: cfg}, nil
 }
 
-// Config returns the detector's effective (default-filled) configuration.
-func (d *LiveDetector) Config() LiveDetectorConfig { return d.cfg }
-
-// Observe feeds one pickup event: the point enters its zone's window and
-// the detector clock advances to t (monotonically). Degenerate
-// (non-finite) points are dropped, reported false.
+// Observe feeds one pickup event: the detector clock advances to t
+// (monotonically), the point joins the window and the window's expired
+// prefix is dropped. Degenerate (non-finite) points are rejected, reported
+// false, before they touch the clock.
 func (d *LiveDetector) Observe(p geo.Point, t time.Time) bool {
-	d.Advance(t)
-	z := 0
-	if d.cfg.ByZone {
-		z = int(citymap.ZoneOf(p))
-	}
-	if !d.zones[z].Insert(p, t) {
+	if math.IsNaN(p.Lat) || math.IsNaN(p.Lon) || math.IsInf(p.Lat, 0) || math.IsInf(p.Lon, 0) {
 		return false
 	}
-	d.zones[z].ExpireBefore(d.now.Add(-d.cfg.Window))
+	d.Advance(t)
+	d.window = append(d.window, windowPickup{pos: p, t: t})
+	i := 0
+	for i < len(d.window) && d.expired(d.window[i].t) {
+		i++
+	}
+	d.window = d.window[i:]
 	return true
 }
 
 // Advance moves the detector clock forward without a pickup — flush
-// barriers and slot closures call this so windows drain during lulls.
+// barriers and slot closures call this so the window drains during lulls.
 func (d *LiveDetector) Advance(t time.Time) {
 	if t.After(d.now) {
 		d.now = t
 	}
 }
 
-// Spots extracts the current window clusters as batch-style queue spots,
-// sorted exactly like DetectSpots (count desc, then position). With a
-// window covering a whole day this equals the batch DetectSpots result
-// for that day — the incremental/batch equivalence property.
+// expired reports whether a pickup observed at t has left the window: a
+// window point is alive while its time is at least now − Window.
+func (d *LiveDetector) expired(t time.Time) bool { return t.Before(d.now.Add(-d.cfg.Window)) }
+
+// Spots runs the batch spot detector over the window's alive points in
+// arrival order and returns its spots, sorted like DetectSpots. Over a
+// window covering a whole day this is the batch DetectSpots result for
+// that day; live == batch holds because both run detectSpots.
 func (d *LiveDetector) Spots() []QueueSpot {
-	var spots []QueueSpot
-	var pts []geo.Point
-	for z, inc := range d.zones {
-		pts = inc.Points(pts[:0])
-		res := inc.Result()
-		cents := res.Centroids(pts)
-		sizes := res.ClusterSizes()
-		for i := range cents {
-			zone := citymap.Zone(z)
-			if !d.cfg.ByZone {
-				zone = citymap.ZoneOf(cents[i])
-			}
-			spots = append(spots, QueueSpot{Pos: cents[i], Zone: zone, PickupCount: sizes[i]})
+	d.pts = d.pts[:0]
+	for _, w := range d.window {
+		if !d.expired(w.t) {
+			d.pts = append(d.pts, w.pos)
 		}
 	}
-	sort.Slice(spots, func(i, j int) bool { return spotBefore(&spots[i], &spots[j]) })
+	// Sequential: the ingest tracker refreshes under its mutex on a shard
+	// worker.
+	spots, err := detectSpots(d.pts, DetectorConfig{Cluster: d.cfg.Cluster, ByZone: d.cfg.ByZone, Parallelism: 1})
+	if err != nil {
+		panic(err) // unreachable: NewLiveDetector validated cfg.Cluster
+	}
 	return spots
 }
 
-// Refresh expires stale window points, extracts the current clusters and
-// reconciles them with the tracked spots:
+// Refresh drops every expired window point (not only the prefix Observe
+// drops), extracts the current clusters and reconciles them with the
+// tracked spots:
 //
 //   - an unmatched cluster starts a new emerging spot;
 //   - a matched spot follows the cluster's centroid and support, and the
@@ -216,10 +212,13 @@ func (d *LiveDetector) Spots() []QueueSpot {
 // The returned slice is a fresh copy sorted by support (desc, ties by
 // position) — safe to publish in an immutable snapshot.
 func (d *LiveDetector) Refresh() []LiveSpot {
-	cutoff := d.now.Add(-d.cfg.Window)
-	for _, inc := range d.zones {
-		inc.ExpireBefore(cutoff)
+	alive := d.window[:0]
+	for _, w := range d.window {
+		if !d.expired(w.t) {
+			alive = append(alive, w)
+		}
 	}
+	d.window = alive
 	spots := d.Spots()
 
 	// Biggest clusters claim tracked spots first: nearest unclaimed
@@ -230,12 +229,12 @@ func (d *LiveDetector) Refresh() []LiveSpot {
 	}
 	var fresh []QueueSpot
 	for _, sp := range spots {
-		best, bestD := -1, d.cfg.MatchMeters+1
+		best, bestD := -1, math.Inf(1)
 		for i := range d.spots {
 			if matched[i] >= 0 || d.spots[i].Spot.Zone != sp.Zone {
 				continue
 			}
-			if dist := geo.Equirect(d.spots[i].Spot.Pos, sp.Pos); dist < bestD {
+			if dist := geo.Equirect(d.spots[i].Spot.Pos, sp.Pos); dist <= d.cfg.MatchMeters && dist < bestD {
 				best, bestD = i, dist
 			}
 		}
@@ -305,8 +304,10 @@ func (d *LiveDetector) Refresh() []LiveSpot {
 func (d *LiveDetector) Stats() LiveStats {
 	st := d.stats
 	st.Tracked = len(d.spots)
-	for _, inc := range d.zones {
-		st.WindowPoints += inc.Len()
+	for _, w := range d.window {
+		if !d.expired(w.t) {
+			st.WindowPoints++
+		}
 	}
 	return st
 }

@@ -53,11 +53,18 @@ func DefaultDetectorConfig() DetectorConfig {
 // ordered by descending pickup count (ties broken by position for
 // determinism).
 func DetectSpots(pickups []Pickup, cfg DetectorConfig) ([]QueueSpot, error) {
-	workers := capWorkers(cfg.Parallelism)
 	pts := make([]geo.Point, len(pickups))
 	for i, p := range pickups {
 		pts[i] = p.Centroid
 	}
+	return detectSpots(pts, cfg)
+}
+
+// detectSpots is the one spot detector: the zone partition, DBSCAN per
+// zone and the spotBefore order over a centroid set. DetectSpots runs it
+// over a day's pickups, LiveDetector over its sliding window.
+func detectSpots(pts []geo.Point, cfg DetectorConfig) ([]QueueSpot, error) {
+	workers := capWorkers(cfg.Parallelism)
 	var spots []QueueSpot
 	if cfg.ByZone {
 		// Partition the GPS location set C into the four zone subsets
@@ -125,8 +132,8 @@ func DetectSpots(pickups []Pickup, cfg DetectorConfig) ([]QueueSpot, error) {
 }
 
 // spotBefore is the one spot order: descending pickup count, ties broken
-// by position for determinism. DetectSpots, LiveDetector.Spots and
-// LiveDetector.Refresh all sort with it.
+// by position for determinism. detectSpots and LiveDetector.Refresh sort
+// with it.
 func spotBefore(a, b *QueueSpot) bool {
 	if a.PickupCount != b.PickupCount {
 		return a.PickupCount > b.PickupCount

@@ -139,9 +139,9 @@ type Config struct {
 	HistoryDay int
 
 	// LiveSpots, when enabled, runs online queue-spot discovery over the
-	// pickups that land outside every batch spot: a sliding-window
-	// incremental DBSCAN whose confirmed/emerging/decaying spots ride the
-	// read snapshot (Snapshot.Live) and /spots?live=1.
+	// pickups that land outside every batch spot: the batch spot detector
+	// over a sliding window, whose confirmed/emerging/decaying spots ride
+	// the read snapshot (Snapshot.Live) and /spots?live=1.
 	LiveSpots LiveSpotsConfig
 
 	// testStall, when set, runs at the top of every shard worker

@@ -10,11 +10,12 @@ import (
 
 // LiveSpotsConfig enables online queue-spot discovery on the ingest path.
 // When on, every pickup the stream engines detect *outside* the batch spot
-// list (stream.Event.Spot == -1) feeds a sliding-window incremental DBSCAN
-// (core.LiveDetector), so brand-new queues — a pop-up rank at an event, a
-// closed road diverting taxis — surface with a lifecycle state hours before
-// the next batch pass would see them. Discovered spots ride the regular
-// read snapshot (Snapshot.Live) and are served by /spots?live=1.
+// list (stream.Event.Spot == -1) feeds a sliding window that the batch spot
+// detector clusters (core.LiveDetector), so brand-new queues — a pop-up
+// rank at an event, a closed road diverting taxis — surface with a
+// lifecycle state hours before the next batch pass would see them.
+// Discovered spots ride the regular read snapshot (Snapshot.Live) and are
+// served by /spots?live=1.
 //
 // Only unmatched pickups feed discovery: pickups at known spots are already
 // accounted for, so the live list complements the batch list instead of
@@ -82,7 +83,7 @@ func (t *liveTracker) observe(events []stream.Event) {
 }
 
 // advance moves the detector clock to the feed time and refreshes — called
-// on watermark advances and flush barriers so windows keep draining (and
+// on watermark advances and flush barriers so the window keeps draining (and
 // decaying spots keep aging out) even when no pickups arrive.
 func (t *liveTracker) advance(at time.Time) {
 	t.mu.Lock()

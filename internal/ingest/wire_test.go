@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"taxiqueue/internal/mdt"
 )
 
 func postJSON(t *testing.T, svc *Service, body *bytes.Buffer) (int, ingestResponse) {
@@ -141,5 +144,52 @@ func TestProcessedCursorAlignsPoisonedBatch(t *testing.T) {
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJSONRejectsRecordsTheWALCannotFrame: the binary WAL frame holds a
+// one-byte taxi-ID length and an int64 UnixNano time. A JSON line past
+// either limit used to be accepted: a 256-byte ID panicked the shard
+// worker inside AppendBinary, and a year-9999 time was logged as a
+// different time, so a restart replayed a record the live path never
+// processed. Both now count as bad lines.
+func TestJSONRejectsRecordsTheWALCannotFrame(t *testing.T) {
+	stall := make(chan struct{})
+	close(stall)
+	cfg := tinyConfig(stall, Block)
+	cfg.WALDir = t.TempDir()
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := burst(1)[0]
+	longID, farTime := good, good
+	longID.TaxiID = strings.Repeat("x", mdt.MaxTaxiIDLen+1)
+	farTime.Time = time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC)
+	var body bytes.Buffer
+	if err := EncodeJSONLines(&body, []mdt.Record{good, longID, farTime}); err != nil {
+		t.Fatal(err)
+	}
+	code, resp := postJSON(t, svc, &body)
+	if code != 200 || resp.Accepted != 1 || resp.Bad != 2 {
+		t.Fatalf("status %d accepted %d bad %d, want 200 with 1 accepted, 2 bad", code, resp.Accepted, resp.Bad)
+	}
+	if n := svc.Stats().BadRecords; n != 2 {
+		t.Fatalf("bad records counter %d, want 2", n)
+	}
+	if err := svc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if n := restarted.Stats().Replayed; n != 1 {
+		t.Fatalf("restart replayed %d records, want the 1 good one", n)
 	}
 }

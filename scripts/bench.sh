@@ -4,7 +4,7 @@
 # race-tests the concurrent packages.
 #
 # Usage:
-#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR15.json
+#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR16.json
 #   BENCHTIME=3x scripts/bench.sh    # more iterations per benchmark
 #   BENCH_COUNT=4 scripts/bench.sh   # -count=4, record the per-bench minimum
 #   BENCH_OUT=after.json scripts/bench.sh
@@ -19,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_PR15.json}"
+out="${BENCH_OUT:-BENCH_PR16.json}"
 benchtime="${BENCHTIME:-1x}"
 count="${BENCH_COUNT:-1}"
 raw="$(mktemp /tmp/bench_raw.XXXXXX.txt)"
@@ -40,18 +40,13 @@ echo ">> go test -bench BenchmarkIngest -benchmem -benchtime $ingest_benchtime -
 go test -run '^$' -bench 'BenchmarkIngest' -benchmem \
 	-benchtime "$ingest_benchtime" -count "$count" -timeout 45m ./internal/ingest | tee -a "$raw"
 
-# Incremental spot discovery: the per-pickup hot cost on the live path
-# (one sliding-window insert + expiry) and one full cluster extraction
-# over a populated window. Separate benchtimes — an insert is ~10µs, an
-# extraction rebuilds cluster numbering over thousands of points.
-incr_insert_benchtime="${INCR_INSERT_BENCHTIME:-20000x}"
-echo ">> go test -bench BenchmarkIncrementalInsert -benchmem -benchtime $incr_insert_benchtime -count $count ./internal/cluster"
-go test -run '^$' -bench 'BenchmarkIncrementalInsert' -benchmem \
-	-benchtime "$incr_insert_benchtime" -count "$count" -timeout 45m ./internal/cluster | tee -a "$raw"
-incr_extract_benchtime="${INCR_EXTRACT_BENCHTIME:-5x}"
-echo ">> go test -bench BenchmarkIncrementalExtract -benchmem -benchtime $incr_extract_benchtime -count $count ./internal/cluster"
-go test -run '^$' -bench 'BenchmarkIncrementalExtract' -benchmem \
-	-benchtime "$incr_extract_benchtime" -count "$count" -timeout 45m ./internal/cluster | tee -a "$raw"
+# Live spot discovery: one op is the ingest tracker's RefreshEvery batch,
+# 64 pickups into a steady 3 h window plus one Refresh (the batch spot
+# detector over the window), for a dense and a sparse window.
+live_benchtime="${LIVE_BENCHTIME:-20x}"
+echo ">> go test -bench BenchmarkLiveRefresh -benchmem -benchtime $live_benchtime -count $count ./internal/core"
+go test -run '^$' -bench 'BenchmarkLiveRefresh' -benchmem \
+	-benchtime "$live_benchtime" -count "$count" -timeout 45m ./internal/core | tee -a "$raw"
 
 # History store: watermark-advance append (encode + seal), one range scan
 # and one heatmap aggregation over a week of 50 spots; the pattern also

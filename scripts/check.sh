@@ -39,5 +39,6 @@ go test -race -count=1 \
 echo ">> go test -fuzz (15s per target)"
 go test -run '^$' -fuzz '^FuzzDecodeBinary$' -fuzztime=15s ./internal/mdt
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime=15s ./internal/store
+go test -run '^$' -fuzz '^FuzzDecodeJSONLines$' -fuzztime=15s ./internal/ingest
 
 echo ">> all checks clean"
