@@ -45,7 +45,8 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "queuectl: %d records read\n", len(recs))
 
-	cleaned, stats := clean.Clean(recs, clean.Config{ValidFrame: citymap.Island})
+	// Nothing reads the raw records again: clean them in place.
+	cleaned, stats := clean.Compact(recs, clean.Config{ValidFrame: citymap.Island})
 	fmt.Fprintf(os.Stderr, "queuectl: %s\n", stats)
 
 	days := splitByDay(cleaned)
@@ -125,17 +126,22 @@ func main() {
 	}
 }
 
-// splitByDay partitions time-ordered records by calendar day.
+// splitByDay partitions time-ordered records by calendar day. Each day is a
+// sub-slice of recs, so the records are not copied.
 func splitByDay(recs []mdt.Record) [][]mdt.Record {
 	var out [][]mdt.Record
 	var curDay time.Time
-	for _, r := range recs {
+	start := 0
+	for i, r := range recs {
 		day := time.Date(r.Time.Year(), r.Time.Month(), r.Time.Day(), 0, 0, 0, 0, time.UTC)
-		if len(out) == 0 || !day.Equal(curDay) {
-			out = append(out, nil)
-			curDay = day
+		if i > 0 && !day.Equal(curDay) {
+			out = append(out, recs[start:i:i])
+			start = i
 		}
-		out[len(out)-1] = append(out[len(out)-1], r)
+		curDay = day
+	}
+	if start < len(recs) {
+		out = append(out, recs[start:])
 	}
 	return out
 }
@@ -218,7 +224,7 @@ func readRecords(path, format string) ([]mdt.Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		var recs []mdt.Record
+		recs := make([]mdt.Record, 0, st.Len())
 		st.Scan(time.Time{}, time.Unix(1<<40, 0), func(r mdt.Record) bool {
 			recs = append(recs, r)
 			return true

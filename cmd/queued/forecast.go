@@ -29,10 +29,7 @@ type forecastServer struct {
 // newForecastLearner opens an empty forecast learner for the analyzed
 // day's grid and spot set.
 func newForecastLearner(res *core.Result, reg *obs.Registry) (*forecast.Learner, error) {
-	ths := make([]core.Thresholds, len(res.Spots))
-	for i := range res.Spots {
-		ths[i] = res.Spots[i].Thresholds
-	}
+	_, ths := spotsAndThresholds(res)
 	return forecast.Open(forecast.Config{
 		Grid:       res.Config.Grid,
 		Spots:      len(res.Spots),

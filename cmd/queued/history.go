@@ -34,12 +34,7 @@ type historyServer struct {
 // newHistoryStore opens (or recovers) the history store for the analyzed
 // day's grid and spot set.
 func newHistoryStore(dir string, res *core.Result, reg *obs.Registry) (*history.Store, error) {
-	spots := make([]core.QueueSpot, len(res.Spots))
-	ths := make([]core.Thresholds, len(res.Spots))
-	for i := range res.Spots {
-		spots[i] = res.Spots[i].Spot
-		ths[i] = res.Spots[i].Thresholds
-	}
+	spots, ths := spotsAndThresholds(res)
 	return history.Open(history.Config{
 		Grid:       res.Config.Grid,
 		Spots:      spots,

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -34,6 +35,24 @@ func analyzeDay(t *testing.T) *core.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestRecomputeMatchesCleanAnalyze: recompute, which cleans the simulated
+// day in place, publishes exactly the result of Clean + Analyze over the
+// same day.
+func TestRecomputeMatchesCleanAnalyze(t *testing.T) {
+	srv := newServer(obs.NewRegistry())
+	if err := srv.recompute(777, 0.1, 25); err != nil {
+		t.Fatal(err)
+	}
+	got, want := srv.result(), analyzeDay(t)
+	if len(got.Spots) == 0 {
+		t.Fatal("the day has no spots to compare")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recompute: %d pickups, %d spots; Clean + Analyze: %d pickups, %d spots, or a field differs",
+			len(got.Pickups), len(got.Spots), len(want.Pickups), len(want.Spots))
+	}
 }
 
 // historyFixture batch-analyzes one simulated day, backfills it into a

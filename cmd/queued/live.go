@@ -19,12 +19,7 @@ import (
 // batch result, exactly like the deployed system hands the nightly spots
 // and thresholds to the online tier.
 func liveStreamConfig(res *core.Result) stream.Config {
-	spots := make([]core.QueueSpot, len(res.Spots))
-	ths := make([]core.Thresholds, len(res.Spots))
-	for i := range res.Spots {
-		spots[i] = res.Spots[i].Spot
-		ths[i] = res.Spots[i].Thresholds
-	}
+	spots, ths := spotsAndThresholds(res)
 	return stream.Config{
 		Spots: spots, Thresholds: ths,
 		Grid: res.Config.Grid, Amplify: res.Config.Amplify,

@@ -507,7 +507,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("queued: listening on %s", *addr)
+	log.Printf("queued: listening on %s", ln.Addr())
 	if err := serve(stopped, ln, mux, func() { shutdown(srv.svc, hist, fc) }); err != nil {
 		log.Fatal(err)
 	}

@@ -194,14 +194,15 @@ func newServer(reg *obs.Registry) *server {
 }
 
 // recompute runs the nightly batch analysis and publishes the result as a
-// fresh immutable view.
+// fresh immutable view. The simulated day is cleaned in place: nothing
+// reads the raw records again, and the day is held once.
 func (s *server) recompute(seed int64, scale float64, minPts int) error {
 	city := s.city()
 	if city == nil {
 		city = citymap.Generate(seed, scale)
 	}
 	out := sim.Run(sim.Config{Seed: seed, City: city, InjectFaults: true})
-	cleaned, _ := clean.Clean(out.Records, clean.Config{ValidFrame: citymap.Island})
+	cleaned, _ := clean.Compact(out.Records, clean.Config{ValidFrame: citymap.Island})
 	cfg := core.DefaultEngineConfig()
 	cfg.Detector.Cluster = cluster.Params{EpsMeters: 15, MinPoints: minPts}
 	engine, err := core.NewEngine(cfg)
@@ -214,6 +215,19 @@ func (s *server) recompute(seed int64, scale float64, minPts int) error {
 	}
 	s.view.Store(newBatchView(city, res))
 	return nil
+}
+
+// spotsAndThresholds splits a batch result into the parallel spot and
+// threshold slices that configure the live engine, the history store and
+// the forecast learner.
+func spotsAndThresholds(res *core.Result) ([]core.QueueSpot, []core.Thresholds) {
+	spots := make([]core.QueueSpot, len(res.Spots))
+	ths := make([]core.Thresholds, len(res.Spots))
+	for i := range res.Spots {
+		spots[i] = res.Spots[i].Spot
+		ths[i] = res.Spots[i].Thresholds
+	}
+	return spots, ths
 }
 
 // city returns the current view's map (nil before the first recompute).

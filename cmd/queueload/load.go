@@ -426,7 +426,7 @@ func wgWaitReaders(wg *sync.WaitGroup, stop chan struct{}, deadline time.Time) {
 // failed.
 func feedLoop(cfg Config, client *http.Client, stop chan struct{}) (fed, errs int) {
 	out := sim.Run(sim.Config{Seed: cfg.FeedSeed, City: citymap.Generate(cfg.FeedSeed, cfg.FeedScale)})
-	day, _ := clean.Clean(out.Records, clean.Config{ValidFrame: citymap.Island})
+	day, _ := clean.Compact(out.Records, clean.Config{ValidFrame: citymap.Island})
 	if len(day) == 0 {
 		return 0, 0
 	}

@@ -56,19 +56,43 @@ type Config struct {
 // Clean runs the full pipeline over time-ordered records (any taxi mix) and
 // returns the surviving records, preserving order exactly. The input slice
 // is not modified.
-//
-// Implementation: a marking pass decides each record's fate in place —
-// records are never moved, so global time order is preserved by
-// construction. "Pending" FREE records that follow a PAYMENT are marked
-// retroactively when a second PAYMENT proves them to be the clock-sync bug.
 func Clean(recs []mdt.Record, cfg Config) ([]mdt.Record, Stats) {
+	drop, stats := mark(recs, cfg)
+	out := make([]mdt.Record, 0, stats.Output)
+	for i := range recs {
+		if !drop[i] {
+			out = append(out, recs[i])
+		}
+	}
+	return out, stats
+}
+
+// Compact is Clean for a caller that owns recs and has no further use for
+// the raw records: it returns the same records, in the same order, with the
+// same Stats, but moves them to the front of recs instead of copying them.
+// The result is a prefix of recs; the rest of recs is zeroed. A caller
+// that reads recs again after cleaning must use Clean.
+func Compact(recs []mdt.Record, cfg Config) ([]mdt.Record, Stats) {
+	drop, stats := mark(recs, cfg)
+	n := 0
+	for i := range recs {
+		if !drop[i] {
+			recs[n] = recs[i]
+			n++
+		}
+	}
+	clear(recs[n:])
+	return recs[:n], stats
+}
+
+// mark decides each record's fate without moving any: drop[i] reports
+// whether recs[i] is removed, and the returned Stats count each class.
+// Because nothing moves, global time order is preserved by construction.
+// "Pending" FREE records that follow a PAYMENT are marked retroactively
+// when a second PAYMENT proves them to be the clock-sync bug.
+func mark(recs []mdt.Record, cfg Config) ([]bool, Stats) {
 	stats := Stats{Input: len(recs)}
-	drop := make([]uint8, len(recs)) // 0 keep, else the drop class
-	const (
-		dropGPS = iota + 1
-		dropDup
-		dropImproper
-	)
+	drop := make([]bool, len(recs))
 
 	// Per-taxi trailing context for duplicate and improper-state checks.
 	type tail struct {
@@ -84,7 +108,7 @@ func Clean(recs []mdt.Record, cfg Config) ([]mdt.Record, Stats) {
 		// GPS bounds filter first: an out-of-frame fix is garbage whatever
 		// its state says.
 		if !cfg.ValidFrame.Contains(r.Pos) || !r.Pos.Valid() {
-			drop[i] = dropGPS
+			drop[i] = true
 			stats.GPSOutliers++
 			continue
 		}
@@ -100,7 +124,7 @@ func Clean(recs []mdt.Record, cfg Config) ([]mdt.Record, Stats) {
 			if r.State == mdt.Free {
 				// Duplicate of the held tail?
 				if n := len(t.pendFree); n > 0 && r.Equal(recs[t.pendFree[n-1]]) {
-					drop[i] = dropDup
+					drop[i] = true
 					stats.Duplicates++
 					continue
 				}
@@ -109,7 +133,7 @@ func Clean(recs []mdt.Record, cfg Config) ([]mdt.Record, Stats) {
 			}
 			if r.State == mdt.Payment && len(t.pendFree) > 0 {
 				for _, j := range t.pendFree {
-					drop[j] = dropImproper
+					drop[j] = true
 				}
 				stats.ImproperStates += len(t.pendFree)
 				t.pendFree = t.pendFree[:0]
@@ -124,7 +148,7 @@ func Clean(recs []mdt.Record, cfg Config) ([]mdt.Record, Stats) {
 		}
 		// Duplicate: identical to this taxi's previous surviving record.
 		if t.hasLast && r.Equal(recs[t.lastIdx]) {
-			drop[i] = dropDup
+			drop[i] = true
 			stats.Duplicates++
 			continue
 		}
@@ -132,13 +156,6 @@ func Clean(recs []mdt.Record, cfg Config) ([]mdt.Record, Stats) {
 		t.hasLast = true
 		t.afterPay = r.State == mdt.Payment
 	}
-
-	out := make([]mdt.Record, 0, len(recs)-stats.Removed())
-	for i := range recs {
-		if drop[i] == 0 {
-			out = append(out, recs[i])
-		}
-	}
-	stats.Output = len(out)
-	return out, stats
+	stats.Output = stats.Input - stats.Removed()
+	return drop, stats
 }

@@ -201,12 +201,30 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-func BenchmarkClean(b *testing.B) {
+func benchDay() []mdt.Record {
 	cfg := sim.Config{Seed: 100, City: citymap.Generate(301, 0.1), InjectFaults: true,
 		Duration: 6 * time.Hour}
-	out := sim.Run(cfg)
+	return sim.Run(cfg).Records
+}
+
+func BenchmarkClean(b *testing.B) {
+	day := benchDay()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Clean(out.Records, islandCfg())
+		Clean(day, islandCfg())
+	}
+}
+
+// BenchmarkCompact cleans the same day as BenchmarkClean in place. Each
+// iteration first restores the raw day into one reused buffer, untimed.
+func BenchmarkCompact(b *testing.B) {
+	day := benchDay()
+	buf := make([]mdt.Record, len(day))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(buf, day)
+		b.StartTimer()
+		Compact(buf, islandCfg())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"taxiqueue/internal/citymap"
 	"taxiqueue/internal/geo"
 	"taxiqueue/internal/mdt"
+	"taxiqueue/internal/sim"
 )
 
 // randomFeed builds a messy multi-taxi feed: random states, some
@@ -92,4 +93,58 @@ func TestCleanNeverInvents(t *testing.T) {
 		inSet[r.FormatText()]--
 	}
 	_ = citymap.Island
+}
+
+// compactMatchesClean checks Compact against Clean on one feed: the same
+// records in the same order with the same Stats, returned as a prefix of
+// the input's own array whose tail is zeroed, while Clean leaves its input
+// as it was.
+func compactMatchesClean(t *testing.T, feed []mdt.Record) {
+	t.Helper()
+	orig := append([]mdt.Record(nil), feed...)
+	want, wantStats := Clean(feed, islandCfg())
+	for i := range feed {
+		if feed[i] != orig[i] {
+			t.Fatalf("Clean modified its input at %d", i)
+		}
+	}
+	got, gotStats := Compact(feed, islandCfg())
+	if gotStats != wantStats {
+		t.Fatalf("Compact stats %v, Clean stats %v", gotStats, wantStats)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Compact kept %d records, Clean %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: Compact %v, Clean %v", i, got[i], want[i])
+		}
+	}
+	if len(got) > 0 && &got[0] != &feed[0] {
+		t.Fatal("Compact's result is not a prefix of its input")
+	}
+	for i := len(got); i < len(feed); i++ {
+		if feed[i] != (mdt.Record{}) {
+			t.Fatalf("record %d past the kept prefix is not zeroed: %v", i, feed[i])
+		}
+	}
+}
+
+// TestCompactMatchesClean: on the property generator's messy feeds and on
+// a simulated day with every fault class, Compact is Clean done in place.
+func TestCompactMatchesClean(t *testing.T) {
+	f := func(seed int64, size uint8) bool {
+		compactMatchesClean(t, randomFeed(rand.New(rand.NewSource(seed)), int(size)))
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	compactMatchesClean(t, nil)
+	day := sim.Run(sim.Config{Seed: 99, City: citymap.Generate(300, 0.1), InjectFaults: true,
+		Duration: 6 * time.Hour})
+	if day.Stats.InjectedFaults == 0 {
+		t.Fatal("the simulated day has no faults")
+	}
+	compactMatchesClean(t, day.Records)
 }

@@ -41,3 +41,25 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseText: ParseText never panics, and a line it accepts formats to
+// a line that parses back to a record which formats to that same line. The
+// text format keeps whole seconds and five decimals of a coordinate, so the
+// first parse may lose precision; after one format the line is a fixed
+// point.
+func FuzzParseText(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		r, err := ParseText(line)
+		if err != nil {
+			return
+		}
+		text := r.FormatText()
+		back, err := ParseText(text)
+		if err != nil {
+			t.Fatalf("ParseText(%q) = %+v, which formats to %q that does not parse: %v", line, r, text, err)
+		}
+		if again := back.FormatText(); again != text {
+			t.Fatalf("ParseText(%q) formats to %q, which parses and formats to %q", line, text, again)
+		}
+	})
+}

@@ -54,6 +54,12 @@ type Config struct {
 	TripLogIntervalSec float64
 }
 
+// The default mean seconds between GPS logs, roaming and on a trip.
+const (
+	defaultRoamLogIntervalSec = 110
+	defaultTripLogIntervalSec = 80
+)
+
 // DefaultFleet is the fleet a city gets when Config.NumTaxis is zero:
 // enough taxis that spot supply processes rarely find the pool empty (~16
 // per landmark, ~3000 for the full-scale city). Exported so callers that
@@ -89,10 +95,10 @@ func (c Config) withDefaults() Config {
 		c.Dispatcher = &dispatch.Dispatcher{}
 	}
 	if c.RoamLogIntervalSec == 0 {
-		c.RoamLogIntervalSec = 110
+		c.RoamLogIntervalSec = defaultRoamLogIntervalSec
 	}
 	if c.TripLogIntervalSec == 0 {
-		c.TripLogIntervalSec = 80
+		c.TripLogIntervalSec = defaultTripLogIntervalSec
 	}
 	return c
 }
@@ -160,19 +166,44 @@ func New(cfg Config) *Sim {
 		end:  cfg.Start.Add(cfg.Duration),
 	}
 	s.truth = newTruth(cfg.City)
-	// Pre-size the record log: each observed taxi emits roughly one record
-	// per mean log interval (roam and trip intervals bracket the mix), so a
-	// single up-front allocation replaces the ~20 doublings a 2M-record day
-	// would otherwise pay (~180 MB of copying at full scale).
-	meanIntervalSec := (cfg.RoamLogIntervalSec + cfg.TripLogIntervalSec) / 2
-	est := int(float64(cfg.NumTaxis) * cfg.ObservedFraction * cfg.Duration.Seconds() / meanIntervalSec)
-	s.recs = make([]mdt.Record, 0, est)
 	// The pending-event set is bounded by a few events per taxi plus the
 	// spot arrival processes; one up-front slab absorbs the heap's growth.
 	s.events = make(eventHeap, 0, 4*cfg.NumTaxis+64)
 	s.initTaxis()
 	s.initSpots()
+	s.recs = make([]mdt.Record, 0, s.logCapacity())
 	return s
+}
+
+// recordsPerTaxiDay is what one observed taxi logs in a simulated day at
+// the default log intervals: 1,048 to 1,150 records at city scales 0.05 to
+// 1, seeds 1 and 7, weekdays and Sundays. It sits above the highest so that
+// the record log is allocated once.
+const recordsPerTaxiDay = 1200
+
+// faultHeadroom is the share of extra capacity fault injection needs: it
+// adds one record per duplicate (1.6 % of records) and two per improper
+// FREE (0.3 % of PAYMENT records), ~1.7 % in all, and 1/32 covers that.
+const faultHeadroom = 1.0 / 32
+
+// logCapacity sizes the record log so that one allocation holds the whole
+// run, faults included: recordsPerTaxiDay per observed taxi and day, scaled
+// by how much faster or slower than the defaults the configured intervals
+// log.
+func (s *Sim) logCapacity() int {
+	observed := 0
+	for _, tx := range s.taxis {
+		if tx.observed {
+			observed++
+		}
+	}
+	speedup := (defaultRoamLogIntervalSec + defaultTripLogIntervalSec) /
+		(s.cfg.RoamLogIntervalSec + s.cfg.TripLogIntervalSec)
+	n := float64(observed) * recordsPerTaxiDay * s.cfg.Duration.Hours() / 24 * speedup
+	if s.cfg.InjectFaults {
+		n *= 1 + faultHeadroom
+	}
+	return int(n)
 }
 
 // Run executes the simulation to completion and returns its output.

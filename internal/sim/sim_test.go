@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -361,5 +363,151 @@ func TestSpeedDistribution(t *testing.T) {
 	}
 	if low == 0 || high == 0 {
 		t.Fatalf("degenerate speed distribution: low=%d high=%d", low, high)
+	}
+}
+
+// referenceInjectFaults is the forward-copy fault injector the in-place one
+// replaced: it draws the same decisions in the same order and appends each
+// record, with its injected neighbours, to a fresh slice.
+func referenceInjectFaults(rng *rand.Rand, recs []mdt.Record) ([]mdt.Record, int) {
+	out := make([]mdt.Record, 0, len(recs)+len(recs)/32)
+	injected := 0
+	for _, r := range recs {
+		u := rng.Float64()
+		switch {
+		case u < gpsRate:
+			bad := r
+			bad.Pos = geo.Point{
+				Lat: citymapIslandMinLat - 0.3 - rng.Float64(),
+				Lon: r.Pos.Lon + rng.Float64()*2 - 1,
+			}
+			out = append(out, bad)
+			injected++
+		case u < gpsRate+dupRate:
+			out = append(out, r, r)
+			injected++
+		case u < gpsRate+dupRate+improperRate && r.State == mdt.Payment:
+			spurious := r
+			spurious.State = mdt.Free
+			out = append(out, r, spurious, r)
+			injected += 2
+		default:
+			out = append(out, r)
+		}
+	}
+	return out, injected
+}
+
+// sameRecords reports the first index where a and b differ in any field,
+// floats compared by their bits, or -1.
+func sameRecords(a, b []mdt.Record) int {
+	for i := range a {
+		if i >= len(b) {
+			return i
+		}
+		x, y := a[i], b[i]
+		if !x.Time.Equal(y.Time) || x.Time.Location() != y.Time.Location() ||
+			x.TaxiID != y.TaxiID || x.State != y.State ||
+			math.Float64bits(x.Pos.Lat) != math.Float64bits(y.Pos.Lat) ||
+			math.Float64bits(x.Pos.Lon) != math.Float64bits(y.Pos.Lon) ||
+			math.Float64bits(x.Speed) != math.Float64bits(y.Speed) {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return len(a)
+	}
+	return -1
+}
+
+// TestInjectFaultsMatchesReference: the in-place injector produces exactly
+// the forward-copy injector's records and fault count, on the bootstrap day
+// queued serves (city seed 1, scale 0.25) and on random record slices with
+// and without spare capacity.
+func TestInjectFaultsMatchesReference(t *testing.T) {
+	t.Run("bootstrap-day", func(t *testing.T) {
+		cfg := Config{Seed: 1, City: citymap.Generate(1, 0.25)}
+		// A fault-free run leaves the rng where a faulty run starts
+		// injecting: the simulation draws the same numbers either way.
+		faultFree := New(cfg)
+		day := faultFree.run()
+		want, wantN := referenceInjectFaults(faultFree.rng, day.Records)
+		cfg.InjectFaults = true
+		got := Run(cfg)
+		if i := sameRecords(got.Records, want); i >= 0 {
+			t.Fatalf("records differ from the reference at index %d (len %d vs %d)", i, len(got.Records), len(want))
+		}
+		if got.Stats.InjectedFaults != wantN || got.Stats.TotalWithFaults != len(want) {
+			t.Fatalf("stats %+v, reference injected %d of %d", got.Stats, wantN, len(want))
+		}
+	})
+	t.Run("random-slices", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		base := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
+		for trial := 0; trial < 200; trial++ {
+			n := rng.Intn(3000)
+			if trial < 3 {
+				n = trial // empty, one and two records
+			}
+			recs := make([]mdt.Record, n)
+			for i := range recs {
+				st := mdt.State(rng.Intn(mdt.NumStates))
+				if rng.Intn(2) == 0 {
+					st = mdt.Payment // make the improper-FREE fault common
+				}
+				recs[i] = mdt.Record{
+					Time:   base.Add(time.Duration(i) * time.Second),
+					TaxiID: taxiID(rng.Intn(20)),
+					Pos:    geo.Point{Lat: 1.3 + rng.Float64()*0.1, Lon: 103.8 + rng.Float64()*0.1},
+					Speed:  rng.Float64() * 60,
+					State:  st,
+				}
+			}
+			seed := rng.Int63()
+			want, wantN := referenceInjectFaults(rand.New(rand.NewSource(seed)), recs)
+			for _, spare := range []int{0, n/32 + 3, 3 * n} {
+				in := make([]mdt.Record, n, n+spare)
+				copy(in, recs)
+				got, gotN := injectFaults(rand.New(rand.NewSource(seed)), in)
+				if i := sameRecords(got, want); i >= 0 || gotN != wantN {
+					t.Fatalf("trial %d, spare %d: first difference at %d, faults %d want %d", trial, spare, i, gotN, wantN)
+				}
+				if fits := len(got) <= cap(in); len(got) > 0 && fits != (&got[0] == &in[:1][0]) {
+					t.Fatalf("trial %d, spare %d: %d records in a capacity of %d, written in place %v",
+						trial, spare, len(got), cap(in), !fits)
+				}
+			}
+		}
+	})
+}
+
+// TestRecordLogAllocatedOnce: the record log New allocates holds the whole
+// day, injected faults included, so the day Run returns lives in that very
+// array.
+func TestRecordLogAllocatedOnce(t *testing.T) {
+	for _, scale := range []float64{0.1, 0.25} {
+		for _, start := range []time.Time{
+			time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC), // Monday
+			time.Date(2026, 1, 4, 0, 0, 0, 0, time.UTC), // Sunday
+		} {
+			s := New(Config{Seed: 1, City: citymap.Generate(1, scale), Start: start, InjectFaults: true})
+			log, size := &s.recs[:1][0], cap(s.recs)
+			out := s.run()
+			if &out.Records[0] != log {
+				t.Errorf("scale %g, %v: the %d-record day was re-allocated; New sized the log for %d",
+					scale, start.Weekday(), len(out.Records), size)
+			}
+		}
+	}
+}
+
+// BenchmarkSimRun is the bootstrap day queued simulates at start-up: city
+// seed 1, scale 0.25, faults on.
+func BenchmarkSimRun(b *testing.B) {
+	city := citymap.Generate(1, 0.25)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Run(Config{Seed: 1, City: city, InjectFaults: true})
 	}
 }

@@ -4,7 +4,7 @@
 # race-tests the concurrent packages.
 #
 # Usage:
-#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR16.json
+#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR17.json
 #   BENCHTIME=3x scripts/bench.sh    # more iterations per benchmark
 #   BENCH_COUNT=4 scripts/bench.sh   # -count=4, record the per-bench minimum
 #   BENCH_OUT=after.json scripts/bench.sh
@@ -19,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_PR16.json}"
+out="${BENCH_OUT:-BENCH_PR17.json}"
 benchtime="${BENCHTIME:-1x}"
 count="${BENCH_COUNT:-1}"
 raw="$(mktemp /tmp/bench_raw.XXXXXX.txt)"
@@ -30,6 +30,15 @@ go vet ./...
 echo ">> go test -bench 'Benchmark(Stage|Ablation)' -benchmem -benchtime $benchtime -count $count ."
 go test -run '^$' -bench 'Benchmark(Stage|Ablation)' -benchmem \
 	-benchtime "$benchtime" -count "$count" -timeout 45m . | tee "$raw"
+
+# queued's bootstrap day, layer by layer: simulating it (BenchmarkSimRun:
+# city seed 1, scale 0.25, faults on, the day queued builds at start-up)
+# and cleaning a faulty day into a copy (BenchmarkClean) or in place
+# (BenchmarkCompact). B/op is the number to watch: the day's copies. The
+# step runs at the stage suite's BENCHTIME.
+echo ">> go test -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact' -benchmem -benchtime $benchtime -count $count ./internal/sim ./internal/clean"
+go test -run '^$' -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact' -benchmem \
+	-benchtime "$benchtime" -count "$count" -timeout 45m ./internal/sim ./internal/clean | tee -a "$raw"
 
 # Ingest throughput: records/sec vs shard count, with and without the WAL.
 # The BenchmarkIngest pattern also picks up BenchmarkIngestDurable (group

@@ -38,6 +38,7 @@ go test -race -count=1 \
 # and fails every later go test until it is fixed.
 echo ">> go test -fuzz (15s per target)"
 go test -run '^$' -fuzz '^FuzzDecodeBinary$' -fuzztime=15s ./internal/mdt
+go test -run '^$' -fuzz '^FuzzParseText$' -fuzztime=15s ./internal/mdt
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime=15s ./internal/store
 go test -run '^$' -fuzz '^FuzzDecodeJSONLines$' -fuzztime=15s ./internal/ingest
 
