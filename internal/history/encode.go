@@ -103,6 +103,36 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
+// summarize is the summary of recs in their stored order. encodeBlock
+// stores it, and decodeBlock checks a payload's stored summary against it.
+func summarize(recs []Record) blockSummary {
+	sum := blockSummary{Count: len(recs)}
+	for i, r := range recs {
+		if i == 0 || r.Slot < sum.MinSlot {
+			sum.MinSlot = r.Slot
+		}
+		if i == 0 || r.Slot > sum.MaxSlot {
+			sum.MaxSlot = r.Slot
+		}
+		if int(r.Label) < len(sum.Labels) {
+			sum.Labels[r.Label]++
+		}
+		sum.WaitSum += r.Feats.TWait.Seconds()
+		sum.ArrSum += r.Feats.NArr
+		sum.QLenSum += r.Feats.QLen
+		sum.DepSum += r.Feats.NDep
+	}
+	return sum
+}
+
+// sameSummary compares two summaries field by field, the sums by their
+// bits.
+func sameSummary(a, b blockSummary) bool {
+	return a.Count == b.Count && a.MinSlot == b.MinSlot && a.MaxSlot == b.MaxSlot && a.Labels == b.Labels &&
+		sameBits(a.WaitSum, b.WaitSum) && sameBits(a.ArrSum, b.ArrSum) &&
+		sameBits(a.QLenSum, b.QLenSum) && sameBits(a.DepSum, b.DepSum)
+}
+
 // deriveCount inverts v = count·factor; ok only when the raw count
 // reproduces v to the bit.
 func deriveCount(v, factor float64) (uint64, bool) {
@@ -125,23 +155,7 @@ func encodeBlock(day int, recs []Record, coveredBelow int, amp core.Amplificatio
 		return sorted[i].Spot < sorted[j].Spot
 	})
 
-	b := &block{day: day, coveredBelow: coveredBelow, recs: sorted}
-	b.sum.Count = len(sorted)
-	for i, r := range sorted {
-		if i == 0 || r.Slot < b.sum.MinSlot {
-			b.sum.MinSlot = r.Slot
-		}
-		if r.Slot > b.sum.MaxSlot {
-			b.sum.MaxSlot = r.Slot
-		}
-		if int(r.Label) < len(b.sum.Labels) {
-			b.sum.Labels[r.Label]++
-		}
-		b.sum.WaitSum += r.Feats.TWait.Seconds()
-		b.sum.ArrSum += r.Feats.NArr
-		b.sum.QLenSum += r.Feats.QLen
-		b.sum.DepSum += r.Feats.NDep
-	}
+	b := &block{day: day, coveredBelow: coveredBelow, recs: sorted, sum: summarize(sorted)}
 
 	buf := make([]byte, 0, 32+12*len(sorted))
 	buf = binary.AppendUvarint(buf, uint64(day))
@@ -234,28 +248,38 @@ func encodeBlock(day int, recs []Record, coveredBelow int, amp core.Amplificatio
 	return b, buf
 }
 
-// parseSummaryBlock decodes only a payload's summary prefix — day,
-// coveredBelow, count and, when count > 0, the slot range, per-label
-// counts and feature sums — leaving the columns on disk. The label total
-// must reconcile with the record count (the same property full decode
-// enforces record by record), so a frame this accepts carries a summary
-// decodeBlock would have produced. The caller wires a log ref so the
-// records can be materialized on demand.
+// parseSummaryBlock decodes only a payload's summary prefix, leaving the
+// columns on disk; Open recovers blocks with it. decodeBlock reads the
+// prefix the same way, so a payload decodeBlock accepts parses here to the
+// same block summary. The caller wires a log ref so the records can be
+// materialized on demand.
 func parseSummaryBlock(payload []byte) (*block, error) {
-	r := &byteReader{buf: payload}
+	return readSummary(&byteReader{buf: payload})
+}
+
+// minRecordBytes is the least a record takes in a payload: its flag byte
+// and one byte for each of its seven varint columns.
+const minRecordBytes = 8
+
+// readSummary reads a payload's header and summary prefix — day,
+// coveredBelow, count and, when count > 0, the slot range, per-label
+// counts and feature sums — leaving r at the first column. The label total
+// must reconcile with the record count, and the count must fit in the
+// payload.
+func readSummary(r *byteReader) (*block, error) {
 	day := r.uvarint()
 	covered := r.uvarint()
 	count := r.uvarint()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if count > uint64(len(payload)) { // each record takes ≥1 flag byte
+	if count > uint64(len(r.buf))/minRecordBytes {
 		return nil, errBadBlock
 	}
 	b := &block{day: int(day), coveredBelow: int(covered)}
 	b.sum.Count = int(count)
 	if count == 0 {
-		if r.off != len(payload) {
+		if r.off != len(r.buf) {
 			return nil, errBadBlock
 		}
 		return b, nil
@@ -327,39 +351,20 @@ func (r *byteReader) byte() byte {
 	return v
 }
 
-// decodeBlock fully decodes and validates payload. It reconstructs every
-// record, so a block that decodes successfully is guaranteed servable —
-// recovery relies on this to never admit a partially-decodable block.
+// decodeBlock fully decodes and validates payload: it reconstructs every
+// record and checks that the records reproduce the stored summary — count,
+// slot range, per-label counts and the four sums, bit for bit — so a
+// range query that folds the summary instead of the records gets the
+// same answer. Open parses only the summary prefix (parseSummaryBlock);
+// decodeBlock runs when a query first needs a disk-resident block's
+// records (lazy.go), and EagerOpen runs it on every recovered block.
 func decodeBlock(payload []byte, amp core.Amplification, slotSec float64) (*block, error) {
 	r := &byteReader{buf: payload}
-	day := r.uvarint()
-	covered := r.uvarint()
-	count := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	b, err := readSummary(r)
+	if err != nil || b.sum.Count == 0 {
+		return b, err
 	}
-	if count > uint64(len(payload)) { // each record takes ≥1 flag byte
-		return nil, errBadBlock
-	}
-	b := &block{day: int(day), coveredBelow: int(covered)}
-	b.sum.Count = int(count)
-	if count == 0 {
-		if r.off != len(payload) {
-			return nil, errBadBlock
-		}
-		return b, nil
-	}
-	b.sum.MinSlot = int(r.uvarint())
-	b.sum.MaxSlot = int(r.uvarint())
-	for i := range b.sum.Labels {
-		b.sum.Labels[i] = int(r.uvarint())
-	}
-	b.sum.WaitSum = r.f64()
-	b.sum.ArrSum = r.f64()
-	b.sum.QLenSum = r.f64()
-	b.sum.DepSum = r.f64()
-
-	n := int(count)
+	n := b.sum.Count
 	flags := make([]byte, n)
 	for i := range flags {
 		flags[i] = r.byte()
@@ -425,12 +430,12 @@ func decodeBlock(payload []byte, amp core.Amplification, slotSec float64) (*bloc
 		return nil, errBadBlock
 	}
 	for _, rec := range recs {
-		if rec.Slot < b.sum.MinSlot || rec.Slot > b.sum.MaxSlot {
-			return nil, errBadBlock
-		}
 		if rec.Label > core.C4 {
 			return nil, errBadBlock
 		}
+	}
+	if !sameSummary(summarize(recs), b.sum) {
+		return nil, fmt.Errorf("%w: records disagree with the summary", errBadBlock)
 	}
 	b.recs = recs
 	return b, nil

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -50,36 +49,26 @@ func ToJSON(r mdt.Record) RecordJSON {
 	}
 }
 
-// The binary frame the WAL logs a record in (mdt.AppendBinary) carries
-// times as int64 Unix nanoseconds, so only this span survives a replay.
-var (
-	minFrameTime = time.Unix(0, math.MinInt64)
-	maxFrameTime = time.Unix(0, math.MaxInt64)
-)
-
 // Record converts the wire shape back. It rejects what the binary frame
-// cannot carry — a taxi ID over mdt.MaxTaxiIDLen bytes, a time outside
-// 1677-09-21 … 2262-04-11 — so a WAL replay sees exactly the record the
-// live path processed.
+// the WAL logs cannot carry (mdt.Record.CheckFrame), so a WAL replay sees
+// exactly the record the live path processed.
 func (j RecordJSON) Record() (mdt.Record, error) {
-	if len(j.Taxi) > mdt.MaxTaxiIDLen {
-		return mdt.Record{}, fmt.Errorf("ingest: taxi ID longer than %d bytes", mdt.MaxTaxiIDLen)
-	}
 	ts, err := time.Parse(time.RFC3339, j.Time)
 	if err != nil {
 		return mdt.Record{}, fmt.Errorf("ingest: bad time: %w", err)
-	}
-	if ts.Before(minFrameTime) || ts.After(maxFrameTime) {
-		return mdt.Record{}, fmt.Errorf("ingest: time %s outside the binary frame's range", j.Time)
 	}
 	state, err := mdt.ParseState(j.State)
 	if err != nil {
 		return mdt.Record{}, err
 	}
-	return mdt.Record{
+	r := mdt.Record{
 		Time: ts.UTC(), TaxiID: j.Taxi,
 		Pos: geo.Point{Lat: j.Lat, Lon: j.Lon}, Speed: j.Speed, State: state,
-	}, nil
+	}
+	if err := r.CheckFrame(); err != nil {
+		return mdt.Record{}, err
+	}
+	return r, nil
 }
 
 // EncodeJSONLines writes recs as newline-delimited RecordJSON (the JSON

@@ -92,6 +92,31 @@ var errBadMagic = errors.New("mdt: bad binary record magic")
 // length travels in one byte.
 const MaxTaxiIDLen = 255
 
+// The binary frame carries a time as int64 Unix nanoseconds, so only this
+// span survives it: 1677-09-21 … 2262-04-11.
+var (
+	minFrameTime = time.Unix(0, math.MinInt64)
+	maxFrameTime = time.Unix(0, math.MaxInt64)
+)
+
+// CheckFrame reports whether r survives its binary frame unchanged: a taxi
+// ID of at most MaxTaxiIDLen bytes, a time within 1677-09-21 … 2262-04-11
+// and one of the 11 states. AppendBinary panics on a longer ID, writes a
+// time outside the span as a different time, and writes a state that
+// DecodeBinary rejects.
+func (r Record) CheckFrame() error {
+	if len(r.TaxiID) > MaxTaxiIDLen {
+		return fmt.Errorf("mdt: taxi ID longer than %d bytes", MaxTaxiIDLen)
+	}
+	if r.Time.Before(minFrameTime) || r.Time.After(maxFrameTime) {
+		return fmt.Errorf("mdt: time %s outside the binary frame's range", r.Time.UTC().Format(time.RFC3339))
+	}
+	if !r.State.Valid() {
+		return fmt.Errorf("mdt: invalid state %d", uint8(r.State))
+	}
+	return nil
+}
+
 // BinarySize is the length of the binary encoding of a record whose taxi ID
 // is idLen bytes long.
 func BinarySize(idLen int) int { return 3 + idLen + 8 + 8 + 8 + 8 + 1 }

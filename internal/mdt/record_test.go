@@ -2,6 +2,7 @@ package mdt
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -109,6 +110,45 @@ func TestDecodeBinaryErrors(t *testing.T) {
 	bad[len(bad)-1] = 77
 	if _, _, err := DecodeBinary(bad); err == nil {
 		t.Error("DecodeBinary accepted invalid state byte")
+	}
+}
+
+// TestCheckFrame: CheckFrame accepts exactly the records whose binary
+// frame decodes back to them — IDs up to MaxTaxiIDLen bytes, times within
+// the int64 Unix-nanosecond span, the 11 states — and each accepted edge
+// case round-trips.
+func TestCheckFrame(t *testing.T) {
+	at := func(r Record, f func(*Record)) Record { f(&r); return r }
+	r := sampleRecord()
+	for _, c := range []struct {
+		name string
+		r    Record
+		ok   bool
+	}{
+		{"sample", r, true},
+		{"255-byte ID", at(r, func(r *Record) { r.TaxiID = strings.Repeat("x", MaxTaxiIDLen) }), true},
+		{"256-byte ID", at(r, func(r *Record) { r.TaxiID = strings.Repeat("x", MaxTaxiIDLen+1) }), false},
+		{"earliest time", at(r, func(r *Record) { r.Time = time.Unix(0, math.MinInt64).UTC() }), true},
+		{"latest time", at(r, func(r *Record) { r.Time = time.Unix(0, math.MaxInt64).UTC() }), true},
+		{"1 ns before the earliest", at(r, func(r *Record) { r.Time = time.Unix(0, math.MinInt64).Add(-1) }), false},
+		{"1 ns after the latest", at(r, func(r *Record) { r.Time = time.Unix(0, math.MaxInt64).Add(1) }), false},
+		{"year 3000", at(r, func(r *Record) { r.Time = time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC) }), false},
+		{"last state", at(r, func(r *Record) { r.State = PowerOff }), true},
+		{"state 11", at(r, func(r *Record) { r.State = State(NumStates) }), false},
+		{"state 99", at(r, func(r *Record) { r.State = 99 }), false},
+	} {
+		err := c.r.CheckFrame()
+		if (err == nil) != c.ok {
+			t.Errorf("%s: CheckFrame = %v, want ok %v", c.name, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		back, _, err := DecodeBinary(c.r.AppendBinary(nil))
+		if err != nil || !sameBits(back, c.r) {
+			t.Errorf("%s: frame decodes as %+v, %v", c.name, back, err)
+		}
 	}
 }
 

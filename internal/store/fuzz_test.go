@@ -11,19 +11,27 @@ import (
 	"taxiqueue/internal/mdt"
 )
 
-// craftedBlockHeader is a store file of one partition, taxi "A", whose only
-// block header declares nRecs records in size payload bytes, followed by
-// one record's worth of payload.
-func craftedBlockHeader(nRecs, size uint64) []byte {
+// craftedBlock is a store file of one partition, taxi "A", whose only
+// block header declares nRecs records in size payload bytes, between the
+// seconds of the first and the last of recs, followed by recs' frames.
+func craftedBlock(nRecs, size uint64, recs ...mdt.Record) []byte {
 	file := append([]byte(nil), fileMagic[:]...)
 	file = binary.AppendUvarint(file, 1) // partitions
 	file = binary.AppendUvarint(file, 1) // taxi ID length
 	file = append(file, 'A')
 	file = binary.AppendUvarint(file, 1) // blocks
-	for _, v := range []uint64{nRecs, uint64(t0.Unix()), uint64(t0.Unix()), size} {
+	for _, v := range []uint64{nRecs, uint64(recs[0].Time.Unix()), uint64(recs[len(recs)-1].Time.Unix()), size} {
 		file = binary.AppendUvarint(file, v)
 	}
-	return rec("A", 0, mdt.Free).AppendBinary(file)
+	for _, r := range recs {
+		file = r.AppendBinary(file)
+	}
+	return file
+}
+
+// craftedBlockHeader is craftedBlock with one record's worth of payload.
+func craftedBlockHeader(nRecs, size uint64) []byte {
+	return craftedBlock(nRecs, size, rec("A", 0, mdt.Free))
 }
 
 // loadAllocBound is the most Load may allocate for an n-byte file: its
@@ -69,6 +77,21 @@ func TestLoadRejectsCraftedBlockHeader(t *testing.T) {
 	s, err := Load(bytes.NewReader(craftedBlockHeader(1, recSize)))
 	if err != nil || s.Len() != 1 {
 		t.Fatalf("honest header: %v, %d records", err, s.Len())
+	}
+}
+
+// TestLoadRejectsSubSecondDisorder: Load checks each taxi's order at full
+// precision, as Append does. A block holding A at 10.5 s and then at
+// 10.2 s is a bad file, though both fall in second 10; the same two
+// records in time order load.
+func TestLoadRejectsSubSecondDisorder(t *testing.T) {
+	a, b := atMilli("A", 10500), atMilli("A", 10200)
+	size := 2 * uint64(mdt.BinarySize(1))
+	if _, err := Load(bytes.NewReader(craftedBlock(2, size, a, b))); !errors.Is(err, errBadFile) {
+		t.Fatalf("10.5 s then 10.2 s: err = %v, want errBadFile", err)
+	}
+	if s, err := Load(bytes.NewReader(craftedBlock(2, size, b, a))); err != nil || s.Len() != 2 {
+		t.Fatalf("10.2 s then 10.5 s: %v", err)
 	}
 }
 

@@ -2,8 +2,8 @@
 // repository's stand-in for the PostgreSQL system the deployed engine reads
 // from (§7.1). Records are partitioned per taxi and packed into
 // time-ordered binary blocks. The analytics engine reads them back with
-// global time-window scans: a k-way merge that walks every partition's
-// blocks in place, skipping blocks wholly outside the window.
+// global time-window scans that merge every partition's blocks in place,
+// slab by slab, skipping blocks wholly outside the window.
 //
 // A Store serializes to a single file (Save/Load) with a magic header and
 // per-block time index. The package also holds Log (log.go), the
@@ -12,6 +12,7 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,10 +39,11 @@ var (
 
 // partition holds one taxi's records as a run of blocks, each non-empty and
 // at most blockTarget long; appends go to the last block. Records are in
-// non-decreasing Unix-second order across the whole run.
+// non-decreasing time order at full precision across the whole run; last
+// is the newest one's Unix nanoseconds.
 type partition struct {
 	blocks [][]mdt.Record
-	lastT  int64
+	last   int64
 }
 
 // Store is the embedded MDT log store. It is not safe for concurrent
@@ -56,26 +59,31 @@ func New() *Store {
 	return &Store{parts: make(map[string]*partition)}
 }
 
-// Append adds one record. Records must arrive in non-decreasing time order
-// per taxi (a globally time-ordered feed satisfies this).
+// Append adds one record. It accepts only what Save can write
+// (mdt.Record.CheckFrame), and records must arrive in non-decreasing time
+// order per taxi at full precision (a globally time-ordered feed satisfies
+// this); otherwise it returns an error and the store is unchanged.
 func (s *Store) Append(r mdt.Record) error {
+	if err := r.CheckFrame(); err != nil {
+		return fmt.Errorf("store: append: %w", err)
+	}
+	t := r.Time.UnixNano()
 	p := s.parts[r.TaxiID]
 	if p == nil {
 		p = &partition{}
 		s.parts[r.TaxiID] = p
 		s.order = append(s.order, r.TaxiID)
 	}
-	t := r.Time.Unix()
 	n := len(p.blocks)
-	if n > 0 && t < p.lastT {
-		return fmt.Errorf("%w %s: %v after %v", ErrOutOfOrder, r.TaxiID, r.Time, time.Unix(p.lastT, 0).UTC())
+	if n > 0 && t < p.last {
+		return fmt.Errorf("%w %s: %v after %v", ErrOutOfOrder, r.TaxiID, r.Time, time.Unix(0, p.last).UTC())
 	}
 	if n == 0 || len(p.blocks[n-1]) >= blockTarget {
 		p.blocks = append(p.blocks, nil)
 		n++
 	}
 	p.blocks[n-1] = append(p.blocks[n-1], r)
-	p.lastT = t
+	p.last = t
 	s.count++
 	return nil
 }
@@ -98,47 +106,82 @@ func (s *Store) Taxis() []string {
 	return append([]string(nil), s.order...)
 }
 
+// slabSeconds is the width of Scan's merge slab in whole seconds. A slab's
+// second offsets fit in a byte.
+const slabSeconds = 256
+
 // Scan streams every record with time in [from, to) in global time order
 // (ties broken by taxi first-seen order) to fn; fn returning false stops
 // the scan early. The window is taken at second resolution (Time.Unix),
 // the order at full precision.
 //
-// Scan is a k-way merge over one cursor per taxi that walks the taxi's
-// blocks in place, so no record is copied before fn sees it. The merge
-// heap holds each cursor's current record as an integer key — Unix
-// second, nanosecond, first-seen taxi order — so a heap step compares
-// integers and moves 16 bytes.
+// Scan merges the window in slabs of slabSeconds whole seconds, each
+// starting at the earliest second still to come. It keeps one cursor per
+// taxi that walks the taxi's blocks in place. In each slab it visits the
+// live cursors once, in first-seen taxi order, and notes each record below
+// the slab's end as a compact entry: its second in the slab, its
+// nanosecond and its cursor. A counting sort by second, then a stable sort
+// by nanosecond within each second, orders the entries; ties keep the
+// visiting order, which is first-seen taxi order and then each taxi's
+// append order. Each entry then pops the next record from its cursor.
+// That record is the entry's because Append and Load hold each taxi's
+// records in time order at full precision. No record is copied before fn
+// sees it, and the scratch grows with the number of taxis and the records
+// in one slab, never with the window's length.
 func (s *Store) Scan(from, to time.Time, fn func(mdt.Record) bool) {
 	fromS, toS := from.Unix(), to.Unix()
 	cursors := make([]scanCursor, 0, len(s.order))
-	h := make(mergeHeap, 0, len(s.order))
+	start := int64(math.MaxInt64)
 	for _, id := range s.order {
 		c := scanCursor{blocks: s.parts[id].blocks}
 		c.seek(fromS)
-		if k, ok := c.key(toS); ok {
-			k.c = int32(len(cursors))
+		if sec, ok := c.head(toS); ok {
 			cursors = append(cursors, c)
-			h = append(h, k)
+			start = min(start, sec)
 		}
 	}
-	h.init()
-	for len(h) > 0 {
-		c := &cursors[h[0].c]
-		if !fn(c.recs[0]) {
-			return
+	var slab slabSort
+	for start < toS {
+		end := min(start+slabSeconds, toS)
+		// Visit the cursors in order, dropping those with no record left
+		// before toS, and find where the next slab starts.
+		next := int64(math.MaxInt64)
+		live := cursors[:0]
+		for _, c := range cursors {
+			if _, ok := c.head(toS); !ok {
+				continue
+			}
+			ci := uint32(len(live))
+			live = append(live, c)
+			for recs, blocks := c.recs, c.blocks; ; recs = recs[1:] {
+				if len(recs) == 0 {
+					if len(blocks) == 0 {
+						break
+					}
+					recs, blocks = blocks[0], blocks[1:]
+				}
+				t := recs[0].Time
+				sec := t.Unix()
+				if sec >= end {
+					next = min(next, sec)
+					break
+				}
+				slab.add(uint8(sec-start), uint32(t.Nanosecond()), ci)
+			}
 		}
-		c.recs = c.recs[1:]
-		if k, ok := c.key(toS); ok {
-			h[0].sec, h[0].nsec = k.sec, k.nsec
-			h.down(0)
-		} else {
-			h.pop()
+		cursors = live
+		for _, e := range slab.sort() {
+			if !fn(cursors[e.c].pop()) {
+				return
+			}
 		}
+		start = next
 	}
 }
 
 // scanCursor walks one taxi's records in place: recs[0] is the current
-// record, the rest of recs and then blocks are still to come.
+// record, the rest of recs and then blocks are still to come. recs is
+// empty only once the taxi has no record left.
 type scanCursor struct {
 	recs   []mdt.Record
 	blocks [][]mdt.Record
@@ -158,71 +201,88 @@ func (c *scanCursor) seek(fromS int64) {
 	c.blocks = c.blocks[1:]
 }
 
-// key moves on to the next block when recs is spent and returns the merge
-// key of the current record; ok is false once the taxi has no record
-// before second toS (its records are in time order, so none follow).
-func (c *scanCursor) key(toS int64) (k mergeKey, ok bool) {
-	for len(c.recs) == 0 {
-		if len(c.blocks) == 0 {
-			return k, false
-		}
+// head returns the current record's second; ok is false once the taxi has
+// no record before second toS (its records are in time order, so none
+// follow).
+func (c *scanCursor) head(toS int64) (sec int64, ok bool) {
+	if len(c.recs) == 0 {
+		return 0, false
+	}
+	sec = c.recs[0].Time.Unix()
+	return sec, sec < toS
+}
+
+// pop returns the current record and moves on, to the next block when recs
+// is spent (blocks are never empty).
+func (c *scanCursor) pop() mdt.Record {
+	r := c.recs[0]
+	c.recs = c.recs[1:]
+	if len(c.recs) == 0 && len(c.blocks) > 0 {
 		c.recs, c.blocks = c.blocks[0], c.blocks[1:]
 	}
-	t := c.recs[0].Time
-	k.sec, k.nsec = t.Unix(), int32(t.Nanosecond())
-	return k, k.sec < toS
+	return r
 }
 
-// mergeKey orders the merge: a cursor's current record time, then the
-// cursor's index c, which follows first-seen taxi order.
-type mergeKey struct {
-	sec  int64
-	nsec int32
-	c    int32
+// slabEntry is one record of a slab: its nanosecond and its cursor.
+type slabEntry struct {
+	nsec uint32
+	c    uint32
 }
 
-func (a mergeKey) less(b mergeKey) bool {
-	if a.sec != b.sec {
-		return a.sec < b.sec
+// slabSort orders one slab's entries by time. add takes them in visiting
+// order; sort returns them by second, then nanosecond, ties in visiting
+// order, and empties the slab for the next one.
+type slabSort struct {
+	count   [slabSeconds]int // entries per second offset, then bucket ends
+	secs    []uint8          // secs[i] is entries[i]'s second offset
+	entries []slabEntry
+	sorted  []slabEntry
+}
+
+func (ss *slabSort) add(sec uint8, nsec, c uint32) {
+	ss.count[sec]++
+	ss.secs = append(ss.secs, sec)
+	ss.entries = append(ss.entries, slabEntry{nsec: nsec, c: c})
+}
+
+// insertionMax is the longest second sorted by insertion; a longer one
+// takes slices.SortStableFunc.
+const insertionMax = 64
+
+func (ss *slabSort) sort() []slabEntry {
+	pos := 0
+	for d, n := range ss.count {
+		ss.count[d] = pos
+		pos += n
 	}
-	if a.nsec != b.nsec {
-		return a.nsec < b.nsec
+	ss.sorted = slices.Grow(ss.sorted[:0], len(ss.entries))[:len(ss.entries)]
+	for i, e := range ss.entries {
+		d := ss.secs[i]
+		ss.sorted[ss.count[d]] = e
+		ss.count[d]++
 	}
-	return a.c < b.c
-}
-
-// mergeHeap is a binary min-heap of merge keys.
-type mergeHeap []mergeKey
-
-func (h mergeHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
+	lo := 0
+	for _, hi := range ss.count {
+		sortByNsec(ss.sorted[lo:hi])
+		lo = hi
 	}
+	clear(ss.count[:])
+	ss.secs, ss.entries = ss.secs[:0], ss.entries[:0]
+	return ss.sorted
 }
 
-func (h *mergeHeap) pop() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	h.down(0)
-}
-
-func (h mergeHeap) down(i int) {
-	n := len(h)
-	for {
-		small := i
-		if l := 2*i + 1; l < n && h[l].less(h[small]) {
-			small = l
+// sortByNsec is a stable sort of one second's entries by nanosecond.
+func sortByNsec(b []slabEntry) {
+	if len(b) > insertionMax {
+		slices.SortStableFunc(b, func(x, y slabEntry) int { return cmp.Compare(x.nsec, y.nsec) })
+		return
+	}
+	for i := 1; i < len(b); i++ {
+		e, j := b[i], i
+		for ; j > 0 && b[j-1].nsec > e.nsec; j-- {
+			b[j] = b[j-1]
 		}
-		if r := 2*i + 2; r < n && h[r].less(h[small]) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+		b[j] = e
 	}
 }
 
@@ -355,11 +415,11 @@ func Load(r io.Reader) (*Store, error) {
 // loadBody reads partitions into s until EOF, failing on the first
 // structural error. Everything is checked against what Save writes:
 // partitions in ascending taxi-ID order; blocks of at most blockTarget
-// records, all of the partition's taxi, in time order, between the
-// header's first and last second. A block's payload size must be exactly
-// what its record count encodes to, so a crafted header cannot make Load
-// allocate more than one legal block before the payload is read. One
-// payload buffer serves every block, and each record shares its
+// records, all of the partition's taxi, in time order at full precision,
+// between the header's first and last second. A block's payload size must
+// be exactly what its record count encodes to, so a crafted header cannot
+// make Load allocate more than one legal block before the payload is read.
+// One payload buffer serves every block, and each record shares its
 // partition's taxi-ID string.
 func loadBody(br *bufio.Reader, s *Store) error {
 	nParts, err := binary.ReadUvarint(br)
@@ -379,7 +439,7 @@ func loadBody(br *bufio.Reader, s *Store) error {
 		if err != nil {
 			return fmt.Errorf("store: %s block count: %w", id, err)
 		}
-		p := &partition{lastT: math.MinInt64}
+		p := &partition{last: math.MinInt64}
 		s.parts[id] = p
 		s.order = append(s.order, id)
 		recSize := uint64(mdt.BinarySize(len(id)))
@@ -410,13 +470,13 @@ func loadBody(br *bufio.Reader, s *Store) error {
 				if err != nil {
 					return fmt.Errorf("store: corrupt block for %s: %w", id, err)
 				}
-				t := r.Time.Unix()
-				if r.TaxiID != id || t < p.lastT {
+				t := r.Time.UnixNano()
+				if r.TaxiID != id || t < p.last {
 					return fmt.Errorf("store: %s block record %d misfiled or out of order: %w", id, i, errBadFile)
 				}
-				b[i], p.lastT, payload = r, t, payload[n:]
+				b[i], p.last, payload = r, t, payload[n:]
 			}
-			if int64(hdr[1]) != b[0].Time.Unix() || int64(hdr[2]) != p.lastT {
+			if int64(hdr[1]) != b[0].Time.Unix() || int64(hdr[2]) != b[len(b)-1].Time.Unix() {
 				return fmt.Errorf("store: %s block time index disagrees with its records: %w", id, errBadFile)
 			}
 			p.blocks = append(p.blocks, b)

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"sort"
@@ -35,13 +37,20 @@ func TestAppendAndLen(t *testing.T) {
 	}
 }
 
+// atMilli is a record of taxi id at ms milliseconds past t0.
+func atMilli(id string, ms int) mdt.Record {
+	r := rec(id, 0, mdt.Free)
+	r.Time = t0.Add(time.Duration(ms) * time.Millisecond)
+	return r
+}
+
 func TestAppendOutOfOrderRejected(t *testing.T) {
 	s := New()
 	if err := s.Append(rec("A", 100, mdt.Free)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(rec("A", 50, mdt.Free)); err == nil {
-		t.Fatal("out-of-order append accepted")
+	if err := s.Append(rec("A", 50, mdt.Free)); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("out-of-order append: err = %v, want ErrOutOfOrder", err)
 	}
 	// A different taxi at an earlier time is fine.
 	if err := s.Append(rec("B", 50, mdt.Free)); err != nil {
@@ -50,6 +59,60 @@ func TestAppendOutOfOrderRejected(t *testing.T) {
 	// Equal timestamps are fine.
 	if err := s.Append(rec("A", 100, mdt.POB)); err != nil {
 		t.Fatalf("same-time append rejected: %v", err)
+	}
+}
+
+// TestAppendOrderAtFullPrecision: Append compares a taxi's times at full
+// precision, so Scan's order, which is by full-precision time, keeps each
+// taxi's records in append order. A at 10.2 s after A at 10.5 s is out of
+// order though both fall in second 10; accepted, Scan would emit
+// B 10.3, A 10.5, A 10.2.
+func TestAppendOrderAtFullPrecision(t *testing.T) {
+	s := New()
+	if err := s.Append(atMilli("A", 10500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(atMilli("A", 10200)); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("A 10.2 s after A 10.5 s: err = %v, want ErrOutOfOrder", err)
+	}
+	if err := s.Append(atMilli("B", 10300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(atMilli("A", 10500)); err != nil {
+		t.Fatalf("same-time append rejected: %v", err)
+	}
+	var got []string
+	for _, r := range scanAll(s) {
+		got = append(got, fmt.Sprintf("%s %d", r.TaxiID, r.Time.Sub(t0).Milliseconds()))
+	}
+	if want := "[B 10300 A 10500 A 10500]"; fmt.Sprint(got) != want {
+		t.Fatalf("scan = %v, want %s", got, want)
+	}
+}
+
+// TestAppendRejectsWhatSaveCannotWrite: Append refuses a record whose
+// binary frame would not load back — a 256-byte taxi ID (Save panicked on
+// it), a time in the year 3000 and state byte 99 (Load rejected the saved
+// file) — and leaves the store as it was, still saving and loading.
+func TestAppendRejectsWhatSaveCannotWrite(t *testing.T) {
+	s := New()
+	if err := s.Append(rec("A", 0, mdt.Free)); err != nil {
+		t.Fatal(err)
+	}
+	long := rec(strings.Repeat("x", mdt.MaxTaxiIDLen+1), 1, mdt.Free)
+	far := rec("A", 1, mdt.Free)
+	far.Time = time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)
+	badState := rec("B", 1, mdt.State(99))
+	for _, r := range []mdt.Record{long, far, badState} {
+		if err := s.Append(r); err == nil {
+			t.Fatalf("Append accepted %q at %v in state %d", r.TaxiID[:min(len(r.TaxiID), 8)], r.Time, r.State)
+		}
+	}
+	if s.Len() != 1 || len(s.Taxis()) != 1 {
+		t.Fatalf("rejected appends changed the store: Len %d, taxis %v", s.Len(), s.Taxis())
+	}
+	if got := saveLoad(t, s); got.Len() != 1 {
+		t.Fatalf("reloaded %d records, want 1", got.Len())
 	}
 }
 
@@ -344,6 +407,33 @@ func BenchmarkScan100k(b *testing.B) {
 		s.Scan(t0, t0.Add(100*time.Hour), func(mdt.Record) bool { n++; return true })
 		if n != 100000 {
 			b.Fatalf("scan saw %d", n)
+		}
+	}
+}
+
+// BenchmarkScan times the merge alone, without Load: one full-window Scan
+// of a day-shaped store built in memory. 3,000 taxis log over 24 h, each
+// every 125 s on average (a full simulated day's rate) at sub-second
+// times, which gives about 2.07 M records.
+func BenchmarkScan(b *testing.B) {
+	rng := rand.New(rand.NewSource(18))
+	s := New()
+	for taxi := 0; taxi < 3000; taxi++ {
+		r := rec(fmt.Sprintf("SH%04dA", taxi), 0, mdt.Free)
+		for at := time.Duration(rng.Int63n(int64(125 * time.Second))); at < 24*time.Hour; at += time.Duration((0.1 + rng.ExpFloat64()) * 114 * float64(time.Second)) {
+			r.Time = t0.Add(at)
+			if err := s.Append(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		s.Scan(time.Time{}, time.Unix(1<<40, 0), func(mdt.Record) bool { n++; return true })
+		if n != s.Len() {
+			b.Fatalf("scan saw %d of %d records", n, s.Len())
 		}
 	}
 }

@@ -4,7 +4,7 @@
 # race-tests the concurrent packages.
 #
 # Usage:
-#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR17.json
+#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR18.json
 #   BENCHTIME=3x scripts/bench.sh    # more iterations per benchmark
 #   BENCH_COUNT=4 scripts/bench.sh   # -count=4, record the per-bench minimum
 #   BENCH_OUT=after.json scripts/bench.sh
@@ -19,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_PR17.json}"
+out="${BENCH_OUT:-BENCH_PR18.json}"
 benchtime="${BENCHTIME:-1x}"
 count="${BENCH_COUNT:-1}"
 raw="$(mktemp /tmp/bench_raw.XXXXXX.txt)"
@@ -39,6 +39,14 @@ go test -run '^$' -bench 'Benchmark(Stage|Ablation)' -benchmem \
 echo ">> go test -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact' -benchmem -benchtime $benchtime -count $count ./internal/sim ./internal/clean"
 go test -run '^$' -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact' -benchmem \
 	-benchtime "$benchtime" -count "$count" -timeout 45m ./internal/sim ./internal/clean | tee -a "$raw"
+
+# The batch day's merge on its own: one full-window Store.Scan of a
+# day-shaped store built in memory (3,000 taxis, sub-second times, 24 h),
+# without the file load BenchmarkStageLoadDay also times. The step runs at
+# the stage suite's BENCHTIME.
+echo ">> go test -bench '^BenchmarkScan\$' -benchmem -benchtime $benchtime -count $count ./internal/store"
+go test -run '^$' -bench '^BenchmarkScan$' -benchmem \
+	-benchtime "$benchtime" -count "$count" -timeout 45m ./internal/store | tee -a "$raw"
 
 # Ingest throughput: records/sec vs shard count, with and without the WAL.
 # The BenchmarkIngest pattern also picks up BenchmarkIngestDurable (group
