@@ -55,6 +55,54 @@ func Equirect(a, b Point) float64 {
 	return EarthRadiusMeters * math.Hypot(x, y)
 }
 
+// Disc is a radius test prepared once for many points: Contains(p) reports
+// exactly Equirect(center, p) <= radius, for every p. It compares the
+// squared planar distance in degrees, scaled by the cosine of the center's
+// latitude, and calls Equirect only inside a band around the radius.
+//
+// Why the band suffices: Equirect scales the longitude difference by the
+// cosine of the pair's mean latitude, which differs from the center's
+// cosine by at most half the latitude difference. Near the radius that
+// moves the distance by a relative k/(2 cos φ) at most (k is the radius in
+// radians, φ the center's latitude), so a band of k/cos φ, plus 1e-9 for
+// rounding, decides every point outside it the way Equirect would. When
+// the band would be 1/2 or wider, the radius is negative, or the center's
+// latitude or the radius is not finite, every point takes the exact test.
+type Disc struct {
+	center  Point
+	radius  float64
+	cosLat  float64
+	in, out float64 // squared degrees: inside below in, outside above out
+}
+
+// NewDisc prepares the test for Equirect(center, p) <= radiusMeters.
+func NewDisc(center Point, radiusMeters float64) Disc {
+	d := Disc{center: center, radius: radiusMeters, in: -1, out: math.Inf(1)}
+	k := radiusMeters / EarthRadiusMeters
+	cos := math.Cos(radians(center.Lat))
+	band := k/cos + 1e-9
+	if k >= 0 && cos > 0 && band < 0.5 {
+		deg := degrees(k)
+		d.cosLat = cos
+		d.in = deg * (1 - band) * deg * (1 - band)
+		d.out = deg * (1 + band) * deg * (1 + band)
+	}
+	return d
+}
+
+// Contains reports whether Equirect(center, p) <= radius.
+func (d Disc) Contains(p Point) bool {
+	x := (p.Lon - d.center.Lon) * d.cosLat
+	y := p.Lat - d.center.Lat
+	switch q := x*x + y*y; {
+	case q < d.in:
+		return true
+	case q > d.out:
+		return false
+	}
+	return Equirect(d.center, p) <= d.radius
+}
+
 // Bearing returns the initial great-circle bearing from a to b in degrees
 // clockwise from north, in [0, 360).
 func Bearing(a, b Point) float64 {

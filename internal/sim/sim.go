@@ -7,7 +7,7 @@
 //
 // The simulation is a discrete-event system: spot arrival processes,
 // per-taxi logging, boarding and trips are all events on one deterministic
-// heap, so a fixed Config always produces the same dataset.
+// calendar queue, so a fixed Config always produces the same dataset.
 package sim
 
 import (
@@ -31,7 +31,7 @@ type Config struct {
 	Start time.Time
 	// Duration of the simulated period; 24h when zero.
 	Duration time.Duration
-	// NumTaxis is the fleet size; 3000 when zero.
+	// NumTaxis is the fleet size; DefaultFleet(City) when zero.
 	NumTaxis int
 	// City is the landmark map; a default full-scale city when nil.
 	City *citymap.Map
@@ -61,8 +61,9 @@ const (
 )
 
 // DefaultFleet is the fleet a city gets when Config.NumTaxis is zero:
-// enough taxis that spot supply processes rarely find the pool empty (~16
-// per landmark, ~3000 for the full-scale city). Exported so callers that
+// enough taxis that spot supply processes rarely find the pool empty (20
+// per landmark and at least 200: 900 taxis for the quarter-scale city's 45
+// landmarks, 3,420 for the full-scale city's 171). Exported so callers that
 // scale the fleet (e.g. a surge multiplier) can scale the same baseline.
 func DefaultFleet(city *citymap.Map) int {
 	n := 20 * len(city.Landmarks)
@@ -142,7 +143,7 @@ type Sim struct {
 	truth *Truth
 	stats Stats
 
-	events eventHeap
+	events *eventQueue
 	seq    uint64
 	now    time.Time
 	end    time.Time
@@ -166,9 +167,10 @@ func New(cfg Config) *Sim {
 		end:  cfg.Start.Add(cfg.Duration),
 	}
 	s.truth = newTruth(cfg.City)
-	// The pending-event set is bounded by a few events per taxi plus the
-	// spot arrival processes; one up-front slab absorbs the heap's growth.
-	s.events = make(eventHeap, 0, 4*cfg.NumTaxis+64)
+	// At most ~7.6 events per taxi pend at once (spot arrival processes
+	// included) in days at city scales 0.05 to 1, with or without a 10x
+	// fleet, so this slab holds every pending event.
+	s.events = newEventQueue(8*cfg.NumTaxis+64, cfg.Start.UnixNano())
 	s.initTaxis()
 	s.initSpots()
 	s.recs = make([]mdt.Record, 0, s.logCapacity())
@@ -213,7 +215,7 @@ func Run(cfg Config) Output {
 }
 
 func (s *Sim) run() Output {
-	for len(s.events) > 0 {
+	for s.events.len() > 0 {
 		e := s.events.pop()
 		at := time.Unix(0, e.at).UTC()
 		if at.After(s.end) {
@@ -358,14 +360,15 @@ func (s *Sim) poolTakeRandom() *taxi {
 // freeTaxisWithin counts FREE taxis inside the radius: roaming pool members
 // plus taxis queued at spots in range. This feeds the dispatching circle.
 func (s *Sim) freeTaxisWithin(center geo.Point, radius float64) int {
+	in := geo.NewDisc(center, radius)
 	n := 0
 	for _, i := range s.pool {
-		if geo.Equirect(center, s.taxis[i].pos) <= radius {
+		if in.Contains(s.taxis[i].pos) {
 			n++
 		}
 	}
 	for _, sp := range s.spots {
-		if sp.taxiQLen > 0 && geo.Equirect(center, sp.lm.Pos) <= radius {
+		if sp.taxiQLen > 0 && in.Contains(sp.lm.Pos) {
 			n += sp.taxiQLen
 		}
 	}

@@ -290,6 +290,58 @@ func TestFreeTaxisWithin(t *testing.T) {
 	if s.FreeTaxisWithin(citymap.Island.Center(), 0.0001) > s.cfg.NumTaxis {
 		t.Fatal("tiny radius returned more than fleet size")
 	}
+
+	// Every two hours of the running day, the prepared radius test counts
+	// what a brute-force Equirect scan counts: around spots, random points
+	// and pooled taxis, at the dispatch radii and others, and at radii
+	// that put another pooled taxi exactly on the circle.
+	brute := func(center geo.Point, radius float64) int {
+		n := 0
+		for _, i := range s.pool {
+			if geo.Equirect(center, s.taxis[i].pos) <= radius {
+				n++
+			}
+		}
+		for _, sp := range s.spots {
+			if sp.taxiQLen > 0 && geo.Equirect(center, sp.lm.Pos) <= radius {
+				n += sp.taxiQLen
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(16))
+	probes, nonEmpty := 0, 0
+	for h := 1; h < 24; h += 2 {
+		s.schedule(s.cfg.Start.Add(time.Duration(h)*time.Hour), func() {
+			probes++
+			var centers []geo.Point
+			for _, sp := range s.spots {
+				centers = append(centers, sp.lm.Pos)
+			}
+			for i := 0; i < 20; i++ {
+				centers = append(centers, s.randomIslandPoint(), s.taxis[s.pool[rng.Intn(len(s.pool))]].pos)
+			}
+			for _, c := range centers {
+				radii := []float64{0, 50, 500, s.disp.Radius(), 3 * s.disp.Radius(), 10000}
+				for i := 0; i < 3; i++ {
+					radii = append(radii, geo.Equirect(c, s.taxis[s.pool[rng.Intn(len(s.pool))]].pos))
+				}
+				for _, r := range radii {
+					got, want := s.FreeTaxisWithin(c, r), brute(c, r)
+					if got != want {
+						t.Fatalf("%v: FreeTaxisWithin(%v, %g) = %d, brute force %d", s.now, c, r, got, want)
+					}
+					if want > 0 {
+						nonEmpty++
+					}
+				}
+			}
+		})
+	}
+	s.run()
+	if probes != 12 || nonEmpty == 0 {
+		t.Fatalf("%d of 12 probes ran, %d non-empty counts", probes, nonEmpty)
+	}
 }
 
 func TestShortRun(t *testing.T) {

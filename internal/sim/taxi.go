@@ -257,10 +257,15 @@ func (s *Sim) homeBookingProcess() {
 // takeNearestPooled removes and returns the pooled taxi nearest to p within
 // radius, or nil.
 func (s *Sim) takeNearestPooled(p geo.Point, radius float64) *taxi {
+	in := geo.NewDisc(p, radius)
 	best := -1
 	bestD := radius
 	for _, i := range s.pool {
-		if d := geo.Equirect(p, s.taxis[i].pos); d <= bestD {
+		pos := s.taxis[i].pos
+		if !in.Contains(pos) {
+			continue
+		}
+		if d := geo.Equirect(p, pos); d <= bestD {
 			best, bestD = i, d
 		}
 	}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -132,6 +135,126 @@ func FuzzLoad(f *testing.F) {
 			if !sameRecord(a[i], b[i]) {
 				t.Fatalf("record %d: %+v reloads as %+v", i, a[i], b[i])
 			}
+		}
+	})
+}
+
+// fuzzLogPayload is frame i of FuzzOpenLog's log: 0 to 40 bytes, each
+// holding i.
+func fuzzLogPayload(i int) []byte { return bytes.Repeat([]byte{byte(i)}, i*7%41) }
+
+// fuzzLogImages writes the log FuzzOpenLog damages and returns its files'
+// names and bytes, oldest first, and the payloads appended. Two sessions
+// write it through 160-byte segments, so it spans several files: the first
+// commits 14 frames in groups of three; the second reopens it, loses the
+// fsync of its first commit (abandoning that file, which the next commit
+// supersedes) and commits 14 more in groups of four.
+func fuzzLogImages(f *testing.F) (names []string, images [][]byte, payloads [][]byte) {
+	dir := f.TempDir()
+	session := func(fs FS, from, to, every int) {
+		l, _, err := OpenLog(dir, nil, LogConfig{FS: fs, SegmentBytes: 160}, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		failing := fs != nil
+		for i := from; i < to; i++ {
+			payloads = append(payloads, fuzzLogPayload(i))
+			l.Append(payloads[i])
+			if (i-from)%every == every-1 {
+				if err := l.Commit(); (err != nil) != failing {
+					f.Fatalf("frame %d: commit error %v, want one: %v", i, err, failing)
+				}
+				failing = false
+			}
+		}
+		if err := l.Close(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	session(nil, 0, 14, 3)
+	session(&syncFailFS{FS: OS, n: 1}, 14, 28, 4)
+	paths, err := LogFiles(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		names, images = append(names, filepath.Base(p)), append(images, b)
+	}
+	return names, images, payloads
+}
+
+// FuzzOpenLog: one file of a multi-file log is truncated at an offset
+// (when cut is below its size) and/or has one byte XORed with a nonzero
+// mask. OpenLog never panics; when it opens the log, the payloads it
+// replays are a prefix of those appended, and an undamaged log replays
+// all of them with nothing truncated. This is recovery's contract for
+// both the ingest WAL and the history store.
+func FuzzOpenLog(f *testing.F) {
+	names, images, payloads := fuzzLogImages(f)
+	if len(images) < 4 {
+		f.Fatalf("the log spans %d files; the fuzz target needs several", len(images))
+	}
+	last := uint8(len(images) - 1)
+	for _, seed := range []struct {
+		file    uint8
+		cut, at uint32
+		mask    uint8
+	}{
+		{0, math.MaxUint32, 0, 0},    // undamaged
+		{last, 100, 0, 0},            // the newest file torn mid-frame
+		{last, 10, 0, 0},             // the newest file's header torn
+		{0, 0, 0, 0},                 // the oldest file emptied
+		{1, math.MaxUint32, 9, 0x40}, // a length bit in an older file's header
+		{1, math.MaxUint32, 40, 1},   // a payload bit in an older file
+		{last, 120, 110, 0xff},       // torn and flipped at once
+	} {
+		f.Add(seed.file, seed.cut, seed.at, seed.mask)
+	}
+	f.Fuzz(func(t *testing.T, file uint8, cut, at uint32, mask uint8) {
+		dir := t.TempDir()
+		v := int(file) % len(images)
+		damaged := false
+		for i, image := range images {
+			b := append([]byte(nil), image...)
+			if i == v {
+				if uint64(cut) < uint64(len(b)) {
+					b, damaged = b[:cut], true
+				}
+				if mask != 0 && len(b) > 0 {
+					b[int(at%uint32(len(b)))] ^= mask
+					damaged = true
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, names[i]), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got [][]byte
+		l, rcv, err := OpenLog(dir, nil, LogConfig{SegmentBytes: 160}, func(_ Ref, p []byte) error {
+			got = append(got, append([]byte(nil), p...))
+			return nil
+		})
+		if err != nil {
+			if !damaged {
+				t.Fatalf("undamaged log fails to open: %v", err)
+			}
+			return
+		}
+		l.Abort()
+		if rcv.Records != len(got) || len(got) > len(payloads) {
+			t.Fatalf("replayed %d frames, Recovery counts %d, %d appended", len(got), rcv.Records, len(payloads))
+		}
+		for i, p := range got {
+			if !bytes.Equal(p, payloads[i]) {
+				t.Fatalf("frame %d replayed as %x, appended as %x", i, p, payloads[i])
+			}
+		}
+		if !damaged && (len(got) != len(payloads) || rcv.Truncated()) {
+			t.Fatalf("undamaged log replayed %d of %d frames, truncation %v", len(got), len(payloads), rcv.Err)
 		}
 	})
 }

@@ -4,7 +4,7 @@
 # race-tests the concurrent packages.
 #
 # Usage:
-#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR18.json
+#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR19.json
 #   BENCHTIME=3x scripts/bench.sh    # more iterations per benchmark
 #   BENCH_COUNT=4 scripts/bench.sh   # -count=4, record the per-bench minimum
 #   BENCH_OUT=after.json scripts/bench.sh
@@ -19,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_PR18.json}"
+out="${BENCH_OUT:-BENCH_PR19.json}"
 benchtime="${BENCHTIME:-1x}"
 count="${BENCH_COUNT:-1}"
 raw="$(mktemp /tmp/bench_raw.XXXXXX.txt)"

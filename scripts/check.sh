@@ -40,6 +40,7 @@ echo ">> go test -fuzz (15s per target)"
 go test -run '^$' -fuzz '^FuzzDecodeBinary$' -fuzztime=15s ./internal/mdt
 go test -run '^$' -fuzz '^FuzzParseText$' -fuzztime=15s ./internal/mdt
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime=15s ./internal/store
+go test -run '^$' -fuzz '^FuzzOpenLog$' -fuzztime=15s ./internal/store
 go test -run '^$' -fuzz '^FuzzDecodeJSONLines$' -fuzztime=15s ./internal/ingest
 go test -run '^$' -fuzz '^FuzzDecodeBlock$' -fuzztime=15s ./internal/history
 
