@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -86,7 +87,9 @@ type mixEntry struct {
 // negative weight and an all-zero mix each get their own error — both
 // used to collapse into messages that named the wrong mistake ("bad
 // weight" for a perfectly parsed -3, "empty mix" for a mix with
-// entries), which is exactly what a typo'd flag needs spelled out.
+// entries), which is exactly what a typo'd flag needs spelled out. So
+// does a mix whose total weight overflows an int, on which pick would
+// panic in every reader.
 func parseMix(s string) ([]mixEntry, error) {
 	known := map[string]bool{
 		"spots": true, "context": true, "recommend": true, "estimate": true,
@@ -94,7 +97,7 @@ func parseMix(s string) ([]mixEntry, error) {
 		"wide": true,
 	}
 	var mix []mixEntry
-	entries := 0
+	entries, total := 0, 0
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -114,7 +117,10 @@ func parseMix(s string) ([]mixEntry, error) {
 		if !known[name] {
 			return nil, fmt.Errorf("unknown endpoint %q (want spots|context|recommend|estimate|history|heatmap|transitions|forecast|wide)", name)
 		}
-		entries++
+		if w > math.MaxInt-total {
+			return nil, fmt.Errorf("total weight of mix %q overflows", s)
+		}
+		entries, total = entries+1, total+w
 		if w > 0 {
 			mix = append(mix, mixEntry{name, w})
 		}

@@ -28,6 +28,7 @@ func TestParseMix(t *testing.T) {
 		{"negative weight", "spots=-3", 0, "negative weight"},
 		{"negative among valid", "spots=4,context=-1", 0, "negative weight"},
 		{"all weights zero", "spots=0,context=0", 0, "zero total weight"},
+		{"total weight overflows", "spots=9223372036854775807,context=1", 0, "overflows"},
 		{"empty string", "", 0, "empty mix"},
 		{"only commas", " , ,", 0, "empty mix"},
 	}

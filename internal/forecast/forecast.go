@@ -64,39 +64,31 @@ type Config struct {
 	// like the batch engine and the history store do. Required, len ==
 	// Spots.
 	Thresholds []core.Thresholds
-	// Beta is the per-day exponential decay: folding a new day multiplies
-	// every older day's weight by Beta^gap. 0.7 when 0 — a week of history
-	// carries ~92% of the total weight.
-	Beta float64
-	// MinModelWeight is the effective observed-day weight below which the
-	// M/M/c model is not trusted and forecasts stay empirical; 2 when 0.
-	MinModelWeight float64
-	// MaxModelRho is the utilization ceiling for the model path: the
-	// stationary Erlang-C answer diverges as ρ→1, and the learned rates
-	// are noisy means, so a near-saturated regime answers empirically
-	// even when nominally stable; 0.85 when 0.
-	MaxModelRho float64
-	// Servers is the M/M/c server count — the loading bays of He's airport
-	// model; 2 when 0.
-	Servers int
 	// Metrics is the registry the learner's collectors live in; a private
 	// registry when nil.
 	Metrics *obs.Registry
 }
 
+// The model's settings.
+const (
+	// beta is the per-day exponential decay: folding a new day multiplies
+	// every older day's weight by beta^gap — a week of history carries
+	// ~92% of the total weight.
+	beta = 0.7
+	// minModelWeight is the effective observed-day weight below which the
+	// M/M/c model is not trusted and forecasts stay empirical.
+	minModelWeight = 2
+	// maxModelRho is the utilization ceiling for the model path: the
+	// stationary Erlang-C answer diverges as ρ→1, and the learned rates
+	// are noisy means, so a near-saturated regime answers empirically
+	// even when nominally stable.
+	maxModelRho = 0.85
+	// servers is the M/M/c server count — the loading bays of He's
+	// airport model.
+	servers = 2
+)
+
 func (c Config) withDefaults() Config {
-	if c.Beta == 0 {
-		c.Beta = 0.7
-	}
-	if c.MinModelWeight == 0 {
-		c.MinModelWeight = 2
-	}
-	if c.MaxModelRho == 0 {
-		c.MaxModelRho = 0.85
-	}
-	if c.Servers == 0 {
-		c.Servers = 2
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
@@ -107,7 +99,7 @@ func (c Config) withDefaults() Config {
 // weighted means over every day whose slot closed, plus the weighted label
 // histogram. The zero value means "never observed".
 type SlotProfile struct {
-	// Weight is the effective number of observed days (Σ Beta^age); it is
+	// Weight is the effective number of observed days (Σ beta^age); it is
 	// both the normalizer of the means and the forecast's confidence.
 	Weight float64
 	// NArr/NDep are the EW mean per-slot arrival and departure counts
@@ -123,7 +115,7 @@ type SlotProfile struct {
 
 // fold merges one day's observation into the profile; gap is the number
 // of days since the last fold (≥ 1).
-func (p *SlotProfile) fold(f core.SlotFeatures, label core.QueueType, gap int, beta float64) {
+func (p *SlotProfile) fold(f core.SlotFeatures, label core.QueueType, gap int) {
 	decay := math.Pow(beta, float64(gap))
 	p.Weight = p.Weight*decay + 1
 	w := 1 / p.Weight
@@ -213,9 +205,6 @@ type Forecast struct {
 type Table struct {
 	grid     core.SlotGrid
 	slotSec  float64
-	servers  int
-	minModel float64
-	maxRho   float64
 	profiles [][]SlotProfile   // [spot][slot-of-day]
 	ths      []core.Thresholds // per spot; labels a never-observed slot
 	met      *metrics          // nil-safe; query latency only
@@ -242,7 +231,7 @@ func (t *Table) Profile(spot, slot int) SlotProfile {
 // A never-observed slot answers SourceNone with the spot's synthesized
 // empty context. Otherwise the empirical EW means are the baseline, and
 // when the learned rate regime is stable — λ = NArr/slotLen comfortably
-// below the service capacity 1/t̄dep, with at least MinModelWeight
+// below the service capacity 1/t̄dep, with at least minModelWeight
 // observed days — the M/M/c Erlang-C queueing delay replaces the
 // empirical wait.
 func (t *Table) Forecast(spot int, at time.Time) (Forecast, bool) {
@@ -271,16 +260,16 @@ func (t *Table) Forecast(spot int, at time.Time) (Forecast, bool) {
 	f.Source = SourceEmpirical
 
 	lambda := p.NArr / t.slotSec
-	if p.TDepSec <= 0 || lambda <= 0 || p.Weight < t.minModel {
+	if p.TDepSec <= 0 || lambda <= 0 || p.Weight < minModelWeight {
 		return f, true
 	}
 	// t̄dep is the mean interval between consecutive departures, so the
 	// stand's total service capacity is 1/t̄dep, split across the servers.
-	q := queueing.MMc{Lambda: lambda, Mu: 1 / (p.TDepSec * float64(t.servers)), Servers: t.servers}
-	// Beyond maxRho the stationary answer diverges (Lq ~ 1/(1-ρ)) while
+	q := queueing.MMc{Lambda: lambda, Mu: 1 / (p.TDepSec * servers), Servers: servers}
+	// Beyond maxModelRho the stationary answer diverges (Lq ~ 1/(1-ρ)) while
 	// the learned rates carry day-to-day noise — the empirical history is
 	// the better estimator near saturation, not a blown-up Erlang-C tail.
-	if !q.Stable() || q.Rho() > t.maxRho {
+	if !q.Stable() || q.Rho() > maxModelRho {
 		return f, true
 	}
 	wq, err := q.Wq()
@@ -352,9 +341,6 @@ func (l *Learner) publishLocked() {
 	t := &Table{
 		grid:     l.cfg.Grid,
 		slotSec:  l.slotSec,
-		servers:  l.cfg.Servers,
-		minModel: l.cfg.MinModelWeight,
-		maxRho:   l.cfg.MaxModelRho,
 		profiles: make([][]SlotProfile, len(l.cells)),
 		ths:      l.cfg.Thresholds,
 		met:      l.met,
@@ -416,7 +402,7 @@ func (l *Learner) AppendSlots(day, lo, hi int, at func(spot, slot int) (core.Slo
 			if c.lastDay < 0 {
 				gap = 1
 			}
-			c.p.fold(f, label, gap, l.cfg.Beta)
+			c.p.fold(f, label, gap)
 			c.lastDay = day
 			folded++
 		}

@@ -151,7 +151,6 @@ func TestForecastModelStableRegime(t *testing.T) {
 	// The wait must be exactly the Erlang-C answer for the learned rates;
 	// the queue length stays the EW empirical mean.
 	slotSec := testGrid().SlotLen.Seconds()
-	servers := cfg.withDefaults().Servers
 	q := queueing.MMc{
 		Lambda:  f2.NArr / slotSec,
 		Mu:      1 / (f2.TDep.Seconds() * float64(servers)),
@@ -186,7 +185,7 @@ func TestModelNeedsWeight(t *testing.T) {
 		t.Fatalf("source %v", fc.Source)
 	}
 	if fc.Source == SourceModel {
-		t.Fatalf("model answered at weight %v < MinModelWeight", fc.Weight)
+		t.Fatalf("model answered at weight %v < minModelWeight", fc.Weight)
 	}
 }
 
@@ -220,11 +219,10 @@ func TestAppendIdempotent(t *testing.T) {
 }
 
 // TestEWDecayAndLabelHistogram checks the fold math directly: weights,
-// EW means and the decayed label histogram after two distinct days.
+// EW means and the decayed label histogram after two distinct days, at
+// beta = 0.7.
 func TestEWDecayAndLabelHistogram(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.Beta = 0.5
-	l, err := Open(cfg)
+	l, err := Open(testConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +231,14 @@ func TestEWDecayAndLabelHistogram(t *testing.T) {
 	appendUniform(t, l, 0, f3, core.C3)
 	appendUniform(t, l, 1, f2, core.C2)
 	p := l.Table().Profile(0, 0)
-	if math.Abs(p.Weight-1.5) > 1e-12 {
-		t.Fatalf("weight %v, want 1.5", p.Weight)
+	if math.Abs(p.Weight-1.7) > 1e-12 {
+		t.Fatalf("weight %v, want 1.7", p.Weight)
 	}
-	wantNArr := f3.NArr + (f2.NArr-f3.NArr)/1.5
+	wantNArr := f3.NArr + (f2.NArr-f3.NArr)/1.7
 	if math.Abs(p.NArr-wantNArr) > 1e-9 {
 		t.Fatalf("NArr %v, want %v", p.NArr, wantNArr)
 	}
-	if math.Abs(p.LabelW[core.C3]-0.5) > 1e-12 || math.Abs(p.LabelW[core.C2]-1) > 1e-12 {
+	if math.Abs(p.LabelW[core.C3]-0.7) > 1e-12 || math.Abs(p.LabelW[core.C2]-1) > 1e-12 {
 		t.Fatalf("label histogram %v", p.LabelW)
 	}
 	// The newer day outweighs the decayed older one.
@@ -252,7 +250,7 @@ func TestEWDecayAndLabelHistogram(t *testing.T) {
 	// A day gap decays twice: append day 3 (gap 2 from day 1).
 	appendUniform(t, l, 3, f2, core.C2)
 	p = l.Table().Profile(0, 0)
-	want := 1.5*0.25 + 1
+	want := 1.7*0.49 + 1
 	if math.Abs(p.Weight-want) > 1e-12 {
 		t.Fatalf("weight %v after gap-2 fold, want %v", p.Weight, want)
 	}

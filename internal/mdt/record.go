@@ -143,13 +143,7 @@ func (r Record) AppendBinary(dst []byte) []byte {
 
 // DecodeBinary decodes one binary record from b and returns it along with
 // the number of bytes consumed.
-func DecodeBinary(b []byte) (Record, int, error) { return DecodeBinaryID(b, "") }
-
-// DecodeBinaryID is DecodeBinary for a caller that knows which taxi the
-// record most likely belongs to: when the encoded taxi ID equals id, the
-// record shares id's string instead of allocating a copy, so decoding a run
-// of one taxi's records allocates nothing.
-func DecodeBinaryID(b []byte, id string) (Record, int, error) {
+func DecodeBinary(b []byte) (Record, int, error) {
 	if len(b) < 3 {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
@@ -161,9 +155,7 @@ func DecodeBinaryID(b []byte, id string) (Record, int, error) {
 	if len(b) < n {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
-	if raw := b[3 : 3+idLen]; string(raw) != id {
-		id = string(raw)
-	}
+	id := string(b[3 : 3+idLen])
 	off := 3 + idLen
 	nano := int64(binary.BigEndian.Uint64(b[off:]))
 	lat := math.Float64frombits(binary.BigEndian.Uint64(b[off+8:]))

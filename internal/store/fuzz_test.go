@@ -4,45 +4,63 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"taxiqueue/internal/mdt"
 )
 
-// craftedBlock is a store file of one partition, taxi "A", whose only
-// block header declares nRecs records in size payload bytes, between the
-// seconds of the first and the last of recs, followed by recs' frames.
-func craftedBlock(nRecs, size uint64, recs ...mdt.Record) []byte {
-	file := append([]byte(nil), fileMagic[:]...)
-	file = binary.AppendUvarint(file, 1) // partitions
-	file = binary.AppendUvarint(file, 1) // taxi ID length
-	file = append(file, 'A')
-	file = binary.AppendUvarint(file, 1) // blocks
-	for _, v := range []uint64{nRecs, uint64(recs[0].Time.Unix()), uint64(recs[len(recs)-1].Time.Unix()), size} {
-		file = binary.AppendUvarint(file, v)
-	}
-	for _, r := range recs {
-		file = r.AppendBinary(file)
+// dayFile is a day file of the given frame payloads, each framed as Save
+// frames it.
+func dayFile(payloads ...[]byte) []byte {
+	file := append([]byte(nil), dayMagic[:]...)
+	for _, p := range payloads {
+		file = appendFrame(file, p)
 	}
 	return file
 }
 
-// craftedBlockHeader is craftedBlock with one record's worth of payload.
-func craftedBlockHeader(nRecs, size uint64) []byte {
-	return craftedBlock(nRecs, size, rec("A", 0, mdt.Free))
+// header is a header payload: the record count n, then a taxi table
+// listing ids as given.
+func header(n uint64, ids ...string) []byte {
+	p := binary.AppendUvarint(nil, n)
+	p = binary.AppendUvarint(p, uint64(len(ids)))
+	for _, id := range ids {
+		p = append(append(p, byte(len(id))), id...)
+	}
+	return p
+}
+
+// block is a block payload declaring n records, then recs, each naming its
+// taxi by its index in ids (an ID not in ids by MaxUint64).
+func block(n uint64, ids []string, recs ...mdt.Record) []byte {
+	p := binary.AppendUvarint(nil, n)
+	for _, r := range recs {
+		p = appendRecord(p, uint64(slices.Index(ids, r.TaxiID)), &r)
+	}
+	return p
+}
+
+// frameOf is a frame header declaring size payload bytes, then payload.
+func frameOf(size uint32, payload []byte) []byte {
+	f := binary.LittleEndian.AppendUint32(nil, size)
+	f = binary.LittleEndian.AppendUint32(f, frameCRC(f, payload))
+	return append(f, payload...)
 }
 
 // loadAllocBound is the most Load may allocate for an n-byte file: its
-// fixed buffers — the 1 MiB reader and one legal block's payload — plus a
-// generous per-input-byte share for partitions and decoded records, which
-// can only come from bytes actually read.
+// fixed buffers — the 64 KiB reader and the largest legal block frame (a
+// 2-byte count, then 512 records of a 10-byte index and recordBytes) —
+// plus a generous per-input-byte share for the taxi table and decoded
+// records, which can only come from bytes actually read.
 func loadAllocBound(n int) uint64 {
-	return 1<<20 + blockTarget*uint64(mdt.BinarySize(mdt.MaxTaxiIDLen)) + 256*uint64(n) + 64<<10
+	return 64<<10 + (2 + blockTarget*(10+recordBytes)) + 256*uint64(n)
 }
 
 // loadAllocs loads data and reports how many bytes the load allocated.
@@ -54,47 +72,100 @@ func loadAllocs(data []byte) (*Store, uint64, error) {
 	return s, m1.TotalAlloc - m0.TotalAlloc, err
 }
 
-// TestLoadRejectsCraftedBlockHeader: a block header's payload size and
-// record count are checked before anything is allocated for them, so a
-// header declaring size = 1<<62 cannot panic in makeslice, nor one
-// declaring 3 GiB allocate it before the read fails on EOF.
+// TestLoadRejectsCraftedBlockHeader: a frame's length and a block's record
+// count are checked before anything is allocated for them. A block frame
+// longer than the largest legal block fails before it is read, and the
+// header frame grows only as its bytes arrive, so a frame declaring 3 GiB
+// or 4 GiB−1 allocates neither; a block of 0, 513 or 1<<40 records, or one
+// declaring more records than its payload holds, is a bad file.
 func TestLoadRejectsCraftedBlockHeader(t *testing.T) {
-	recSize := uint64(mdt.BinarySize(1))
-	for _, c := range []struct{ nRecs, size uint64 }{
-		{1, 1 << 62},
-		{1, 3 << 30},
-		{1 << 40, recSize},
-		{blockTarget + 1, (blockTarget + 1) * recSize},
-		{2, recSize},
-	} {
-		file := craftedBlockHeader(c.nRecs, c.size)
+	a := []string{"A"}
+	r0 := rec("A", 0, mdt.Free)
+	table := dayFile(header(1, a...))
+	one := block(1, a, r0)
+	var full []mdt.Record
+	for i := 0; i <= blockTarget; i++ {
+		full = append(full, rec("A", i, mdt.Free))
+	}
+	files := map[string][]byte{
+		"block of 0 records":                   dayFile(header(1, a...), block(0, a, r0)),
+		"block of 513 records":                 dayFile(header(blockTarget+1, a...), block(blockTarget+1, a, full...)),
+		"block of 1<<40 records":               dayFile(header(1, a...), block(1<<40, a, r0)),
+		"block declaring 2 records, holding 1": dayFile(header(2, a...), block(2, a, r0)),
+	}
+	for _, size := range []uint32{3 << 30, math.MaxUint32} {
+		files[fmt.Sprintf("table frame of %d bytes", size)] = slices.Concat(dayMagic[:], frameOf(size, header(1, a...)))
+		files[fmt.Sprintf("block frame of %d bytes", size)] = slices.Concat(table, frameOf(size, one))
+	}
+	for name, file := range files {
 		_, alloc, err := loadAllocs(file)
 		if !errors.Is(err, errBadFile) {
-			t.Fatalf("nRecs %d size %d: err = %v, want errBadFile", c.nRecs, c.size, err)
+			t.Fatalf("%s: err = %v, want errBadFile", name, err)
 		}
 		if bound := loadAllocBound(len(file)); alloc > bound {
-			t.Fatalf("nRecs %d size %d: Load allocated %d bytes, bound %d", c.nRecs, c.size, alloc, bound)
+			t.Fatalf("%s: Load allocated %d bytes, bound %d", name, alloc, bound)
 		}
 	}
-	// The same header with honest numbers loads.
-	s, err := Load(bytes.NewReader(craftedBlockHeader(1, recSize)))
+	// The same frames with honest numbers load.
+	s, err := Load(bytes.NewReader(dayFile(header(1, a...), one)))
 	if err != nil || s.Len() != 1 {
-		t.Fatalf("honest header: %v, %d records", err, s.Len())
+		t.Fatalf("honest header: %v", err)
 	}
 }
 
-// TestLoadRejectsSubSecondDisorder: Load checks each taxi's order at full
-// precision, as Append does. A block holding A at 10.5 s and then at
-// 10.2 s is a bad file, though both fall in second 10; the same two
+// TestLoadRejectsSubSecondDisorder: Load checks the scan order at full
+// precision, as Append checks each taxi's. A block holding A at 10.5 s and
+// then at 10.2 s is a bad file, though both fall in second 10; the same two
 // records in time order load.
 func TestLoadRejectsSubSecondDisorder(t *testing.T) {
 	a, b := atMilli("A", 10500), atMilli("A", 10200)
-	size := 2 * uint64(mdt.BinarySize(1))
-	if _, err := Load(bytes.NewReader(craftedBlock(2, size, a, b))); !errors.Is(err, errBadFile) {
+	ids := []string{"A"}
+	if _, err := Load(bytes.NewReader(dayFile(header(2, ids...), block(2, ids, a, b)))); !errors.Is(err, errBadFile) {
 		t.Fatalf("10.5 s then 10.2 s: err = %v, want errBadFile", err)
 	}
-	if s, err := Load(bytes.NewReader(craftedBlock(2, size, b, a))); err != nil || s.Len() != 2 {
+	if s, err := Load(bytes.NewReader(dayFile(header(2, ids...), block(2, ids, b, a)))); err != nil || s.Len() != 2 {
 		t.Fatalf("10.2 s then 10.5 s: %v", err)
+	}
+}
+
+// TestLoadRejectsMalformedDay: Load accepts exactly what Save writes. Each
+// file below breaks one rule with valid checksums and fails as a bad file;
+// the control, which breaks none, loads.
+func TestLoadRejectsMalformedDay(t *testing.T) {
+	ab := []string{"A", "B"}
+	a0, b0, a1 := rec("A", 0, mdt.Free), rec("B", 0, mdt.Free), rec("A", 1, mdt.POB)
+	// A record whose 2-byte taxi index leaves the next record one byte
+	// short, in a payload long enough for two 1-byte indexes.
+	many := make([]string, 130)
+	for i := range many {
+		many[i] = fmt.Sprintf("T%03d", i)
+	}
+	torn := block(2, many, rec(many[129], 0, mdt.Free), rec(many[0], 1, mdt.Free))
+	for _, c := range []struct {
+		name string
+		file []byte
+	}{
+		{"taxi table out of order", dayFile(header(2, "B", "A"), block(2, []string{"B", "A"}, a0, b0))},
+		{"taxi index out of range", dayFile(header(2, "A"), block(2, ab, a0, b0))},
+		{"two taxis at one nanosecond out of ID order", dayFile(header(2, ab...), block(2, ab, b0, a0))},
+		{"taxi with no record", dayFile(header(2, ab...), block(2, ab, a0, a1))},
+		{"short block before the last", dayFile(header(3, ab...), block(1, ab, a0), block(2, ab, b0, a1))},
+		{"more records than the header declares", dayFile(header(2, ab...), block(3, ab, a0, b0, a1))},
+		{"a block after the last", dayFile(header(2, ab...), block(2, ab, a0, b0), block(1, ab, a1))},
+		{"a byte after the last block", append(dayFile(header(2, ab...), block(2, ab, a0, b0)), 0)},
+		{"stray byte in a block", dayFile(header(2, ab...), append(block(2, ab, a0, b0), 0))},
+		{"stray byte in the taxi table", dayFile(append(header(2, ab...), 0), block(2, ab, a0, b0))},
+		{"record torn inside its block", dayFile(header(2, many...), torn[:len(torn)-1])},
+		{"over-long uvarint", dayFile(header(2, ab...), append([]byte{0x82, 0}, block(2, ab, a0, b0)[1:]...))},
+		{"no header", dayMagic[:]},
+	} {
+		if _, err := Load(bytes.NewReader(c.file)); !errors.Is(err, errBadFile) {
+			t.Errorf("%s: err = %v, want errBadFile", c.name, err)
+		}
+	}
+	control := dayFile(header(3, ab...), block(3, ab, a0, b0, a1))
+	if s, err := Load(bytes.NewReader(control)); err != nil || s.Len() != 3 {
+		t.Fatalf("control: %v", err)
 	}
 }
 
@@ -109,7 +180,7 @@ func scanAll(s *Store) []mdt.Record {
 }
 
 // FuzzLoad: Load never panics and never allocates past loadAllocBound, and
-// a store it accepts re-saves and reloads to the same Scan.
+// a file it accepts re-saves byte for byte and reloads to the same Scan.
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, alloc, err := loadAllocs(data)
@@ -122,6 +193,9 @@ func FuzzLoad(f *testing.F) {
 		var buf bytes.Buffer
 		if err := s.Save(&buf); err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted %d bytes re-save as %d different bytes", len(data), buf.Len())
 		}
 		again, err := Load(&buf)
 		if err != nil {

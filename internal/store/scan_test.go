@@ -3,9 +3,13 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,9 +20,9 @@ import (
 )
 
 // scanOracle is Scan's specification: every record of byTaxi with
-// Time.Unix() in [from.Unix(), to.Unix()), stable-sorted by (time,
-// first-seen taxi order) from each taxi's append order. order is the
-// store's first-seen taxi order.
+// Time.Unix() in [from.Unix(), to.Unix()), stable-sorted by (time, place
+// in order) from each taxi's append order. order is the store's taxi IDs
+// in ascending order (Taxis), so ties between taxis go by ID.
 func scanOracle(byTaxi map[string][]mdt.Record, order []string, from, to time.Time) []mdt.Record {
 	type keyed struct {
 		r   mdt.Record
@@ -44,107 +48,6 @@ func scanOracle(byTaxi map[string][]mdt.Record, order []string, from, to time.Ti
 		out[i] = k.r
 	}
 	return out
-}
-
-// referenceScan is the k-way heap merge Scan used before its slab merge,
-// kept as the reference the slab merge must match record for record. The
-// heap holds each cursor's current record as an integer key — Unix second,
-// nanosecond, first-seen taxi order.
-func referenceScan(s *Store, from, to time.Time, fn func(mdt.Record) bool) {
-	fromS, toS := from.Unix(), to.Unix()
-	cursors := make([]scanCursor, 0, len(s.order))
-	h := make(mergeHeap, 0, len(s.order))
-	for _, id := range s.order {
-		c := scanCursor{blocks: s.parts[id].blocks}
-		c.seek(fromS)
-		if k, ok := c.key(toS); ok {
-			k.c = int32(len(cursors))
-			cursors = append(cursors, c)
-			h = append(h, k)
-		}
-	}
-	h.init()
-	for len(h) > 0 {
-		c := &cursors[h[0].c]
-		if !fn(c.recs[0]) {
-			return
-		}
-		c.recs = c.recs[1:]
-		if k, ok := c.key(toS); ok {
-			h[0].sec, h[0].nsec = k.sec, k.nsec
-			h.down(0)
-		} else {
-			h.pop()
-		}
-	}
-}
-
-// key moves on to the next block when recs is spent and returns the merge
-// key of the current record; ok is false once the taxi has no record
-// before second toS.
-func (c *scanCursor) key(toS int64) (k mergeKey, ok bool) {
-	for len(c.recs) == 0 {
-		if len(c.blocks) == 0 {
-			return k, false
-		}
-		c.recs, c.blocks = c.blocks[0], c.blocks[1:]
-	}
-	t := c.recs[0].Time
-	k.sec, k.nsec = t.Unix(), int32(t.Nanosecond())
-	return k, k.sec < toS
-}
-
-// mergeKey orders the merge: a cursor's current record time, then the
-// cursor's index c, which follows first-seen taxi order.
-type mergeKey struct {
-	sec  int64
-	nsec int32
-	c    int32
-}
-
-func (a mergeKey) less(b mergeKey) bool {
-	if a.sec != b.sec {
-		return a.sec < b.sec
-	}
-	if a.nsec != b.nsec {
-		return a.nsec < b.nsec
-	}
-	return a.c < b.c
-}
-
-// mergeHeap is a binary min-heap of merge keys.
-type mergeHeap []mergeKey
-
-func (h mergeHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h *mergeHeap) pop() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	h.down(0)
-}
-
-func (h mergeHeap) down(i int) {
-	n := len(h)
-	for {
-		small := i
-		if l := 2*i + 1; l < n && h[l].less(h[small]) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && h[r].less(h[small]) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
 }
 
 // sameRecord compares every field at full time precision.
@@ -183,10 +86,10 @@ func oracleFeed(rng *rand.Rand, nTaxi, n int) []mdt.Record {
 	return feed
 }
 
-// TestScanMatchesOracle: Scan equals referenceScan and scanOracle over
-// random feeds — full and partial blocks, stores built by Append, by Load
-// and by appending to a loaded store, windows that cut blocks at whole and
-// sub-second bounds, and fn stopping the scan early.
+// TestScanMatchesOracle: Scan equals scanOracle over random feeds — full
+// and partial blocks, stores built by Append, by Load, by appending to a
+// loaded store and by saving and loading that one, windows that cut
+// blocks at whole and sub-second bounds, and fn stopping the scan early.
 func TestScanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 60; trial++ {
@@ -204,7 +107,7 @@ func TestScanMatchesOracle(t *testing.T) {
 		stores := []struct {
 			name string
 			s    *Store
-		}{{"append", appended}, {"load", saveLoad(t, appended)}, {"load+append", mixed}}
+		}{{"append", appended}, {"load", saveLoad(t, appended)}, {"load+append", mixed}, {"load+append, saved and loaded", saveLoad(t, mixed)}}
 
 		end := t0
 		if len(feed) > 0 {
@@ -229,8 +132,8 @@ func TestScanMatchesOracle(t *testing.T) {
 	}
 }
 
-// checkScan compares Scan over win with referenceScan and scanOracle; in
-// a third of the calls fn stops all three at the same random record.
+// checkScan compares Scan over win with scanOracle; in a third of the
+// calls fn stops the scan at a random record.
 func checkScan(t *testing.T, rng *rand.Rand, name string, s *Store, byTaxi map[string][]mdt.Record, win [2]time.Time) {
 	t.Helper()
 	want := scanOracle(byTaxi, s.Taxis(), win[0], win[1])
@@ -241,32 +144,22 @@ func checkScan(t *testing.T, rng *rand.Rand, name string, s *Store, byTaxi map[s
 	if stop <= len(want) {
 		want = want[:stop]
 	}
-	collect := func(scan func(from, to time.Time, fn func(mdt.Record) bool)) []mdt.Record {
-		var got []mdt.Record
-		scan(win[0], win[1], func(r mdt.Record) bool {
-			got = append(got, r)
-			return len(got) < stop
-		})
-		return got
+	var got []mdt.Record
+	s.Scan(win[0], win[1], func(r mdt.Record) bool {
+		got = append(got, r)
+		return len(got) < stop
+	})
+	if len(got) != len(want) {
+		t.Fatalf("%s window %v..%v: Scan gave %d records, oracle %d", name, win[0], win[1], len(got), len(want))
 	}
-	got := collect(s.Scan)
-	ref := collect(func(from, to time.Time, fn func(mdt.Record) bool) { referenceScan(s, from, to, fn) })
-	for _, c := range []struct {
-		what string
-		recs []mdt.Record
-	}{{"oracle", want}, {"referenceScan", ref}} {
-		if len(got) != len(c.recs) {
-			t.Fatalf("%s window %v..%v: Scan gave %d records, %s %d", name, win[0], win[1], len(got), c.what, len(c.recs))
-		}
-		for i := range got {
-			if !sameRecord(got[i], c.recs[i]) {
-				t.Fatalf("%s window %v..%v: record %d is %+v, %s %+v", name, win[0], win[1], i, got[i], c.what, c.recs[i])
-			}
+	for i := range got {
+		if !sameRecord(got[i], want[i]) {
+			t.Fatalf("%s window %v..%v: record %d is %+v, oracle %+v", name, win[0], win[1], i, got[i], want[i])
 		}
 	}
 }
 
-// feedShape is a feed the slab merge must order like the heap: a clock
+// feedShape is a feed Scan must order like scanOracle: a clock
 // that advances by step per record, records at jitter past the clock, and
 // taxi k joining the feed k·join after start. Each taxi's times are
 // non-decreasing at full precision; taxi IDs sort differently from their
@@ -322,15 +215,16 @@ func subSecond(rng *rand.Rand) time.Duration {
 	return time.Duration(1 + rng.Int63n(int64(time.Second)-1))
 }
 
-// TestScanSlabEdges: Scan equals referenceScan and scanOracle on feeds
-// oracleFeed does not make — spans of many slabs with gaps longer than a
-// slab, thousands of records from hundreds of taxis inside one second,
-// every record at a sub-second time, taxis whose first record comes hours
-// in, and times at both ends of the binary codec's range — over windows
-// that start or end inside a slab or on its edge, with early stops inside
-// a slab, for stores built by Append and by Load.
+// TestScanSlabEdges: Scan equals scanOracle on feeds oracleFeed does not
+// make — spans of many 256-second slabs with gaps longer than a slab,
+// thousands of records from hundreds of taxis inside one second, every
+// record at a sub-second time, taxis whose first record comes hours in,
+// and times at both ends of the file's range — over windows that start or
+// end inside a slab or on its edge, with early stops inside a slab, for
+// stores built by Append and by Load.
 func TestScanSlabEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
+	const slabSeconds = 256
 	slab := time.Duration(slabSeconds) * time.Second
 	shapes := []feedShape{
 		{name: "slabs and gaps", taxis: 12, n: 3000, start: t0,
@@ -399,15 +293,30 @@ func TestScanSlabEdges(t *testing.T) {
 	}
 }
 
-// TestScanSimulatedDay: a quarter-scale simulated day with faults, saved
-// and reloaded, scans record for record as referenceScan does, over the
-// whole day and over a window that cuts it mid-slab.
+// TestScanSimulatedDay: a quarter-scale simulated day with faults is
+// appended in scan order, so it never sorts, and saved and reloaded it
+// scans record for record as the day itself, each run of equal times in
+// taxi-ID order, over the whole day and over a window that cuts it
+// mid-block.
 func TestScanSimulatedDay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a quarter-scale day")
 	}
 	day := sim.Run(sim.Config{Seed: 1, City: citymap.Generate(1, 0.25), InjectFaults: true})
-	s := saveLoad(t, storeOf(t, day.Records))
+	appended := storeOf(t, day.Records)
+	if appended.unsorted {
+		t.Fatal("the simulated day is not in scan order; Append marked it for a sort")
+	}
+	s := saveLoad(t, appended)
+	ordered := slices.Clone(day.Records)
+	for i := 0; i < len(ordered); {
+		j := i + 1
+		for j < len(ordered) && ordered[j].Time.Equal(ordered[i].Time) {
+			j++
+		}
+		slices.SortStableFunc(ordered[i:j], func(a, b mdt.Record) int { return strings.Compare(a.TaxiID, b.TaxiID) })
+		i = j
+	}
 	mid := day.Records[len(day.Records)/2].Time
 	for _, win := range [][2]time.Time{
 		{time.Time{}, time.Unix(1<<40, 0)},
@@ -415,13 +324,58 @@ func TestScanSimulatedDay(t *testing.T) {
 	} {
 		var got, want []mdt.Record
 		s.Scan(win[0], win[1], func(r mdt.Record) bool { got = append(got, r); return true })
-		referenceScan(s, win[0], win[1], func(r mdt.Record) bool { want = append(want, r); return true })
+		for _, r := range ordered {
+			if u := r.Time.Unix(); u >= win[0].Unix() && u < win[1].Unix() {
+				want = append(want, r)
+			}
+		}
 		if len(got) != len(want) || len(want) == 0 {
-			t.Fatalf("window %v..%v: Scan gave %d records, referenceScan %d", win[0], win[1], len(got), len(want))
+			t.Fatalf("window %v..%v: Scan gave %d records, the day %d", win[0], win[1], len(got), len(want))
 		}
 		for i := range want {
 			if !sameRecord(got[i], want[i]) {
-				t.Fatalf("window %v..%v: record %d is %+v, referenceScan %+v", win[0], win[1], i, got[i], want[i])
+				t.Fatalf("window %v..%v: record %d is %+v, the day's %+v", win[0], win[1], i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestConcurrentFirstScans: the first reads of a store whose appends left
+// it out of scan order race to sort it; the sort runs once, under the
+// store's mutex, and every reader sees the sorted records. Run under
+// -race.
+func TestConcurrentFirstScans(t *testing.T) {
+	feed := oracleFeed(rand.New(rand.NewSource(20)), 6, 3*blockTarget)
+	byTaxi := map[string][]mdt.Record{}
+	for _, r := range feed {
+		byTaxi[r.TaxiID] = append(byTaxi[r.TaxiID], r)
+	}
+	s := storeOf(t, feed)
+	if !s.unsorted {
+		t.Fatal("the feed appended in scan order; the test needs one that is not")
+	}
+	want := scanOracle(byTaxi, s.Taxis(), time.Time{}, time.Unix(1<<40, 0))
+	got := make([][]mdt.Record, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				got[g] = scanAll(s)
+			} else if err := s.Save(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < len(got); g += 2 {
+		if len(got[g]) != len(want) {
+			t.Fatalf("reader %d saw %d records, want %d", g, len(got[g]), len(want))
+		}
+		for i := range want {
+			if !sameRecord(got[g][i], want[i]) {
+				t.Fatalf("reader %d: record %d is %+v, oracle %+v", g, i, got[g][i], want[i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -321,13 +322,14 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsBitFlips(t *testing.T) {
-	// Byte-level corruption anywhere in the file must either load the
-	// exact same data or fail cleanly — never panic or silently return
-	// garbage counts.
+// TestLoadRejectsCutAtFrameBoundary: a day file cut where a frame ends —
+// after the magic, the header or any block — is a bad file, though every
+// frame left is whole and every taxi left has a record. The store spans
+// four block frames, the last one short.
+func TestLoadRejectsCutAtFrameBoundary(t *testing.T) {
 	s := New()
-	for i := 0; i < 600; i++ {
-		if err := s.Append(rec("SH0001A", i*3, mdt.State(i%4))); err != nil {
+	for i := 0; i < 3*blockTarget+100; i++ {
+		if err := s.Append(rec(fmt.Sprintf("SH000%dA", i%3), i/3, mdt.Free)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -335,28 +337,54 @@ func TestLoadRejectsBitFlips(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	orig := buf.Bytes()
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 200; trial++ {
+	file := buf.Bytes()
+	cuts := 0
+	for end := len(dayMagic); end < len(file); end += frameHeader + int(binary.LittleEndian.Uint32(file[end:])) {
+		if _, err := Load(bytes.NewReader(file[:end])); !errors.Is(err, errBadFile) {
+			t.Fatalf("file of %d bytes cut at %d: err = %v, want errBadFile", len(file), end, err)
+		}
+		cuts++
+	}
+	if cuts != 1+1+3 {
+		t.Fatalf("tried %d cuts, want 5: after the magic, the header and each block but the last", cuts)
+	}
+}
+
+func TestLoadRejectsBitFlips(t *testing.T) {
+	// Byte-level corruption anywhere in the file must either load the
+	// exact same data or fail cleanly — never panic or silently return
+	// different records. Every byte after the magic is under a CRC32C, so
+	// each flip here fails.
+	s := New()
+	for i := 0; i < 150; i++ {
+		if err := s.Append(rec(fmt.Sprintf("SH000%dA", i%3), i/3*7, mdt.State(i%4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	orig, want := buf.Bytes(), scanAll(s)
+	for pos := range orig {
 		corrupt := append([]byte(nil), orig...)
-		pos := rng.Intn(len(corrupt))
-		corrupt[pos] ^= 1 << uint(rng.Intn(8))
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("Load panicked on bit flip at %d: %v", pos, r)
-				}
-			}()
-			loaded, err := Load(bytes.NewReader(corrupt))
-			if err != nil {
-				return // clean rejection
+		corrupt[pos] ^= 1 << (pos % 8)
+		loaded, err := Load(bytes.NewReader(corrupt))
+		if err != nil {
+			if !errors.Is(err, errBadFile) {
+				t.Fatalf("bit flip at %d: err = %v, want errBadFile", pos, err)
 			}
-			// Accepted: the flip must not have corrupted record counts
-			// beyond what the payload length implies.
-			if loaded.Len() < 0 || loaded.Len() > 2*s.Len() {
-				t.Fatalf("bit flip at %d produced absurd store of %d records", pos, loaded.Len())
+			continue
+		}
+		got := scanAll(loaded)
+		if len(got) != len(want) {
+			t.Fatalf("bit flip at %d loaded %d records, saved %d", pos, len(got), len(want))
+		}
+		for i := range got {
+			if !sameRecord(got[i], want[i]) {
+				t.Fatalf("bit flip at %d: record %d loads as %+v, saved %+v", pos, i, got[i], want[i])
 			}
-		}()
+		}
 	}
 }
 
@@ -411,11 +439,11 @@ func BenchmarkScan100k(b *testing.B) {
 	}
 }
 
-// BenchmarkScan times the merge alone, without Load: one full-window Scan
-// of a day-shaped store built in memory. 3,000 taxis log over 24 h, each
-// every 125 s on average (a full simulated day's rate) at sub-second
-// times, which gives about 2.07 M records.
-func BenchmarkScan(b *testing.B) {
+// dayStore is a day-shaped store built in memory: 3,000 taxis log over
+// 24 h, each every 125 s on average (a full simulated day's rate) at
+// sub-second times, which gives about 2.07 M records. They are appended
+// taxi by taxi, so the store is out of scan order until its first read.
+func dayStore(b *testing.B) *Store {
 	rng := rand.New(rand.NewSource(18))
 	s := New()
 	for taxi := 0; taxi < 3000; taxi++ {
@@ -427,6 +455,15 @@ func BenchmarkScan(b *testing.B) {
 			}
 		}
 	}
+	return s
+}
+
+// BenchmarkScan times Scan alone, without Load: one full-window Scan of
+// dayStore, sorted by a first Scan before the timer starts, as a loaded
+// store already is.
+func BenchmarkScan(b *testing.B) {
+	s := dayStore(b)
+	s.Scan(time.Time{}, time.Time{}, func(mdt.Record) bool { return true })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -435,6 +472,18 @@ func BenchmarkScan(b *testing.B) {
 		if n != s.Len() {
 			b.Fatalf("scan saw %d of %d records", n, s.Len())
 		}
+	}
+}
+
+// BenchmarkSort times the one sort a first read runs after appends out of
+// scan order: dayStore's taxi-by-taxi feed put in scan order.
+func BenchmarkSort(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := dayStore(b)
+		b.StartTimer()
+		s.inOrder()
 	}
 }
 

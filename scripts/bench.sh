@@ -4,7 +4,7 @@
 # race-tests the concurrent packages.
 #
 # Usage:
-#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR19.json
+#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR20.json
 #   BENCHTIME=3x scripts/bench.sh    # more iterations per benchmark
 #   BENCH_COUNT=4 scripts/bench.sh   # -count=4, record the per-bench minimum
 #   BENCH_OUT=after.json scripts/bench.sh
@@ -19,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_PR19.json}"
+out="${BENCH_OUT:-BENCH_PR20.json}"
 benchtime="${BENCHTIME:-1x}"
 count="${BENCH_COUNT:-1}"
 raw="$(mktemp /tmp/bench_raw.XXXXXX.txt)"
@@ -40,12 +40,13 @@ echo ">> go test -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact' -bench
 go test -run '^$' -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact' -benchmem \
 	-benchtime "$benchtime" -count "$count" -timeout 45m ./internal/sim ./internal/clean | tee -a "$raw"
 
-# The batch day's merge on its own: one full-window Store.Scan of a
+# The batch day's scan on its own: one full-window Store.Scan of a
 # day-shaped store built in memory (3,000 taxis, sub-second times, 24 h),
-# without the file load BenchmarkStageLoadDay also times. The step runs at
-# the stage suite's BENCHTIME.
-echo ">> go test -bench '^BenchmarkScan\$' -benchmem -benchtime $benchtime -count $count ./internal/store"
-go test -run '^$' -bench '^BenchmarkScan$' -benchmem \
+# without the file load BenchmarkStageLoadDay also times; and the one sort
+# that store's taxi-by-taxi feed costs its first read (BenchmarkSort). The
+# step runs at the stage suite's BENCHTIME.
+echo ">> go test -bench '^Benchmark(Scan|Sort)\$' -benchmem -benchtime $benchtime -count $count ./internal/store"
+go test -run '^$' -bench '^Benchmark(Scan|Sort)$' -benchmem \
 	-benchtime "$benchtime" -count "$count" -timeout 45m ./internal/store | tee -a "$raw"
 
 # Ingest throughput: records/sec vs shard count, with and without the WAL.

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The pre-PR gate: check formatting, build everything, vet, run the full
 # test suite, re-run the concurrent packages under the race detector, then
-# fuzz the byte parsers. Green here is the bar every change must clear (ROADMAP tier-1
-# plus the race and fuzz gates).
+# fuzz the byte and query parsers. Green here is the bar every change must
+# clear (ROADMAP tier-1 plus the race and fuzz gates).
 #
 # Usage:
 #   scripts/check.sh
@@ -33,9 +33,9 @@ go test -race -count=1 \
 	./internal/ingest ./internal/obs ./internal/store ./internal/stream \
 	./cmd/queued ./cmd/queueload
 
-# Fuzz the byte parsers for a fixed budget each (go test fuzzes one target
-# of one package per run). A crasher lands in the package's testdata/fuzz
-# and fails every later go test until it is fixed.
+# Fuzz the byte and query parsers for a fixed budget each (go test fuzzes
+# one target of one package per run). A crasher lands in the package's
+# testdata/fuzz and fails every later go test until it is fixed.
 echo ">> go test -fuzz (15s per target)"
 go test -run '^$' -fuzz '^FuzzDecodeBinary$' -fuzztime=15s ./internal/mdt
 go test -run '^$' -fuzz '^FuzzParseText$' -fuzztime=15s ./internal/mdt
@@ -43,5 +43,8 @@ go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime=15s ./internal/store
 go test -run '^$' -fuzz '^FuzzOpenLog$' -fuzztime=15s ./internal/store
 go test -run '^$' -fuzz '^FuzzDecodeJSONLines$' -fuzztime=15s ./internal/ingest
 go test -run '^$' -fuzz '^FuzzDecodeBlock$' -fuzztime=15s ./internal/history
+go test -run '^$' -fuzz '^FuzzParseMix$' -fuzztime=15s ./cmd/queueload
+go test -run '^$' -fuzz '^FuzzParseCoord$' -fuzztime=15s ./cmd/queued
+go test -run '^$' -fuzz '^FuzzRangeParams$' -fuzztime=15s ./cmd/queued
 
 echo ">> all checks clean"
