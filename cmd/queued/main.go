@@ -14,7 +14,7 @@
 //	GET /forecast?spot=N[&at=RFC3339]  expected label/queue length/wait at a
 //	                            (future) instant, from learned slot profiles
 //	GET /monitors ...           the vehicle monitor service (see internal/monitor)
-//	GET /metrics                Prometheus text metrics (ingest + serve caches)
+//	GET /metrics                Prometheus text metrics (ingest, serve caches, heap)
 //	GET /healthz                readiness: batch loaded, shards alive, WAL writable
 //	GET /debug/pprof/*          runtime profiling, when started with -pprof
 //
@@ -64,6 +64,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strconv"
 	"syscall"
 	"time"
@@ -316,6 +317,29 @@ func serve(ctx context.Context, ln net.Listener, h http.Handler, closeState func
 	return err
 }
 
+// refreshLap analyzes day i of a -refresh run (seed+i) and records it as
+// day i in the history store, when there is one, and the forecast.
+func refreshLap(srv *server, hist *history.Store, fc *forecast.Learner, seed, i int64, scale float64, minPts int) {
+	// The day's analysis leaves a heap goal that holds its pages until the
+	// next lap: return them when the lap ends, however it ends.
+	defer debug.FreeOSMemory()
+	if err := srv.recompute(seed+i, scale, minPts); err != nil {
+		log.Printf("recompute: %v", err)
+		return
+	}
+	log.Printf("queued: refreshed (%d spots)", len(srv.result().Spots))
+	if hist != nil {
+		// Only a run that found the same spot set can extend the store
+		// (its grid/spot identity is fixed); another is logged and skipped.
+		if err := hist.BackfillResult(int(i), srv.result()); err != nil {
+			log.Printf("queued: history backfill day %d: %v", i, err)
+		}
+	}
+	if err := fc.ObserveResult(int(i), srv.result()); err != nil {
+		log.Printf("queued: forecast observe day %d: %v", i, err)
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 1, "simulation seed")
@@ -461,22 +485,7 @@ func main() {
 		go func() {
 			for i := int64(1); ; i++ {
 				time.Sleep(*refresh)
-				if err := srv.recompute(*seed+i, *scale, *minPts); err != nil {
-					log.Printf("recompute: %v", err)
-					continue
-				}
-				log.Printf("queued: refreshed (%d spots)", len(srv.result().Spots))
-				if hist != nil {
-					// Only a run that found the same spot set can extend the
-					// store; a different detection outcome is logged and
-					// skipped (the store's grid/spot identity is fixed).
-					if err := hist.BackfillResult(int(i), srv.result()); err != nil {
-						log.Printf("queued: history backfill day %d: %v", i, err)
-					}
-				}
-				if err := fc.ObserveResult(int(i), srv.result()); err != nil {
-					log.Printf("queued: forecast observe day %d: %v", i, err)
-				}
+				refreshLap(srv, hist, fc, *seed, i, *scale, *minPts)
 			}
 		}()
 	}
@@ -503,6 +512,10 @@ func main() {
 	mux.Handle("/monitors", monSvc)
 	mux.Handle("/monitors/", monSvc)
 	registerOps(mux, srv, obs.Default, *withPprof)
+	// Set-up is done. The bootstrap day (and any WAL replay) left a heap
+	// goal several times the live heap, which holds the day's pages: return
+	// them before /healthz can answer, so queued never serves holding them.
+	debug.FreeOSMemory()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 
 	"taxiqueue/internal/obs"
 )
@@ -27,6 +28,15 @@ type healthJSON struct {
 // profiler because it exposes goroutine dumps and CPU profiles — cheap to
 // serve but not something an open dashboard port should offer by default.
 func registerOps(mux *http.ServeMux, srv *server, reg *obs.Registry, withPprof bool) {
+	// The live heap beside the heap the process holds, read from
+	// runtime/metrics at scrape time without stopping the world: resident
+	// far above live is pages a finished phase left behind.
+	reg.GaugeFunc("queued_heap_live_bytes", "Heap bytes the last GC marked live.",
+		readBytes("/gc/heap/live:bytes"))
+	reg.GaugeFunc("queued_heap_resident_bytes", "Heap bytes in memory: objects, unused span space and free pages not yet released.",
+		readBytes("/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes", "/memory/classes/heap/free:bytes"))
+	reg.GaugeFunc("queued_heap_released_bytes", "Heap bytes returned to the OS.",
+		readBytes("/memory/classes/heap/released:bytes"))
 	mux.Handle("/metrics", reg)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		out := healthJSON{Status: "ok"}
@@ -54,5 +64,21 @@ func registerOps(mux *http.ServeMux, srv *server, reg *obs.Registry, withPprof b
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+}
+
+// readBytes is a gauge func summing runtime/metrics byte counts.
+func readBytes(names ...string) func() float64 {
+	return func() float64 {
+		samples := make([]metrics.Sample, len(names))
+		for i, n := range names {
+			samples[i].Name = n
+		}
+		metrics.Read(samples)
+		var sum float64
+		for _, s := range samples {
+			sum += float64(s.Value.Uint64())
+		}
+		return sum
 	}
 }

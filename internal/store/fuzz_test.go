@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -179,37 +181,86 @@ func scanAll(s *Store) []mdt.Record {
 	return out
 }
 
-// FuzzLoad: Load never panics and never allocates past loadAllocBound, and
-// a file it accepts re-saves byte for byte and reloads to the same Scan.
+// checkLoad loads data and checks the fuzz targets' properties: Load never
+// panics and never allocates past loadAllocBound, and a file it accepts
+// re-saves byte for byte and reloads to the same Scan.
+func checkLoad(t *testing.T, data []byte) {
+	s, alloc, err := loadAllocs(data)
+	if bound := loadAllocBound(len(data)); alloc > bound {
+		t.Fatalf("Load of %d bytes allocated %d, bound %d", len(data), alloc, bound)
+	}
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("accepted %d bytes re-save as %d different bytes", len(data), buf.Len())
+	}
+	again, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("re-saved store does not load: %v", err)
+	}
+	a, b := scanAll(s), scanAll(again)
+	if len(a) != s.Len() || len(b) != len(a) || again.Len() != s.Len() {
+		t.Fatalf("scan of %d (Len %d) reloads as %d (Len %d)", len(a), s.Len(), len(b), again.Len())
+	}
+	for i := range a {
+		if !sameRecord(a[i], b[i]) {
+			t.Fatalf("record %d: %+v reloads as %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// FuzzLoad fuzzes whole files; see checkLoad for the properties. A mutated
+// byte almost always fails a frame's CRC, so FuzzLoadFrames reaches the
+// decoders behind the checksums.
 func FuzzLoad(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, alloc, err := loadAllocs(data)
-		if bound := loadAllocBound(len(data)); alloc > bound {
-			t.Fatalf("Load of %d bytes allocated %d, bound %d", len(data), alloc, bound)
-		}
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Fatalf("accepted %d bytes re-save as %d different bytes", len(data), buf.Len())
-		}
-		again, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("re-saved store does not load: %v", err)
-		}
-		a, b := scanAll(s), scanAll(again)
-		if len(a) != s.Len() || len(b) != len(a) || again.Len() != s.Len() {
-			t.Fatalf("scan of %d (Len %d) reloads as %d (Len %d)", len(a), s.Len(), len(b), again.Len())
-		}
-		for i := range a {
-			if !sameRecord(a[i], b[i]) {
-				t.Fatalf("record %d: %+v reloads as %+v", i, a[i], b[i])
+	f.Fuzz(checkLoad)
+}
+
+// seedFrames reads FuzzLoad's seed file name and cuts the day file it
+// holds into its frame payloads: the header's, then each block's.
+func seedFrames(f *testing.F, name string) [][]byte {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoad", name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "[]byte(")
+	day, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil || !strings.HasPrefix(day, string(dayMagic[:])) {
+		f.Fatalf("seed %s is not a quoted day file: %v", name, err)
+	}
+	var payloads [][]byte
+	for rest := []byte(day[len(dayMagic):]); len(rest) > 0; {
+		n := int(binary.LittleEndian.Uint32(rest))
+		payloads, rest = append(payloads, rest[8:8+n]), rest[8+n:]
+	}
+	if !bytes.Equal(dayFile(payloads...), []byte(day)) {
+		f.Fatalf("seed %s does not re-frame to itself", name)
+	}
+	return payloads
+}
+
+// FuzzLoadFrames fuzzes the payloads under the checksums: a header payload
+// and up to three block payloads, each framed as Save frames it, so every
+// CRC is valid and the input reaches Load's own checks. An empty block
+// payload adds no frame. The properties are FuzzLoad's (checkLoad).
+func FuzzLoadFrames(f *testing.F) {
+	for _, name := range []string{"day-513-records", "day-three-taxis-ties", "day-empty-store"} {
+		p := append(seedFrames(f, name), nil, nil, nil)
+		f.Add(p[0], p[1], p[2], p[3])
+	}
+	f.Fuzz(func(t *testing.T, head, b0, b1, b2 []byte) {
+		payloads := [][]byte{head}
+		for _, b := range [][]byte{b0, b1, b2} {
+			if len(b) > 0 {
+				payloads = append(payloads, b)
 			}
 		}
+		checkLoad(t, dayFile(payloads...))
 	})
 }
 

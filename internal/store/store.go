@@ -416,7 +416,7 @@ func parseHeader(p []byte) (total uint64, ids []string, err error) {
 		if len(p) == 0 || len(p) <= int(p[0]) {
 			return 0, nil, badFile("torn taxi table")
 		}
-		id := string(p[1 : 1+p[0]])
+		id := string(p[1 : 1+int(p[0])]) // int: 1+p[0] wraps to 0 at 255
 		if len(ids) > 0 && id <= ids[len(ids)-1] {
 			return 0, nil, badFile("taxi %q out of order", id)
 		}

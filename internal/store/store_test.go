@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -94,11 +95,15 @@ func TestAppendOrderAtFullPrecision(t *testing.T) {
 // TestAppendRejectsWhatSaveCannotWrite: Append refuses a record whose
 // binary frame would not load back — a 256-byte taxi ID (Save panicked on
 // it), a time in the year 3000 and state byte 99 (Load rejected the saved
-// file) — and leaves the store as it was, still saving and loading.
+// file) — and leaves the store as it was, still saving and loading. The
+// longest ID it accepts, 255 bytes, loads back (Load panicked on it).
 func TestAppendRejectsWhatSaveCannotWrite(t *testing.T) {
 	s := New()
-	if err := s.Append(rec("A", 0, mdt.Free)); err != nil {
-		t.Fatal(err)
+	longest := rec(strings.Repeat("x", mdt.MaxTaxiIDLen), 0, mdt.Free)
+	for _, r := range []mdt.Record{rec("A", 0, mdt.Free), longest} {
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	long := rec(strings.Repeat("x", mdt.MaxTaxiIDLen+1), 1, mdt.Free)
 	far := rec("A", 1, mdt.Free)
@@ -109,11 +114,11 @@ func TestAppendRejectsWhatSaveCannotWrite(t *testing.T) {
 			t.Fatalf("Append accepted %q at %v in state %d", r.TaxiID[:min(len(r.TaxiID), 8)], r.Time, r.State)
 		}
 	}
-	if s.Len() != 1 || len(s.Taxis()) != 1 {
+	if s.Len() != 2 || len(s.Taxis()) != 2 {
 		t.Fatalf("rejected appends changed the store: Len %d, taxis %v", s.Len(), s.Taxis())
 	}
-	if got := saveLoad(t, s); got.Len() != 1 {
-		t.Fatalf("reloaded %d records, want 1", got.Len())
+	if got := saveLoad(t, s); got.Len() != 2 || !slices.Equal(got.Taxis(), s.Taxis()) {
+		t.Fatalf("reloaded %d records of %d taxis, want the 2 records of both", got.Len(), len(got.Taxis()))
 	}
 }
 

@@ -4,22 +4,23 @@
 # race-tests the concurrent packages.
 #
 # Usage:
-#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR20.json
+#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR21.json
 #   BENCHTIME=3x scripts/bench.sh    # more iterations per benchmark
 #   BENCH_COUNT=4 scripts/bench.sh   # -count=4, record the per-bench minimum
 #   BENCH_OUT=after.json scripts/bench.sh
 #
-# The CI box is a 1-CPU VM with noisy neighbours: wall-clock numbers swing
-# 2-4x minute to minute (fsync latency especially). BENCH_COUNT > 1 runs
-# every suite N times and records each benchmark's *minimum* ns/op — the
-# least-interference estimate, which is the comparable number across PRs.
+# The box these numbers come from is a shared VM with 2 vCPUs (`nproc` = 2)
+# and noisy neighbours: wall-clock numbers swing 2-4x minute to minute
+# (fsync latency especially). BENCH_COUNT > 1 runs every suite N times and
+# records each benchmark's *minimum* ns/op — the least-interference
+# estimate, which is the comparable number across PRs.
 #
 # Compare two recorded runs with benchstat (golang.org/x/perf) over the raw
 # text files the script leaves in /tmp, or diff the JSON directly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_PR20.json}"
+out="${BENCH_OUT:-BENCH_PR21.json}"
 benchtime="${BENCHTIME:-1x}"
 count="${BENCH_COUNT:-1}"
 raw="$(mktemp /tmp/bench_raw.XXXXXX.txt)"
