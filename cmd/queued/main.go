@@ -45,7 +45,7 @@
 //
 //	POST /ingest                JSON-lines or binary MDT record batches
 //	POST /ingest/flush          finalize every slot (end of feed)
-//	GET  /ingest/stats          per-shard accepted/rejected/dropped/lag
+//	GET  /ingest/stats          per-shard accepted/rejected/lag
 //	GET  /estimate              provisional contexts for the still-open slot
 //
 // Usage:
@@ -349,7 +349,6 @@ func main() {
 	live := flag.Bool("live", false, "serve contexts from the live /ingest feed (batch run only bootstraps spots)")
 	shards := flag.Int("shards", 4, "live mode: ingest shard count")
 	queueDepth := flag.Int("queue", 1024, "live mode: per-shard queue depth")
-	bp := flag.String("bp", "block", "live mode: backpressure policy, block|drop-oldest")
 	liveSpots := flag.Bool("live-spots", false, "live mode: discover new queue spots online from pickups outside the batch list (serves /spots?live=1)")
 	liveSpotWindow := flag.Duration("live-spot-window", 3*time.Hour, "live spot discovery: sliding pickup window")
 	liveSpotMinPts := flag.Int("live-spot-minpts", 0, "live spot discovery: DBSCAN min-points over the window (0 = paper default 50)")
@@ -397,14 +396,6 @@ func main() {
 	}
 
 	if *live {
-		policy := ingest.Block
-		switch *bp {
-		case "block":
-		case "drop-oldest":
-			policy = ingest.DropOldest
-		default:
-			log.Fatalf("queued: unknown -bp %q (want block or drop-oldest)", *bp)
-		}
 		if *refresh > 0 {
 			log.Printf("queued: -refresh is ignored in live mode (spots are fixed at startup)")
 			*refresh = 0
@@ -414,7 +405,6 @@ func main() {
 			Clean:        clean.Config{ValidFrame: citymap.Island},
 			Shards:       *shards,
 			QueueDepth:   *queueDepth,
-			Policy:       policy,
 			WALDir:       *walDir,
 			SyncEvery:    *syncEvery,
 			SegmentBytes: *segmentBytes,
@@ -459,7 +449,7 @@ func main() {
 			}
 			return time.Time{}, false
 		}
-		log.Printf("queued: live ingest on /ingest (%d shards, %s)", *shards, policy)
+		log.Printf("queued: live ingest on /ingest (%d shards)", *shards)
 	}
 
 	if !*live {

@@ -86,76 +86,136 @@ func Compact(recs []mdt.Record, cfg Config) ([]mdt.Record, Stats) {
 }
 
 // mark decides each record's fate without moving any: drop[i] reports
-// whether recs[i] is removed, and the returned Stats count each class.
-// Because nothing moves, global time order is preserved by construction.
-// "Pending" FREE records that follow a PAYMENT are marked retroactively
-// when a second PAYMENT proves them to be the clock-sync bug.
+// whether recs[i] is removed, and the returned Stats count each class. It
+// drives the cleaner with record indexes, so nothing is copied, and because
+// nothing moves, global time order is preserved by construction. Held
+// FREEs that a second PAYMENT proves to be the clock-sync bug are marked
+// retroactively; released or still held at the end, they stay in place.
 func mark(recs []mdt.Record, cfg Config) ([]bool, Stats) {
-	stats := Stats{Input: len(recs)}
 	drop := make([]bool, len(recs))
-
-	// Per-taxi trailing context for duplicate and improper-state checks.
-	type tail struct {
-		lastIdx  int // index of this taxi's previous surviving record
-		hasLast  bool
-		pendFree []int // indexes of FREEs held while we look for PAYMENT-FREE-PAYMENT
-		afterPay bool  // lastIdx record (with pendFree empty) is a PAYMENT
-	}
-	tails := make(map[string]*tail)
-
+	c := newCleaner(cfg, func(i *int) *mdt.Record { return &recs[*i] })
 	for i := range recs {
-		r := &recs[i]
-		// GPS bounds filter first: an out-of-frame fix is garbage whatever
-		// its state says.
-		if !cfg.ValidFrame.Contains(r.Pos) || !r.Pos.Valid() {
-			drop[i] = true
-			stats.GPSOutliers++
-			continue
-		}
-		t := tails[r.TaxiID]
-		if t == nil {
-			t = &tail{}
-			tails[r.TaxiID] = t
-		}
-		// Improper state: FREE record(s) sandwiched between two PAYMENTs.
-		// Track FREEs that directly follow a PAYMENT; if the next
-		// non-FREE record is PAYMENT again, they were the clock-sync bug.
-		if len(t.pendFree) > 0 || t.afterPay {
-			if r.State == mdt.Free {
-				// Duplicate of the held tail?
-				if n := len(t.pendFree); n > 0 && r.Equal(recs[t.pendFree[n-1]]) {
-					drop[i] = true
-					stats.Duplicates++
-					continue
-				}
-				t.pendFree = append(t.pendFree, i)
-				continue
-			}
-			if r.State == mdt.Payment && len(t.pendFree) > 0 {
-				for _, j := range t.pendFree {
-					drop[j] = true
-				}
-				stats.ImproperStates += len(t.pendFree)
-				t.pendFree = t.pendFree[:0]
-			} else if len(t.pendFree) > 0 {
-				// The held FREEs were a legitimate dropoff; they stay
-				// (already in place) and the newest becomes the duplicate
-				// reference.
-				t.lastIdx = t.pendFree[len(t.pendFree)-1]
-				t.hasLast = true
-				t.pendFree = t.pendFree[:0]
+		f, resolved, improper := c.step(&recs[i], i)
+		drop[i] = f == outlier || f == duplicate
+		if improper {
+			for _, j := range resolved {
+				drop[j] = true
 			}
 		}
-		// Duplicate: identical to this taxi's previous surviving record.
-		if t.hasLast && r.Equal(recs[t.lastIdx]) {
-			drop[i] = true
-			stats.Duplicates++
-			continue
-		}
-		t.lastIdx = i
-		t.hasLast = true
-		t.afterPay = r.State == mdt.Payment
 	}
-	stats.Output = stats.Input - stats.Removed()
-	return drop, stats
+	c.end(nil)
+	return drop, c.stats
+}
+
+// fate is what the cleaner decided about one record.
+type fate uint8
+
+const (
+	survives  fate = iota // kept
+	held                  // a FREE after a PAYMENT, undecided until a later record
+	outlier               // removed: GPS fix outside the valid frame
+	duplicate             // removed: an exact repeat
+)
+
+// cleaner is the three §6.1.1 rules as a state machine over one feed,
+// time-ordered per taxi: step decides each record's fate from its taxi's
+// trailing context. It is generic over the handle H its caller keeps for
+// a record the rules may read again (the taxi's last survivor and its held
+// FREEs): mark keeps an index into its slice, Streamer a held copy and its
+// arrival number. at reads a handle's record back.
+type cleaner[H any] struct {
+	frame geo.Rect
+	at    func(*H) *mdt.Record
+	taxis map[string]*taxi[H]
+	stats Stats
+}
+
+// taxi is one taxi's trailing context.
+type taxi[H any] struct {
+	last     H     // previous surviving record
+	lastSec  int64 // its Unix second: a record of another second cannot repeat it
+	held     []H   // FREEs held while we look for PAYMENT-FREE-PAYMENT
+	hasLast  bool
+	afterPay bool // last (with held empty) is a PAYMENT
+}
+
+// setLast makes h, read back through at, the taxi's previous survivor.
+func (t *taxi[H]) setLast(at func(*H) *mdt.Record, h H) {
+	t.last, t.hasLast = h, true
+	t.lastSec = at(&t.last).Time.Unix()
+}
+
+func newCleaner[H any](cfg Config, at func(*H) *mdt.Record) *cleaner[H] {
+	return &cleaner[H]{frame: cfg.ValidFrame, at: at, taxis: make(map[string]*taxi[H])}
+}
+
+// step decides the fate of r, whose handle is h, and counts it in stats. A
+// record that settles its taxi's held FREEs also returns them as resolved:
+// improper reports that a second PAYMENT proved them the clock-sync bug and
+// they are removed; otherwise they survive, in arrival order, before r. The
+// resolved slice is valid until the taxi's next step.
+func (c *cleaner[H]) step(r *mdt.Record, h H) (f fate, resolved []H, improper bool) {
+	c.stats.Input++
+	// GPS bounds filter first: an out-of-frame fix is garbage whatever
+	// its state says.
+	if !c.frame.Contains(r.Pos) || !r.Pos.Valid() {
+		c.stats.GPSOutliers++
+		return outlier, nil, false
+	}
+	t := c.taxis[r.TaxiID]
+	if t == nil {
+		t = &taxi[H]{}
+		c.taxis[r.TaxiID] = t
+	}
+	// Improper state: FREE record(s) sandwiched between two PAYMENTs.
+	// Hold FREEs that directly follow a PAYMENT; if the next non-FREE
+	// record is PAYMENT again, they were the clock-sync bug.
+	if len(t.held) > 0 || t.afterPay {
+		if r.State == mdt.Free {
+			if n := len(t.held); n > 0 && r.Equal(*c.at(&t.held[n-1])) {
+				c.stats.Duplicates++
+				return duplicate, nil, false
+			}
+			t.held = append(t.held, h)
+			return held, nil, false
+		}
+		if resolved = t.held; len(resolved) > 0 {
+			t.held = t.held[:0]
+			if improper = r.State == mdt.Payment; improper {
+				c.stats.ImproperStates += len(resolved)
+			} else {
+				// A legitimate dropoff: the newest held FREE becomes the
+				// duplicate reference.
+				c.stats.Output += len(resolved)
+				t.setLast(c.at, resolved[len(resolved)-1])
+			}
+		}
+	}
+	// Duplicate: identical to this taxi's previous surviving record.
+	if t.hasLast && r.Time.Unix() == t.lastSec && r.Equal(*c.at(&t.last)) {
+		c.stats.Duplicates++
+		return duplicate, resolved, improper
+	}
+	t.last, t.lastSec, t.hasLast = h, r.Time.Unix(), true
+	t.afterPay = r.State == mdt.Payment
+	c.stats.Output++
+	return survives, resolved, improper
+}
+
+// end closes the feed: every FREE still held survives, exactly as a
+// dataset ending PAYMENT-FREE keeps its FREE, and every taxi's held
+// storage is let go. keep, when non-nil, receives each taxi's held FREEs
+// in arrival order (taxis in map order).
+func (c *cleaner[H]) end(keep func([]H)) {
+	for _, t := range c.taxis {
+		if n := len(t.held); n > 0 {
+			if keep != nil {
+				keep(t.held)
+			}
+			c.stats.Output += n
+			t.setLast(c.at, t.held[n-1])
+			t.afterPay = false
+		}
+		t.held = nil
+	}
 }

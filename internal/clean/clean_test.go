@@ -228,3 +228,18 @@ func BenchmarkCompact(b *testing.B) {
 		Compact(buf, islandCfg())
 	}
 }
+
+// BenchmarkStreamer cleans the same day as BenchmarkClean the way one live
+// ingest shard does: a fresh Streamer, every record through Push, then
+// Flush.
+func BenchmarkStreamer(b *testing.B) {
+	day := benchDay()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewStreamer(islandCfg())
+		for _, r := range day {
+			s.Push(r)
+		}
+		s.Flush()
+	}
+}

@@ -7,49 +7,38 @@ import (
 )
 
 // Streamer is the record-at-a-time form of Clean for live ingestion: it
-// applies exactly the same three §6.1.1 rules (GPS frame, duplicates,
-// PAYMENT-FREE-PAYMENT improper states) but over an endless feed. Push
-// returns the records whose fate is now decided; FREE records that follow a
-// PAYMENT are held until a later record proves them legitimate (they are
-// then released in arrival order) or proves them the clock-sync bug (they
-// are silently dropped). Feeding every record of a dataset through Push and
-// then Flush yields exactly the batch Clean's statistics and, per taxi,
-// exactly its survivor sequence; globally a released record may trail other
-// taxis' later records by the length of its hold (a few records).
+// drives the same §6.1.1 rules (GPS frame, duplicates, PAYMENT-FREE-PAYMENT
+// improper states) over an endless feed. Push returns the records whose
+// fate is now decided; FREE records that follow a PAYMENT are held until a
+// later record proves them legitimate (they are then released in arrival
+// order) or proves them the clock-sync bug (they are silently dropped).
+// Feeding every record of a dataset through Push and then Flush yields
+// exactly the batch Clean's statistics and, per taxi, exactly its survivor
+// sequence; globally a released record may trail other taxis' later
+// records by the length of its hold (a few records).
 //
 // A Streamer is not safe for concurrent use; shard the feed by taxi ID (all
 // state is per taxi, so any taxi-preserving partition cleans identically).
 type Streamer struct {
-	cfg   Config
-	stats Stats
-	tails map[string]*streamTail
-	seq   int // arrival index of the next record, for ordered Flush
-	out   []pendRec
-	buf   []mdt.Record // Push/Flush return buffer, valid until the next call
+	c   *cleaner[pendRec]
+	seq int          // arrival index of the next record, for ordered Flush
+	buf []mdt.Record // Push's return buffer, valid until the next Push
 }
 
-// pendRec is a held record plus its arrival index.
+// pendRec is a held copy of a record plus its arrival index.
 type pendRec struct {
 	rec mdt.Record
 	seq int
 }
 
-// streamTail is one taxi's trailing context, mirroring Clean's tail.
-type streamTail struct {
-	last     mdt.Record // previous surviving record
-	hasLast  bool
-	pend     []pendRec // FREEs held while we look for PAYMENT-FREE-PAYMENT
-	afterPay bool      // last surviving record (with pend empty) is a PAYMENT
-}
-
 // NewStreamer returns a streaming cleaner with cfg's rules.
 func NewStreamer(cfg Config) *Streamer {
-	return &Streamer{cfg: cfg, tails: make(map[string]*streamTail)}
+	return &Streamer{c: newCleaner(cfg, func(p *pendRec) *mdt.Record { return &p.rec })}
 }
 
 // Stats returns the running removal statistics. Records still held pending
 // are counted in neither Output nor the removal classes yet.
-func (s *Streamer) Stats() Stats { return s.stats }
+func (s *Streamer) Stats() Stats { return s.c.stats }
 
 // PendingFor returns how many of taxi id's records are currently held
 // undecided. Live ingestion consults it before deduplicating a re-sent
@@ -57,93 +46,43 @@ func (s *Streamer) Stats() Stats { return s.stats }
 // a held PAYMENT-FREE tail) whenever records are pending, so only
 // pending-free taxis may be deduplicated upstream.
 func (s *Streamer) PendingFor(id string) int {
-	if t := s.tails[id]; t != nil {
-		return len(t.pend)
+	if t := s.c.taxis[id]; t != nil {
+		return len(t.held)
 	}
 	return 0
 }
 
-// Pending returns the number of records currently held undecided.
-func (s *Streamer) Pending() int {
-	n := 0
-	for _, t := range s.tails {
-		n += len(t.pend)
-	}
-	return n
-}
-
 // Push feeds one record (time-ordered per taxi) and returns the records now
 // known to survive, in arrival order. The returned slice is reused by the
-// next Push/Flush call.
+// next Push.
 func (s *Streamer) Push(r mdt.Record) []mdt.Record {
-	s.buf = s.buf[:0]
-	s.stats.Input++
-	seq := s.seq
+	f, resolved, improper := s.c.step(&r, pendRec{rec: r, seq: s.seq})
 	s.seq++
-	if !s.cfg.ValidFrame.Contains(r.Pos) || !r.Pos.Valid() {
-		s.stats.GPSOutliers++
-		return s.buf
-	}
-	t := s.tails[r.TaxiID]
-	if t == nil {
-		t = &streamTail{}
-		s.tails[r.TaxiID] = t
-	}
-	if len(t.pend) > 0 || t.afterPay {
-		if r.State == mdt.Free {
-			if n := len(t.pend); n > 0 && r.Equal(t.pend[n-1].rec) {
-				s.stats.Duplicates++
-				return s.buf
-			}
-			t.pend = append(t.pend, pendRec{rec: r, seq: seq})
-			return s.buf
-		}
-		if r.State == mdt.Payment && len(t.pend) > 0 {
-			s.stats.ImproperStates += len(t.pend)
-			t.pend = t.pend[:0]
-		} else if len(t.pend) > 0 {
-			// The held FREEs were a legitimate dropoff: release them and
-			// make the newest the duplicate reference.
-			for _, p := range t.pend {
-				s.buf = append(s.buf, p.rec)
-			}
-			s.stats.Output += len(t.pend)
-			t.last = t.pend[len(t.pend)-1].rec
-			t.hasLast = true
-			t.pend = t.pend[:0]
+	s.buf = s.buf[:0]
+	if !improper {
+		for _, p := range resolved {
+			s.buf = append(s.buf, p.rec)
 		}
 	}
-	if t.hasLast && r.Equal(t.last) {
-		s.stats.Duplicates++
-		return s.buf
+	if f == survives {
+		s.buf = append(s.buf, r)
 	}
-	t.last = r
-	t.hasLast = true
-	t.afterPay = r.State == mdt.Payment
-	s.stats.Output++
-	return append(s.buf, r)
+	return s.buf
 }
 
 // Flush releases every record still held pending, in arrival order: an
 // unresolved PAYMENT-FREE tail at end of feed is kept, exactly as the batch
-// Clean keeps it. The Streamer remains usable afterwards.
+// Clean keeps it. The result is the caller's. The Streamer keeps no held
+// storage afterwards and remains usable.
 func (s *Streamer) Flush() []mdt.Record {
-	s.out = s.out[:0]
-	for _, t := range s.tails {
-		if len(t.pend) > 0 {
-			s.out = append(s.out, t.pend...)
-			t.last = t.pend[len(t.pend)-1].rec
-			t.hasLast = true
-			t.afterPay = false
-			t.pend = t.pend[:0]
-		}
+	var held []pendRec
+	s.c.end(func(h []pendRec) { held = append(held, h...) })
+	// Arrival order across taxis (end visits them in map order).
+	sort.Slice(held, func(a, b int) bool { return held[a].seq < held[b].seq })
+	out := make([]mdt.Record, len(held))
+	for i, p := range held {
+		out[i] = p.rec
 	}
-	// Arrival order across taxis (the map iteration above is random).
-	sort.Slice(s.out, func(a, b int) bool { return s.out[a].seq < s.out[b].seq })
-	s.buf = s.buf[:0]
-	for _, p := range s.out {
-		s.buf = append(s.buf, p.rec)
-	}
-	s.stats.Output += len(s.buf)
-	return s.buf
+	s.buf = nil
+	return out
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // tinyConfig is a minimal single-shard service with a controllable stall.
-func tinyConfig(stall chan struct{}, policy Backpressure) Config {
+func tinyConfig(stall chan struct{}) Config {
 	grid := core.DaySlots(time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC))
 	return Config{
 		Stream: stream.Config{
@@ -30,7 +30,6 @@ func tinyConfig(stall chan struct{}, policy Backpressure) Config {
 		Clean:        clean.Config{ValidFrame: citymap.Island},
 		Shards:       1,
 		QueueDepth:   8,
-		Policy:       policy,
 		BlockTimeout: 150 * time.Millisecond,
 		testStall:    func(int) { <-stall },
 	}
@@ -48,47 +47,12 @@ func burst(n int) []mdt.Record {
 	return recs
 }
 
-// TestDropOldestNeverBlocks: with the worker wedged and the queue full,
-// Accept must return immediately, recording the overflow as drops.
-func TestDropOldestNeverBlocks(t *testing.T) {
-	stall := make(chan struct{})
-	svc, err := NewService(tinyConfig(stall, DropOldest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	n, err := svc.Accept(burst(500))
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 500 {
-		t.Fatalf("accepted %d of 500", n)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("DropOldest accept took %v", elapsed)
-	}
-	st := svc.Stats()
-	if st.Dropped < 490 {
-		t.Fatalf("dropped %d, want ~492 (500 - queue depth)", st.Dropped)
-	}
-	close(stall)
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The survivors (and only they) were processed.
-	st = svc.Stats()
-	if st.Accepted+st.Dropped != 500 {
-		t.Fatalf("accepted %d + dropped %d != 500", st.Accepted, st.Dropped)
-	}
-}
-
 // TestBlockReturns429: with the worker wedged, the HTTP handler must answer
 // 429 once the deadline passes, reporting the accepted prefix so the
 // client can retry the rest.
 func TestBlockReturns429(t *testing.T) {
 	stall := make(chan struct{})
-	cfg := tinyConfig(stall, Block)
+	cfg := tinyConfig(stall)
 	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +82,6 @@ func TestBlockReturns429(t *testing.T) {
 	if resp.Accepted >= 100 || resp.Error == "" {
 		t.Fatalf("response %+v", resp)
 	}
-	if st := svc.Stats(); st.Dropped != 0 {
-		t.Fatalf("Block policy dropped %d records", st.Dropped)
-	}
 	close(stall)
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
@@ -132,7 +93,7 @@ func TestBlockReturns429(t *testing.T) {
 func TestBinaryFrames(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall) // no stall
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,22 +129,19 @@ func TestBinaryFrames(t *testing.T) {
 
 // TestConcurrentAcceptRacingClose: Accept calls racing a concurrent Close
 // or Abort must return promptly with nil, ErrClosed or ErrBackpressure —
-// never hang, never panic, under either backpressure policy.
+// never hang, never panic.
 func TestConcurrentAcceptRacingClose(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		policy Backpressure
-		abort  bool
+		name  string
+		abort bool
 	}{
-		{"block-close", Block, false},
-		{"block-abort", Block, true},
-		{"drop-close", DropOldest, false},
-		{"drop-abort", DropOldest, true},
+		{"block-close", false},
+		{"block-abort", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stall := make(chan struct{})
 			close(stall)
-			svc, err := NewService(tinyConfig(stall, tc.policy))
+			svc, err := NewService(tinyConfig(stall))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,7 +190,7 @@ func TestConcurrentAcceptRacingClose(t *testing.T) {
 func TestStatsConsistentUnderLoad(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +222,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 	for k := 0; k < 300; k++ {
 		st := svc.Stats()
 		if st.Accepted < last.Accepted || st.Rejected < last.Rejected ||
-			st.Dropped < last.Dropped || st.BadRecords < last.BadRecords {
+			st.BadRecords < last.BadRecords {
 			t.Fatalf("stats went backwards: %+v after %+v", st, last)
 		}
 		last = st
@@ -289,7 +247,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 func TestJSONLinesSkipsBadLines(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func withDeadline(t *testing.T, d time.Duration, what string, fn func() error) e
 func TestControlAfterCloseReturnsErrClosed(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestControlAfterCloseReturnsErrClosed(t *testing.T) {
 func TestControlAfterAbortReturnsErrClosed(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestControlAfterAbortReturnsErrClosed(t *testing.T) {
 func TestFlushHandlerAfterClose(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestControlRacingClose(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		stall := make(chan struct{})
 		close(stall)
-		svc, err := NewService(tinyConfig(stall, Block))
+		svc, err := NewService(tinyConfig(stall))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestControlRacingClose(t *testing.T) {
 func TestFlushUnderSustainedLoad(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	cfg := tinyConfig(stall, DropOldest)
+	cfg := tinyConfig(stall)
 	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +180,15 @@ func TestFlushUnderSustainedLoad(t *testing.T) {
 			for j := range recs {
 				recs[j].Time = base.Add(time.Duration(i*64+j) * time.Second)
 			}
-			if _, err := svc.Accept(recs); err != nil {
-				return
+			for n := 0; n < len(recs); {
+				k, err := svc.Accept(recs[n:])
+				n += k
+				if errors.Is(err, ErrBackpressure) {
+					continue
+				}
+				if err != nil {
+					return
+				}
 			}
 		}
 	}()
@@ -207,7 +214,7 @@ func TestFlushUnderSustainedLoad(t *testing.T) {
 func TestAggregatorReadsDontGrow(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +237,7 @@ func TestAggregatorReadsDontGrow(t *testing.T) {
 
 	// A fresh service fed real queue activity (a slow Free phase ending in
 	// a POB pickup at the spot) still caches only the active cells.
-	svc2, err := NewService(tinyConfig(stall, Block))
+	svc2, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}

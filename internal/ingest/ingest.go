@@ -36,7 +36,7 @@
 // records the cleaner held undecided. A crash loses at most the records
 // of the current commit window (bounded by SyncEvery).
 //
-// Observability: every counter, queue depth, stage latency and drop rate
+// Observability: every counter, queue depth, stage latency and removal rate
 // is a collector in an obs.Registry (Config.Metrics; private by default).
 // The /ingest/stats JSON reads the same collectors the Prometheus /metrics
 // scrape renders, so the two views cannot disagree.
@@ -60,35 +60,13 @@ import (
 )
 
 var (
-	// ErrBackpressure is returned by Accept under the Block policy when a
-	// shard queue stays full past the deadline.
+	// ErrBackpressure is returned by Accept when a shard queue stays full
+	// past Config.BlockTimeout.
 	ErrBackpressure = errors.New("ingest: shard queue full past deadline")
 	// ErrClosed is returned by Accept and the control-plane ops (Flush,
 	// FlushUntil, Checkpoint) after Close or Abort.
 	ErrClosed = errors.New("ingest: service closed")
 )
-
-// Backpressure picks what happens when a shard's bounded queue is full.
-type Backpressure uint8
-
-const (
-	// Block makes Accept wait for queue space, up to Config.BlockTimeout;
-	// past the deadline Accept stops and reports ErrBackpressure (HTTP
-	// 429). No accepted record is ever discarded.
-	Block Backpressure = iota
-	// DropOldest makes Accept never block: the oldest queued record of the
-	// full shard is discarded (counted in stats) to admit the new one.
-	// Freshness over completeness — the right policy for live dashboards.
-	DropOldest
-)
-
-// String implements fmt.Stringer.
-func (b Backpressure) String() string {
-	if b == DropOldest {
-		return "drop-oldest"
-	}
-	return "block"
-}
 
 // Config parameterizes the service.
 type Config struct {
@@ -103,10 +81,9 @@ type Config struct {
 	Shards int
 	// QueueDepth bounds each shard's record queue; 1024 when 0.
 	QueueDepth int
-	// Policy is the full-queue behavior; Block by default.
-	Policy Backpressure
-	// BlockTimeout bounds how long one Accept call may wait under Block
-	// before reporting backpressure; 2s when 0.
+	// BlockTimeout bounds how long one Accept call may wait for queue
+	// space before reporting backpressure; 2s when 0. No accepted record
+	// is ever discarded.
 	BlockTimeout time.Duration
 	// WALDir, when non-empty, enables durability: shard i appends the raw
 	// records it accepted to the log under WALDir/shard-NNN/ and replays
@@ -353,16 +330,16 @@ func shardIndex(id string, n int) int {
 	return int(h % uint32(n))
 }
 
-// Accept routes records to their shard queues under the configured
-// backpressure policy and reports how many entered a queue. The fan-out is
-// batched: one pass groups the request's records into per-shard slabs
-// (copied, so the caller may reuse recs) and each slab travels as a single
-// channel send — one clock read and one queue-wait observation cover the
-// whole request instead of every record. Records must be time-ordered per
-// taxi.
+// Accept routes records to their shard queues, waiting for queue space up
+// to Config.BlockTimeout, and reports how many entered a queue. The
+// fan-out is batched: one pass groups the request's records into per-shard
+// slabs (copied, so the caller may reuse recs) and each slab travels as a
+// single channel send — one clock read and one queue-wait observation
+// cover the whole request instead of every record. Records must be
+// time-ordered per taxi.
 //
-// Under Block a deadline miss stops the batch early with ErrBackpressure
-// and n is the smallest index not yet handed to a shard: the records of
+// A deadline miss stops the batch early with ErrBackpressure and n is the
+// smallest index not yet handed to a shard: the records of
 // recs[:n] are all delivered, and a record past n that slipped into an
 // earlier slab is absorbed by the per-taxi dedup window when the client
 // re-sends from n — so retry-from-n is exact, not just safe. With one
@@ -380,18 +357,12 @@ func (s *Service) Accept(recs []mdt.Record) (int, error) {
 	if chunk > slabMax {
 		chunk = slabMax
 	}
-	var deadline *time.Timer
-	if s.cfg.Policy == Block {
-		deadline = time.NewTimer(s.cfg.BlockTimeout)
-		defer deadline.Stop()
-	}
+	deadline := time.NewTimer(s.cfg.BlockTimeout)
+	defer deadline.Stop()
 	cur := make([]*recSlab, nsh)  // open (unsent) slab per shard
 	first := make([]int, nsh)     // recs index of cur's first record
 	flush := func(si int) error { // send shard si's open slab
-		b := recBatch{slab: cur[si], at: at}
-		if s.cfg.Policy == DropOldest {
-			s.shards[si].deliverDrop(b)
-		} else if err := s.shards[si].deliverBlock(b, deadline); err != nil {
+		if err := s.shards[si].deliver(recBatch{slab: cur[si], at: at}, deadline); err != nil {
 			return err
 		}
 		cur[si] = nil
@@ -719,7 +690,6 @@ type ShardStats struct {
 	Shard       int   `json:"shard"`
 	Accepted    int64 `json:"accepted"`          // survived cleaning, in the engine
 	Rejected    int64 `json:"rejected"`          // removed by validation/cleaning/ordering
-	Dropped     int64 `json:"dropped"`           // discarded by DropOldest backpressure
 	Replayed    int64 `json:"replayed"`          // raw WAL records replayed at startup
 	Deduped     int64 `json:"resend_deduped"`    // re-sent records dropped pre-WAL
 	QueueDepth  int   `json:"queue_depth"`       // records waiting right now
@@ -733,11 +703,9 @@ type ShardStats struct {
 
 // Stats is the /ingest/stats payload.
 type Stats struct {
-	Policy     string       `json:"policy"`
 	Shards     []ShardStats `json:"shards"`
 	Accepted   int64        `json:"accepted"`
 	Rejected   int64        `json:"rejected"`
-	Dropped    int64        `json:"dropped"`
 	Replayed   int64        `json:"replayed"`
 	BadRecords int64        `json:"bad_records"` // wire payloads that failed to decode
 	FinalBelow int          `json:"final_below"` // min shard watermark: slots below are served final
@@ -747,7 +715,6 @@ type Stats struct {
 // renders, so the JSON and Prometheus views always agree.
 func (s *Service) Stats() Stats {
 	out := Stats{
-		Policy:     s.cfg.Policy.String(),
 		Shards:     make([]ShardStats, len(s.shards)),
 		BadRecords: s.met.badRecords.Value(),
 		FinalBelow: s.minClosed(),
@@ -758,7 +725,6 @@ func (s *Service) Stats() Stats {
 			Shard:       i,
 			Accepted:    sm.accepted.Value(),
 			Rejected:    sm.rejected.Value(),
-			Dropped:     sm.dropped.Value(),
 			Replayed:    sm.replayed.Value(),
 			Deduped:     sm.deduped.Value(),
 			QueueDepth:  int(sh.qLen.Load()),
@@ -772,7 +738,6 @@ func (s *Service) Stats() Stats {
 		out.Shards[i] = st
 		out.Accepted += st.Accepted
 		out.Rejected += st.Rejected
-		out.Dropped += st.Dropped
 		out.Replayed += st.Replayed
 	}
 	return out

@@ -193,9 +193,6 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 		if err := svc.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if st.Dropped != 0 {
-			t.Fatalf("shards=%d: dropped %d under Block policy", shards, st.Dropped)
-		}
 		if st.Accepted != int64(len(d.cleaned)) {
 			t.Fatalf("shards=%d: accepted %d, cleaned %d", shards, st.Accepted, len(d.cleaned))
 		}
@@ -236,7 +233,7 @@ func TestShardedLabelsNearBatch(t *testing.T) {
 }
 
 // TestCleanFeedZeroRejected: a pre-cleaned feed sails through with nothing
-// rejected or dropped.
+// rejected.
 func TestCleanFeedZeroRejected(t *testing.T) {
 	d := getDay(t)
 	cfg := d.serviceConfig()
@@ -244,8 +241,8 @@ func TestCleanFeedZeroRejected(t *testing.T) {
 	svc := runService(t, cfg, d.cleaned)
 	defer svc.Close()
 	st := svc.Stats()
-	if st.Rejected != 0 || st.Dropped != 0 || st.BadRecords != 0 {
-		t.Fatalf("clean feed: rejected=%d dropped=%d bad=%d", st.Rejected, st.Dropped, st.BadRecords)
+	if st.Rejected != 0 || st.BadRecords != 0 {
+		t.Fatalf("clean feed: rejected=%d bad=%d", st.Rejected, st.BadRecords)
 	}
 	if st.Accepted != int64(len(d.cleaned)) {
 		t.Fatalf("accepted %d of %d", st.Accepted, len(d.cleaned))

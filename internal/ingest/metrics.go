@@ -51,7 +51,6 @@ type metrics struct {
 type shardMetrics struct {
 	accepted       *obs.Counter
 	rejected       *obs.Counter
-	dropped        *obs.Counter
 	replayed       *obs.Counter
 	deduped        *obs.Counter
 	ckptErrors     *obs.Counter
@@ -106,7 +105,6 @@ func newMetrics(reg *obs.Registry, shards int) *metrics {
 		m.shards[i] = shardMetrics{
 			accepted:       reg.Counter("ingest_accepted_total", "Records that survived cleaning and entered the engine.", l),
 			rejected:       reg.Counter("ingest_rejected_total", "Records removed by validation, cleaning or the ordering rule.", l),
-			dropped:        reg.Counter("ingest_dropped_total", "Records discarded by DropOldest backpressure.", l),
 			replayed:       reg.Counter("ingest_replayed_total", "Raw WAL records replayed at startup.", l),
 			deduped:        reg.Counter("ingest_resend_dedup_total", "Re-sent records dropped by the pre-WAL dedup window.", l),
 			ckptErrors:     reg.Counter("ingest_checkpoint_errors_total", "WAL commit attempts that failed (the next commit rewrites the records into a new file).", l),

@@ -14,7 +14,7 @@ import (
 func TestMetricsMatchStats(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +47,14 @@ func TestMetricsMatchStats(t *testing.T) {
 
 	// The JSON totals must equal the registry collectors exactly.
 	m := svc.met
-	var regAccepted, regRejected, regDropped int64
+	var regAccepted, regRejected int64
 	for i := range m.shards {
 		regAccepted += m.shards[i].accepted.Value()
 		regRejected += m.shards[i].rejected.Value()
-		regDropped += m.shards[i].dropped.Value()
 	}
-	if st.Accepted != regAccepted || st.Rejected != regRejected || st.Dropped != regDropped {
-		t.Fatalf("stats JSON (acc=%d rej=%d drop=%d) != registry (acc=%d rej=%d drop=%d)",
-			st.Accepted, st.Rejected, st.Dropped, regAccepted, regRejected, regDropped)
+	if st.Accepted != regAccepted || st.Rejected != regRejected {
+		t.Fatalf("stats JSON (acc=%d rej=%d) != registry (acc=%d rej=%d)",
+			st.Accepted, st.Rejected, regAccepted, regRejected)
 	}
 	if got := m.badRecords.Value(); st.BadRecords != got {
 		t.Fatalf("stats bad_records %d != registry %d", st.BadRecords, got)
@@ -101,7 +100,7 @@ func TestMetricsMatchStats(t *testing.T) {
 func TestMetricsHandlerServesScrape(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}

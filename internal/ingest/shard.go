@@ -257,11 +257,11 @@ func (sh *shard) release(n int64) {
 	}
 }
 
-// deliverBlock enqueues one batch under the Block policy, waiting for queue
-// space up to the shared per-Accept deadline. Because every queued slab
-// holds at least one reserved record and reservations never exceed depth,
-// the channel (depth slabs) always has room once the reservation succeeds.
-func (sh *shard) deliverBlock(b recBatch, deadline *time.Timer) error {
+// deliver enqueues one batch, waiting for queue space up to the shared
+// per-Accept deadline. Because every queued slab holds at least one
+// reserved record and reservations never exceed depth, the channel (depth
+// slabs) always has room once the reservation succeeds.
+func (sh *shard) deliver(b recBatch, deadline *time.Timer) error {
 	n := int64(len(b.slab.recs))
 	depth := int64(sh.svc.cfg.QueueDepth)
 	for {
@@ -275,27 +275,6 @@ func (sh *shard) deliverBlock(b recBatch, deadline *time.Timer) error {
 			return ErrBackpressure
 		}
 	}
-}
-
-// deliverDrop enqueues one batch under DropOldest: it never blocks,
-// discarding queued batches (oldest first, counted per record) to make
-// room. The momentary gap between another producer's reservation and its
-// send can leave nothing to steal; yield and retry.
-func (sh *shard) deliverDrop(b recBatch) {
-	n := int64(len(b.slab.recs))
-	depth := int64(sh.svc.cfg.QueueDepth)
-	for !sh.reserve(n, depth) {
-		select {
-		case old := <-sh.ch:
-			dropped := int64(len(old.slab.recs))
-			sh.qLen.Add(-dropped)
-			sh.sm.dropped.Add(dropped)
-			putSlab(old.slab)
-		default:
-			time.Sleep(time.Microsecond)
-		}
-	}
-	sh.ch <- b
 }
 
 // run is the worker loop. The select is fair between records and control

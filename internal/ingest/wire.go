@@ -230,7 +230,7 @@ func (s *Service) respond(w http.ResponseWriter, status int, v any) {
 }
 
 // HandleIngest is the POST /ingest handler: decode, route, apply
-// backpressure. Under Block a deadline miss answers 429 with the accepted
+// backpressure. A deadline miss answers 429 with the accepted
 // prefix count so the client can retry the rest.
 func (s *Service) HandleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -32,7 +32,7 @@ func postJSON(t *testing.T, svc *Service, body *bytes.Buffer) (int, ingestRespon
 func TestLongLineSkippedNotFatal(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	svc, err := NewService(tinyConfig(stall, Block))
+	svc, err := NewService(tinyConfig(stall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 		t.Run(ct, func(t *testing.T) {
 			stall := make(chan struct{})
 			close(stall)
-			svc, err := NewService(tinyConfig(stall, Block))
+			svc, err := NewService(tinyConfig(stall))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 // on the first unaccepted record.
 func TestProcessedCursorAlignsPoisonedBatch(t *testing.T) {
 	stall := make(chan struct{})
-	cfg := tinyConfig(stall, Block) // queue depth 8, worker wedged
+	cfg := tinyConfig(stall) // queue depth 8, worker wedged
 	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestProcessedCursorAlignsPoisonedBatch(t *testing.T) {
 func TestJSONRejectsRecordsTheWALCannotFrame(t *testing.T) {
 	stall := make(chan struct{})
 	close(stall)
-	cfg := tinyConfig(stall, Block)
+	cfg := tinyConfig(stall)
 	cfg.WALDir = t.TempDir()
 	svc, err := NewService(cfg)
 	if err != nil {

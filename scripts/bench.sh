@@ -4,7 +4,7 @@
 # race-tests the concurrent packages.
 #
 # Usage:
-#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR21.json
+#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR22.json
 #   BENCHTIME=3x scripts/bench.sh    # more iterations per benchmark
 #   BENCH_COUNT=4 scripts/bench.sh   # -count=4, record the per-bench minimum
 #   BENCH_OUT=after.json scripts/bench.sh
@@ -20,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_PR21.json}"
+out="${BENCH_OUT:-BENCH_PR22.json}"
 benchtime="${BENCHTIME:-1x}"
 count="${BENCH_COUNT:-1}"
 raw="$(mktemp /tmp/bench_raw.XXXXXX.txt)"
@@ -34,11 +34,12 @@ go test -run '^$' -bench 'Benchmark(Stage|Ablation)' -benchmem \
 
 # queued's bootstrap day, layer by layer: simulating it (BenchmarkSimRun:
 # city seed 1, scale 0.25, faults on, the day queued builds at start-up)
-# and cleaning a faulty day into a copy (BenchmarkClean) or in place
-# (BenchmarkCompact). B/op is the number to watch: the day's copies. The
+# and cleaning a faulty day into a copy (BenchmarkClean), in place
+# (BenchmarkCompact) or record by record as a live ingest shard does
+# (BenchmarkStreamer). B/op is the number to watch: the day's copies. The
 # step runs at the stage suite's BENCHTIME.
-echo ">> go test -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact' -benchmem -benchtime $benchtime -count $count ./internal/sim ./internal/clean"
-go test -run '^$' -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact' -benchmem \
+echo ">> go test -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact|BenchmarkStreamer' -benchmem -benchtime $benchtime -count $count ./internal/sim ./internal/clean"
+go test -run '^$' -bench 'BenchmarkSimRun|BenchmarkClean|BenchmarkCompact|BenchmarkStreamer' -benchmem \
 	-benchtime "$benchtime" -count "$count" -timeout 45m ./internal/sim ./internal/clean | tee -a "$raw"
 
 # The batch day's scan on its own: one full-window Store.Scan of a
