@@ -39,7 +39,7 @@ func analyzeDay(t *testing.T) *core.Result {
 
 // TestRecomputeMatchesCleanAnalyze: recompute, which cleans the simulated
 // day in place, publishes exactly the result of Clean + Analyze over the
-// same day.
+// same day, less the pickups and the per-spot waits it does not serve.
 func TestRecomputeMatchesCleanAnalyze(t *testing.T) {
 	srv := newServer(obs.NewRegistry())
 	if err := srv.recompute(777, 0.1, 25); err != nil {
@@ -49,9 +49,35 @@ func TestRecomputeMatchesCleanAnalyze(t *testing.T) {
 	if len(got.Spots) == 0 {
 		t.Fatal("the day has no spots to compare")
 	}
+	want.Pickups = nil
+	for i := range want.Spots {
+		want.Spots[i].Waits = nil
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("recompute: %d pickups, %d spots; Clean + Analyze: %d pickups, %d spots, or a field differs",
-			len(got.Pickups), len(got.Spots), len(want.Pickups), len(want.Spots))
+		t.Fatalf("recompute: %d spots; Clean + Analyze: %d spots, or a field differs", len(got.Spots), len(want.Spots))
+	}
+}
+
+// TestRecomputePublishesOnlyWhatIsServed: the published result holds no
+// pickups and no per-spot waits. Nothing in queued reads them, and
+// keeping them held each pickup's PEA sub-trajectory for as long as the
+// view was served.
+func TestRecomputePublishesOnlyWhatIsServed(t *testing.T) {
+	srv := newServer(obs.NewRegistry())
+	if err := srv.recompute(777, 0.1, 25); err != nil {
+		t.Fatal(err)
+	}
+	res := srv.result()
+	if len(res.Spots) == 0 {
+		t.Fatal("the day has no spots")
+	}
+	if res.Pickups != nil {
+		t.Fatalf("published result holds %d pickups", len(res.Pickups))
+	}
+	for i := range res.Spots {
+		if res.Spots[i].Waits != nil {
+			t.Fatalf("spot %d holds %d waits", i, len(res.Spots[i].Waits))
+		}
 	}
 }
 

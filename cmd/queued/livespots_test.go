@@ -76,7 +76,6 @@ func TestSpotsLiveSurfacesPopup(t *testing.T) {
 			Detector: core.LiveDetectorConfig{
 				Cluster: cluster.Params{EpsMeters: 15, MinPoints: 10},
 				Window:  3 * time.Hour,
-				ByZone:  true,
 			},
 		}
 	})

@@ -48,6 +48,9 @@
 //	GET  /ingest/stats          per-shard accepted/rejected/lag
 //	GET  /estimate              provisional contexts for the still-open slot
 //
+// With -wal DIR each shard group-commits its log, one fsync per 256
+// records under load, and rotates its files at 4 MiB.
+//
 // Usage:
 //
 //	queued -addr :8080 -scale 0.25 -refresh 0   # refresh 0 = analyze once
@@ -348,13 +351,10 @@ func main() {
 	refresh := flag.Duration("refresh", 0, "recompute interval (0 = once at startup)")
 	live := flag.Bool("live", false, "serve contexts from the live /ingest feed (batch run only bootstraps spots)")
 	shards := flag.Int("shards", 4, "live mode: ingest shard count")
-	queueDepth := flag.Int("queue", 1024, "live mode: per-shard queue depth")
 	liveSpots := flag.Bool("live-spots", false, "live mode: discover new queue spots online from pickups outside the batch list (serves /spots?live=1)")
 	liveSpotWindow := flag.Duration("live-spot-window", 3*time.Hour, "live spot discovery: sliding pickup window")
 	liveSpotMinPts := flag.Int("live-spot-minpts", 0, "live spot discovery: DBSCAN min-points over the window (0 = paper default 50)")
 	walDir := flag.String("wal", "", "live mode: WAL directory (empty = durability off)")
-	syncEvery := flag.Int("sync-every", 0, "live mode: WAL group-commit batch in records, the crash-loss window (0 = default)")
-	segmentBytes := flag.Int64("segment-bytes", 0, "live mode: WAL file rotation size in bytes (0 = default 4MiB)")
 	histDir := flag.String("history", "", "directory for the columnar slot-context history store (enables /history, /heatmap, /transitions)")
 	withPprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof")
 	flag.Parse()
@@ -401,14 +401,11 @@ func main() {
 			*refresh = 0
 		}
 		cfg := ingest.Config{
-			Stream:       liveStreamConfig(srv.result()),
-			Clean:        clean.Config{ValidFrame: citymap.Island},
-			Shards:       *shards,
-			QueueDepth:   *queueDepth,
-			WALDir:       *walDir,
-			SyncEvery:    *syncEvery,
-			SegmentBytes: *segmentBytes,
-			Metrics:      obs.Default, // one process-wide /metrics scrape
+			Stream:  liveStreamConfig(srv.result()),
+			Clean:   clean.Config{ValidFrame: citymap.Island},
+			Shards:  *shards,
+			WALDir:  *walDir,
+			Metrics: obs.Default, // one process-wide /metrics scrape
 		}
 		if *liveSpots {
 			det := core.DefaultLiveDetectorConfig()

@@ -195,7 +195,9 @@ func newServer(reg *obs.Registry) *server {
 
 // recompute runs the nightly batch analysis and publishes the result as a
 // fresh immutable view. The simulated day is cleaned in place: nothing
-// reads the raw records again, and the day is held once.
+// reads the raw records again, and the day is held once. Nothing queued
+// serves reads the pickups, with their PEA sub-trajectories, or the waits:
+// they are dropped before publishing.
 func (s *server) recompute(seed int64, scale float64, minPts int) error {
 	city := s.city()
 	if city == nil {
@@ -212,6 +214,10 @@ func (s *server) recompute(seed int64, scale float64, minPts int) error {
 	res, err := engine.Analyze(cleaned)
 	if err != nil {
 		return err
+	}
+	res.Pickups = nil
+	for i := range res.Spots {
+		res.Spots[i].Waits = nil
 	}
 	s.view.Store(newBatchView(city, res))
 	return nil

@@ -264,7 +264,7 @@ func (u *historyUser) open(t *testing.T, dir string, fs store.FS) (int, error) {
 	s, err := history.Open(history.Config{
 		Grid:  core.DaySlots(time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)),
 		Spots: spots, Thresholds: ths, Amplify: core.PaperAmplification,
-		Dir: dir, FS: fs, BlockRecords: 8,
+		Dir: dir, FS: fs,
 	})
 	if err != nil {
 		return 0, err

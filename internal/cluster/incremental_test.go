@@ -13,10 +13,11 @@ import (
 )
 
 // Incremental clustering is core.LiveDetector: a sliding window of pickup
-// centroids that this package's DBSCAN clusters at every extraction. The
-// tests below drive that window through inserts, churn, expiry splits and
-// bridge merges and check it against batch DBSCAN over the window's alive
-// points, recomputed here from what the test fed it.
+// centroids that this package's DBSCAN clusters, one Fig. 5 zone at a time,
+// at every extraction. The tests below drive that window through inserts,
+// churn, expiry splits and bridge merges and check it against batch DBSCAN
+// over each zone's alive points, recomputed here from what the test fed
+// it.
 
 // liveWindow feeds a core.LiveDetector and keeps every pickup it was fed,
 // so the alive set can be derived independently of the detector.
@@ -76,8 +77,8 @@ func (w *liveWindow) alive() []geo.Point {
 	return out
 }
 
-// requireBatchEqual asserts the window's spots are batch DBSCAN over its
-// alive points in arrival order — one spot per cluster carrying the
+// requireBatchEqual asserts the window's spots are batch DBSCAN over each
+// zone's alive points in arrival order — one spot per cluster carrying the
 // cluster's centroid bit for bit and its size, ordered by size then
 // position — both before and after a Refresh drops the expired points.
 // This is the incremental/batch equivalence contract. It returns the
@@ -85,14 +86,21 @@ func (w *liveWindow) alive() []geo.Point {
 func requireBatchEqual(t *testing.T, w *liveWindow) int {
 	t.Helper()
 	pts := w.alive()
-	res, err := cluster.DBSCAN(pts, w.p)
-	if err != nil {
-		t.Fatal(err)
+	var byZone [citymap.NumZones][]geo.Point
+	for _, p := range pts {
+		z := citymap.ZoneOf(p)
+		byZone[z] = append(byZone[z], p)
 	}
-	cents, sizes := res.Centroids(pts), res.ClusterSizes()
-	want := make([]core.QueueSpot, len(cents))
-	for i := range cents {
-		want[i] = core.QueueSpot{Pos: cents[i], Zone: citymap.ZoneOf(cents[i]), PickupCount: sizes[i]}
+	var want []core.QueueSpot
+	for z, zpts := range byZone {
+		res, err := cluster.DBSCAN(zpts, w.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cents, sizes := res.Centroids(zpts), res.ClusterSizes()
+		for i := range cents {
+			want = append(want, core.QueueSpot{Pos: cents[i], Zone: citymap.Zone(z), PickupCount: sizes[i]})
+		}
 	}
 	sort.Slice(want, func(i, j int) bool {
 		a, b := want[i], want[j]
@@ -121,7 +129,7 @@ func requireBatchEqual(t *testing.T, w *liveWindow) int {
 			}
 		}
 	}
-	return res.NumClusters
+	return len(want)
 }
 
 func TestIncrementalMatchesBatchInsertOnly(t *testing.T) {

@@ -17,12 +17,12 @@ const (
 	// SpotEmerging: a window cluster appeared but has not yet reached the
 	// confirmation density — tentative, dropped the moment it dissolves.
 	SpotEmerging SpotState = iota
-	// SpotConfirmed: the cluster reached ConfirmPoints; it stays confirmed
-	// until it thins below DecayPoints (hysteresis band).
+	// SpotConfirmed: the cluster reached 2×MinPoints; it stays confirmed
+	// until it dissolves, its support below MinPoints (hysteresis band).
 	SpotConfirmed
-	// SpotDecaying: a confirmed spot whose window support fell below
-	// DecayPoints; it re-confirms at ConfirmPoints or is dropped after
-	// DropAfter without recovery.
+	// SpotDecaying: a confirmed spot whose cluster dissolved; it
+	// re-confirms at 2×MinPoints or is dropped Window/2 after it last
+	// matched a cluster.
 	SpotDecaying
 )
 
@@ -46,7 +46,10 @@ type LiveSpot struct {
 	LastSeen  time.Time // last refresh at which a qualifying cluster matched
 }
 
-// LiveDetectorConfig parameterizes online queue-spot discovery.
+// LiveDetectorConfig parameterizes online queue-spot discovery. The window
+// is clustered one Fig. 5 zone at a time, the lifecycle's thresholds derive
+// from Cluster and Window (see SpotState), and a cluster within 2×EpsMeters
+// of a tracked spot is that spot.
 type LiveDetectorConfig struct {
 	// Cluster holds the DBSCAN ε_d/p_d pair applied to the sliding window.
 	// MinPoints is the paper's per-day density scaled to the window the
@@ -54,51 +57,15 @@ type LiveDetectorConfig struct {
 	Cluster cluster.Params
 	// Window is how much pickup history stays clusterable (default 3h).
 	Window time.Duration
-	// ConfirmPoints promotes emerging → confirmed (default 2×MinPoints).
-	ConfirmPoints int
-	// DecayPoints demotes confirmed → decaying when window support falls
-	// below it (default MinPoints, i.e. the cluster dissolved). Must not
-	// exceed ConfirmPoints — the gap is the anti-flap hysteresis band.
-	DecayPoints int
-	// DropAfter removes a decaying spot that never re-confirmed
-	// (default Window/2).
-	DropAfter time.Duration
-	// MatchMeters is the centroid distance within which an extracted
-	// cluster is the same spot as a tracked one (default 2×EpsMeters).
-	MatchMeters float64
-	// ByZone mirrors DetectorConfig.ByZone: the window is clustered one
-	// Fig. 5 zone at a time.
-	ByZone bool
 }
 
 // DefaultLiveDetectorConfig returns the paper's clustering parameters over
-// a 3-hour window with a 2× confirmation hysteresis.
+// a 3-hour window.
 func DefaultLiveDetectorConfig() LiveDetectorConfig {
 	return LiveDetectorConfig{
 		Cluster: cluster.Params{EpsMeters: 15, MinPoints: 50},
 		Window:  3 * time.Hour,
-		ByZone:  true,
 	}
-}
-
-// withDefaults fills derived zero fields.
-func (c LiveDetectorConfig) withDefaults() LiveDetectorConfig {
-	if c.Window <= 0 {
-		c.Window = 3 * time.Hour
-	}
-	if c.ConfirmPoints <= 0 {
-		c.ConfirmPoints = 2 * c.Cluster.MinPoints
-	}
-	if c.DecayPoints <= 0 {
-		c.DecayPoints = c.Cluster.MinPoints
-	}
-	if c.DropAfter <= 0 {
-		c.DropAfter = c.Window / 2
-	}
-	if c.MatchMeters <= 0 {
-		c.MatchMeters = 2 * c.Cluster.EpsMeters
-	}
-	return c
 }
 
 // LiveStats are cumulative lifecycle transition counts (the feed behind
@@ -133,16 +100,14 @@ type windowPickup struct {
 	t   time.Time
 }
 
-// NewLiveDetector builds an empty detector; zero config fields take the
-// documented defaults.
+// NewLiveDetector builds an empty detector; a zero Window takes the
+// documented default.
 func NewLiveDetector(cfg LiveDetectorConfig) (*LiveDetector, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Window <= 0 {
+		cfg.Window = 3 * time.Hour
+	}
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.DecayPoints > cfg.ConfirmPoints {
-		return nil, fmt.Errorf("core: live detector decay threshold %d above confirm threshold %d (inverted hysteresis)",
-			cfg.DecayPoints, cfg.ConfirmPoints)
 	}
 	return &LiveDetector{cfg: cfg}, nil
 }
@@ -190,7 +155,7 @@ func (d *LiveDetector) Spots() []QueueSpot {
 	}
 	// Sequential: the ingest tracker refreshes under its mutex on a shard
 	// worker.
-	spots, err := detectSpots(d.pts, DetectorConfig{Cluster: d.cfg.Cluster, ByZone: d.cfg.ByZone, Parallelism: 1})
+	spots, err := detectSpots(d.pts, DetectorConfig{Cluster: d.cfg.Cluster, ByZone: true, Parallelism: 1})
 	if err != nil {
 		panic(err) // unreachable: NewLiveDetector validated cfg.Cluster
 	}
@@ -204,10 +169,9 @@ func (d *LiveDetector) Spots() []QueueSpot {
 //   - an unmatched cluster starts a new emerging spot;
 //   - a matched spot follows the cluster's centroid and support, and the
 //     support drives the hysteresis state machine (confirm at
-//     ConfirmPoints, decay below DecayPoints, re-confirm at
-//     ConfirmPoints);
+//     2×MinPoints, decay below MinPoints, re-confirm at 2×MinPoints);
 //   - an emerging spot whose cluster dissolved is dropped immediately, a
-//     decaying one after DropAfter.
+//     decaying one Window/2 after it last matched.
 //
 // The returned slice is a fresh copy sorted by support (desc, ties by
 // position) — safe to publish in an immutable snapshot.
@@ -220,9 +184,11 @@ func (d *LiveDetector) Refresh() []LiveSpot {
 	}
 	d.window = alive
 	spots := d.Spots()
+	confirm, decay := 2*d.cfg.Cluster.MinPoints, d.cfg.Cluster.MinPoints
+	dropAfter, matchMeters := d.cfg.Window/2, 2*d.cfg.Cluster.EpsMeters
 
 	// Biggest clusters claim tracked spots first: nearest unclaimed
-	// tracked spot of the same zone within MatchMeters.
+	// tracked spot of the same zone within matchMeters.
 	matched := make([]int, len(d.spots)) // window support matched this round; -1 = unmatched
 	for i := range matched {
 		matched[i] = -1
@@ -234,7 +200,7 @@ func (d *LiveDetector) Refresh() []LiveSpot {
 			if matched[i] >= 0 || d.spots[i].Spot.Zone != sp.Zone {
 				continue
 			}
-			if dist := geo.Equirect(d.spots[i].Spot.Pos, sp.Pos); dist <= d.cfg.MatchMeters && dist < bestD {
+			if dist := geo.Equirect(d.spots[i].Spot.Pos, sp.Pos); dist <= matchMeters && dist < bestD {
 				best, bestD = i, dist
 			}
 		}
@@ -261,20 +227,20 @@ func (d *LiveDetector) Refresh() []LiveSpot {
 				d.stats.DroppedTotal++
 				continue // tentative and dissolved: forget it
 			}
-			if support >= d.cfg.ConfirmPoints {
+			if support >= confirm {
 				s.State = SpotConfirmed
 				d.stats.ConfirmedTotal++
 			}
 		case SpotConfirmed:
-			if support < d.cfg.DecayPoints {
+			if support < decay {
 				s.State = SpotDecaying
 				d.stats.DecayedTotal++
 			}
 		case SpotDecaying:
-			if support >= d.cfg.ConfirmPoints {
+			if support >= confirm {
 				s.State = SpotConfirmed
 				d.stats.ConfirmedTotal++
-			} else if d.now.Sub(s.LastSeen) >= d.cfg.DropAfter {
+			} else if d.now.Sub(s.LastSeen) >= dropAfter {
 				d.stats.DroppedTotal++
 				continue
 			}
@@ -285,7 +251,7 @@ func (d *LiveDetector) Refresh() []LiveSpot {
 	for _, sp := range fresh {
 		d.stats.EmergingTotal++
 		ls := LiveSpot{Spot: sp, State: SpotEmerging, FirstSeen: d.now, LastSeen: d.now}
-		if sp.PickupCount >= d.cfg.ConfirmPoints {
+		if sp.PickupCount >= confirm {
 			// Born past the confirmation density — e.g. a pop-up rank that
 			// filled between refreshes. Skip straight to confirmed.
 			ls.State = SpotConfirmed

@@ -34,7 +34,7 @@ func livePool(n int, ranks bool) []geo.Point {
 }
 
 // BenchmarkLiveRefresh measures the live discovery cost the ingest tracker
-// pays per RefreshEvery batch: one op is 64 Observe calls plus one Refresh
+// pays per refresh batch: one op is 64 Observe calls plus one Refresh
 // over a 3 h window held at steady state.
 //
 //   - dense: one pickup per 2 s (~5.4k alive points), twelve ranks plus
@@ -57,7 +57,6 @@ func BenchmarkLiveRefresh(b *testing.B) {
 			d, err := NewLiveDetector(LiveDetectorConfig{
 				Cluster: cluster.Params{EpsMeters: 15, MinPoints: 10},
 				Window:  window,
-				ByZone:  true,
 			})
 			if err != nil {
 				b.Fatal(err)

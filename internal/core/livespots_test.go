@@ -29,7 +29,6 @@ func TestLiveDetectorDayReplayMatchesBatch(t *testing.T) {
 	d, err := NewLiveDetector(LiveDetectorConfig{
 		Cluster: cluster.Params{EpsMeters: 15, MinPoints: 30},
 		Window:  48 * time.Hour, // hold the whole day: pure insert replay
-		ByZone:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,124 +76,124 @@ func TestLiveDetectorSpotsMatchDetectSpotsOverWindow(t *testing.T) {
 	right := geo.Offset(left, 120, 0)
 	mid := geo.Offset(left, 60, 0)
 
-	for _, byZone := range []bool{true, false} {
-		t.Run(fmt.Sprintf("ByZone=%v", byZone), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(31))
-			d, err := NewLiveDetector(LiveDetectorConfig{Cluster: params, Window: window, ByZone: byZone})
-			if err != nil {
-				t.Fatal(err)
+	// The live detector clusters one zone at a time, so the batch side
+	// of the contract is DetectSpots with ByZone set.
+	t.Run("ByZone=true", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		d, err := NewLiveDetector(LiveDetectorConfig{Cluster: params, Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type arrival struct {
+			pos geo.Point
+			at  time.Time
+		}
+		var fed []arrival
+		var now time.Time
+		t0 := time.Date(2026, 1, 5, 8, 0, 0, 0, time.UTC)
+		// The bridge arrives first: clumps of MinPoints every 10 m from
+		// left to right, so every bridge point is core.
+		var bridge []geo.Point
+		for m := 10.0; m < 120; m += 10 {
+			for k := 0; k < params.MinPoints; k++ {
+				bridge = append(bridge, geo.Offset(left, m+rng.NormFloat64(), rng.NormFloat64()))
 			}
-			type arrival struct {
-				pos geo.Point
-				at  time.Time
+		}
+		sawMerged, sawSplit, maxSpots := false, false, 0
+		for i := 0; i < steps; i++ {
+			at := t0.Add(time.Duration(i) * step)
+			var p geo.Point
+			switch u := rng.Float64(); {
+			case i < len(bridge):
+				p = bridge[i]
+			case u < 0.25:
+				p = islandScatter(rng)
+			case u < 0.45 && at.Before(t0.Add(50*time.Minute)):
+				c := left
+				if u < 0.35 {
+					c = right
+				}
+				p = geo.Offset(c, rng.NormFloat64()*4, rng.NormFloat64()*4)
+			case u < 0.45+0.4*float64(i)/float64(steps):
+				p = geo.Offset(growing[rng.Intn(len(growing))], rng.NormFloat64()*5, rng.NormFloat64()*5)
+			default:
+				p = islandScatter(rng)
 			}
-			var fed []arrival
-			var now time.Time
-			t0 := time.Date(2026, 1, 5, 8, 0, 0, 0, time.UTC)
-			// The bridge arrives first: clumps of MinPoints every 10 m from
-			// left to right, so every bridge point is core.
-			var bridge []geo.Point
-			for m := 10.0; m < 120; m += 10 {
-				for k := 0; k < params.MinPoints; k++ {
-					bridge = append(bridge, geo.Offset(left, m+rng.NormFloat64(), rng.NormFloat64()))
-				}
+			switch {
+			case i == 2000:
+				at = at.Add(-window - 10*time.Minute) // more than a window late
+			case i%211 == 100:
+				at = at.Add(-time.Duration(1+rng.Intn(15)) * time.Minute)
+				p = geo.Offset(growing[(i/211)%len(growing)], rng.NormFloat64()*5, rng.NormFloat64()*5)
 			}
-			sawMerged, sawSplit, maxSpots := false, false, 0
-			for i := 0; i < steps; i++ {
-				at := t0.Add(time.Duration(i) * step)
-				var p geo.Point
-				switch u := rng.Float64(); {
-				case i < len(bridge):
-					p = bridge[i]
-				case u < 0.25:
-					p = islandScatter(rng)
-				case u < 0.45 && at.Before(t0.Add(50*time.Minute)):
-					c := left
-					if u < 0.35 {
-						c = right
-					}
-					p = geo.Offset(c, rng.NormFloat64()*4, rng.NormFloat64()*4)
-				case u < 0.45+0.4*float64(i)/float64(steps):
-					p = geo.Offset(growing[rng.Intn(len(growing))], rng.NormFloat64()*5, rng.NormFloat64()*5)
-				default:
-					p = islandScatter(rng)
-				}
-				switch {
-				case i == 2000:
-					at = at.Add(-window - 10*time.Minute) // more than a window late
-				case i%211 == 100:
-					at = at.Add(-time.Duration(1+rng.Intn(15)) * time.Minute)
-					p = geo.Offset(growing[(i/211)%len(growing)], rng.NormFloat64()*5, rng.NormFloat64()*5)
-				}
-				if !d.Observe(p, at) {
-					t.Fatalf("arrival %d rejected", i)
-				}
-				fed = append(fed, arrival{p, at})
-				if at.After(now) {
-					now = at
-				}
-				if i%37 != 36 && i != steps-1 {
-					continue
-				}
-
-				var alive []Pickup
-				for _, a := range fed {
-					if !a.at.Before(now.Add(-window)) {
-						alive = append(alive, Pickup{Centroid: a.pos})
-					}
-				}
-				// Spots answers over the alive points whether or not Refresh
-				// has dropped the expired ones yet.
-				before := d.Spots()
-				d.Refresh()
-				got := d.Spots()
-				if n := d.Stats().WindowPoints; n != len(alive) {
-					t.Fatalf("arrival %d: WindowPoints %d, %d pickups alive", i, n, len(alive))
-				}
-				for _, par := range []int{1, 0} {
-					want, err := DetectSpots(alive, DetectorConfig{Cluster: params, ByZone: byZone, Parallelism: par})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, c := range []struct {
-						when string
-						live []QueueSpot
-					}{{"before Refresh", before}, {"after Refresh", got}} {
-						when, live := c.when, c.live
-						if len(live) != len(want) {
-							t.Fatalf("arrival %d, Parallelism %d, %s: live %d spots, batch %d", i, par, when, len(live), len(want))
-						}
-						for k := range live {
-							g, w := live[k], want[k]
-							if math.Float64bits(g.Pos.Lat) != math.Float64bits(w.Pos.Lat) ||
-								math.Float64bits(g.Pos.Lon) != math.Float64bits(w.Pos.Lon) ||
-								g.Zone != w.Zone || g.PickupCount != w.PickupCount {
-								t.Fatalf("arrival %d, Parallelism %d, %s, spot %d: live %+v, batch %+v", i, par, when, k, g, w)
-							}
-						}
-					}
-				}
-				maxSpots = max(maxSpots, len(got))
-				nearMid := 0
-				for _, sp := range got {
-					if geo.Equirect(sp.Pos, mid) < 100 {
-						nearMid++
-					}
-				}
-				sawMerged = sawMerged || nearMid == 1
-				sawSplit = sawSplit || (nearMid == 2 && sawMerged)
+			if !d.Observe(p, at) {
+				t.Fatalf("arrival %d rejected", i)
 			}
-			if !sawMerged || !sawSplit || maxSpots < 5 {
-				t.Fatalf("degenerate feed: merged %v, split %v, at most %d spots", sawMerged, sawSplit, maxSpots)
+			fed = append(fed, arrival{p, at})
+			if at.After(now) {
+				now = at
+			}
+			if i%37 != 36 && i != steps-1 {
+				continue
 			}
 
-			d.Advance(now.Add(window + time.Second))
+			var alive []Pickup
+			for _, a := range fed {
+				if !a.at.Before(now.Add(-window)) {
+					alive = append(alive, Pickup{Centroid: a.pos})
+				}
+			}
+			// Spots answers over the alive points whether or not Refresh
+			// has dropped the expired ones yet.
+			before := d.Spots()
 			d.Refresh()
-			if spots, n := d.Spots(), d.Stats().WindowPoints; len(spots) != 0 || n != 0 {
-				t.Fatalf("drained window: %d spots over %d points", len(spots), n)
+			got := d.Spots()
+			if n := d.Stats().WindowPoints; n != len(alive) {
+				t.Fatalf("arrival %d: WindowPoints %d, %d pickups alive", i, n, len(alive))
 			}
-		})
-	}
+			for _, par := range []int{1, 0} {
+				want, err := DetectSpots(alive, DetectorConfig{Cluster: params, ByZone: true, Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					when string
+					live []QueueSpot
+				}{{"before Refresh", before}, {"after Refresh", got}} {
+					when, live := c.when, c.live
+					if len(live) != len(want) {
+						t.Fatalf("arrival %d, Parallelism %d, %s: live %d spots, batch %d", i, par, when, len(live), len(want))
+					}
+					for k := range live {
+						g, w := live[k], want[k]
+						if math.Float64bits(g.Pos.Lat) != math.Float64bits(w.Pos.Lat) ||
+							math.Float64bits(g.Pos.Lon) != math.Float64bits(w.Pos.Lon) ||
+							g.Zone != w.Zone || g.PickupCount != w.PickupCount {
+							t.Fatalf("arrival %d, Parallelism %d, %s, spot %d: live %+v, batch %+v", i, par, when, k, g, w)
+						}
+					}
+				}
+			}
+			maxSpots = max(maxSpots, len(got))
+			nearMid := 0
+			for _, sp := range got {
+				if geo.Equirect(sp.Pos, mid) < 100 {
+					nearMid++
+				}
+			}
+			sawMerged = sawMerged || nearMid == 1
+			sawSplit = sawSplit || (nearMid == 2 && sawMerged)
+		}
+		if !sawMerged || !sawSplit || maxSpots < 5 {
+			t.Fatalf("degenerate feed: merged %v, split %v, at most %d spots", sawMerged, sawSplit, maxSpots)
+		}
+
+		d.Advance(now.Add(window + time.Second))
+		d.Refresh()
+		if spots, n := d.Spots(), d.Stats().WindowPoints; len(spots) != 0 || n != 0 {
+			t.Fatalf("drained window: %d spots over %d points", len(spots), n)
+		}
+	})
 }
 
 // TestLiveDetectorRejectsDegenerateInput: NaN and ±Inf pickups are
@@ -264,8 +263,8 @@ func TestLiveDetectorWindowStaysBounded(t *testing.T) {
 }
 
 // TestLiveDetectorMatchMetersIsTheLimit: a cluster takes over a tracked
-// spot only when its centroid lies at most MatchMeters away. The limit
-// used to be MatchMeters+1, so a cluster 30.5 m from a spot (limit 30)
+// spot only when its centroid lies at most 2×EpsMeters away. The limit
+// used to be one meter more, so a cluster 30.5 m from a spot (limit 30)
 // moved the spot instead of starting a second one.
 func TestLiveDetectorMatchMetersIsTheLimit(t *testing.T) {
 	for _, tc := range []struct {
@@ -274,9 +273,8 @@ func TestLiveDetectorMatchMetersIsTheLimit(t *testing.T) {
 	}{{29.5, true}, {30.5, false}} {
 		t.Run(fmt.Sprint(tc.meters), func(t *testing.T) {
 			d, err := NewLiveDetector(LiveDetectorConfig{
-				Cluster:     cluster.Params{EpsMeters: 15, MinPoints: 10},
-				Window:      30 * time.Minute,
-				MatchMeters: 30,
+				Cluster: cluster.Params{EpsMeters: 15, MinPoints: 10},
+				Window:  30 * time.Minute,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -293,7 +291,7 @@ func TestLiveDetectorMatchMetersIsTheLimit(t *testing.T) {
 					d.Observe(p, clock)
 				}
 			}
-			// 20 pickups reach ConfirmPoints (2×MinPoints): confirmed at birth.
+			// 20 pickups reach the confirm bar (2×MinPoints): confirmed at birth.
 			observe(c, 20)
 			first := d.Refresh()
 			if len(first) != 1 || first[0].State != SpotConfirmed {
@@ -350,9 +348,8 @@ func TestLiveDetectorLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	c := geo.Point{Lat: 1.30, Lon: 103.80}
 	d, err := NewLiveDetector(LiveDetectorConfig{
-		Cluster:   cluster.Params{EpsMeters: 15, MinPoints: 10},
-		Window:    30 * time.Minute,
-		DropAfter: 10 * time.Minute,
+		Cluster: cluster.Params{EpsMeters: 15, MinPoints: 10},
+		Window:  30 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +366,7 @@ func TestLiveDetectorLifecycle(t *testing.T) {
 		t.Fatalf("stats %+v, want 1 emerging 0 confirmed", got)
 	}
 
-	// 15 more: past ConfirmPoints (2×10) — the spot confirms.
+	// 15 more: past the confirm bar (2×10) — the spot confirms.
 	clock = feedBlob(t, d, c, 15, clock, rng)
 	spots = d.Refresh()
 	if len(spots) != 1 || spots[0].State != SpotConfirmed {
@@ -390,7 +387,7 @@ func TestLiveDetectorLifecycle(t *testing.T) {
 		t.Fatalf("decaying support %d, want 0", spots[0].Spot.PickupCount)
 	}
 
-	// Still dry DropAfter later: dropped.
+	// Still dry Window/2 after it last matched: dropped.
 	d.Advance(clock.Add(42 * time.Minute))
 	if spots = d.Refresh(); len(spots) != 0 {
 		t.Fatalf("decayed spot still tracked: %+v", spots)
@@ -405,15 +402,13 @@ func TestLiveDetectorLifecycle(t *testing.T) {
 }
 
 // TestLiveDetectorHysteresis checks the anti-flap band: support wobbling
-// between DecayPoints and ConfirmPoints changes nothing in either state.
+// between MinPoints and 2×MinPoints changes nothing in either state.
 func TestLiveDetectorHysteresis(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	c := geo.Point{Lat: 1.30, Lon: 103.80}
 	d, err := NewLiveDetector(LiveDetectorConfig{
-		Cluster:       cluster.Params{EpsMeters: 15, MinPoints: 10},
-		Window:        30 * time.Minute,
-		ConfirmPoints: 30,
-		DecayPoints:   15,
+		Cluster: cluster.Params{EpsMeters: 15, MinPoints: 15},
+		Window:  30 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -431,8 +426,8 @@ func TestLiveDetectorHysteresis(t *testing.T) {
 		t.Fatal("support above confirm bar did not confirm")
 	}
 	// …then the window slides past the first 35 points while 20 fresh
-	// ones arrive: support lands back inside the band (20 ≥ DecayPoints,
-	// < ConfirmPoints) — still confirmed, no decay flap.
+	// ones arrive: support lands back inside the band (20 ≥ MinPoints,
+	// < 2×MinPoints) — still confirmed, no decay flap.
 	clock = feedBlob(t, d, c, 20, clock.Add(31*time.Minute), rng)
 	spots := d.Refresh()
 	if len(spots) != 1 || spots[0].State != SpotConfirmed {
@@ -453,16 +448,5 @@ func TestLiveDetectorHysteresis(t *testing.T) {
 	clock = feedBlob(t, d, c, 20, clock.Add(32*time.Minute), rng)
 	if spots := d.Refresh(); len(spots) != 1 || spots[0].State != SpotDecaying {
 		t.Fatalf("in-band support while decaying: %+v, want still decaying", spots)
-	}
-}
-
-func TestLiveDetectorRejectsInvertedHysteresis(t *testing.T) {
-	_, err := NewLiveDetector(LiveDetectorConfig{
-		Cluster:       cluster.Params{EpsMeters: 15, MinPoints: 10},
-		ConfirmPoints: 10,
-		DecayPoints:   20,
-	})
-	if err == nil {
-		t.Fatal("inverted hysteresis thresholds accepted")
 	}
 }

@@ -138,19 +138,12 @@ func Sporadics(registry []RegistrySpot) []RegistrySpot {
 	return out
 }
 
-// RegistryConfig drives the deployed system's weekday/weekend split (§7.1:
-// weekday spots from weekday history, weekend spots from weekend history).
-type RegistryConfig struct {
-	MatchMeters float64 // 20 when zero
-	MinDays     int     // stability threshold; 1 when zero
-}
-
 // BuildDayTypeRegistries merges per-day spot sets into one registry per day
-// kind. daySets maps each day's weekday to its detected spots.
-func BuildDayTypeRegistries(daySets map[time.Weekday][]QueueSpot, cfg RegistryConfig) map[citymap.DayKind][]RegistrySpot {
-	if cfg.MatchMeters <= 0 {
-		cfg.MatchMeters = 20
-	}
+// kind, the deployed system's weekday/weekend split (§7.1: weekday spots
+// from weekday history, weekend spots from weekend history). daySets maps
+// each day's weekday to its detected spots. Spots within 20 m of each
+// other are one spot, stable when seen on a majority of its kind's days.
+func BuildDayTypeRegistries(daySets map[time.Weekday][]QueueSpot) map[citymap.DayKind][]RegistrySpot {
 	grouped := map[citymap.DayKind][][]QueueSpot{}
 	for wd, spots := range daySets {
 		k := citymap.DayKindOf(int(wd))
@@ -158,12 +151,7 @@ func BuildDayTypeRegistries(daySets map[time.Weekday][]QueueSpot, cfg RegistryCo
 	}
 	out := map[citymap.DayKind][]RegistrySpot{}
 	for k, daily := range grouped {
-		minDays := cfg.MinDays
-		if minDays == 0 {
-			// Default: stable = seen on a majority of that kind's days.
-			minDays = len(daily)/2 + 1
-		}
-		out[k] = MergeSpots(daily, cfg.MatchMeters, minDays)
+		out[k] = MergeSpots(daily, 20, len(daily)/2+1)
 	}
 	return out
 }

@@ -107,7 +107,7 @@ func TestBuildDayTypeRegistries(t *testing.T) {
 	for _, wd := range []time.Weekday{time.Saturday, time.Sunday} {
 		daySets[wd] = []QueueSpot{jitterSpot(regA, 0, 0, 150), jitterSpot(regC, 0, 0, 120)}
 	}
-	regs := BuildDayTypeRegistries(daySets, RegistryConfig{})
+	regs := BuildDayTypeRegistries(daySets)
 	wk := regs[citymap.Weekday]
 	we := regs[citymap.Weekend]
 	if len(wk) != 1 {

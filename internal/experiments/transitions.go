@@ -80,7 +80,7 @@ func (s *Suite) Registry() (map[citymap.DayKind][]core.RegistrySpot, string, err
 		}
 		daySets[wd] = spots
 	}
-	regs := core.BuildDayTypeRegistries(daySets, core.RegistryConfig{})
+	regs := core.BuildDayTypeRegistries(daySets)
 
 	t := report.NewTable("§7.1 Multi-day queue-spot registries",
 		"Registry", "Stable spots", "Sporadic spots")

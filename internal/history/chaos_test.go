@@ -16,7 +16,7 @@ import (
 func durableConfig(t *testing.T, nspots int) Config {
 	cfg := testConfig(nspots)
 	cfg.Dir = t.TempDir()
-	cfg.BlockRecords = 24
+	cfg.blockRecords = 24
 	return cfg
 }
 

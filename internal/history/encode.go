@@ -36,11 +36,13 @@ import (
 // features survived the bit-exact derivation check at encode time:
 // N_arr = waitN·Factor and N_dep = depN·Factor reproduce the §6.2.1
 // amplified counts from the raw ones, and L̄ is recomputed from t̄wait and
-// N_arr with the exact expression shape the producer used — the stream
-// engine evaluates (t̄wait·N_arr)/len where the batch engine evaluates
-// t̄wait·(N_arr/len), and float multiplication is not associative, so the
-// mode bit replays whichever order round-trips. Anything that fails the
-// check is stored as explicit bits; decode is lossless either way.
+// N_arr in one of two expression shapes: (t̄wait·N_arr)/len or
+// t̄wait·(N_arr/len). Both the stream and the batch engine build cells
+// through core.SlotStats.Features, which evaluates the second; the encoder
+// still tries the first, and blocks already stored carry it. Float
+// multiplication is not associative, so the mode bit replays whichever
+// order round-trips. Anything that fails the check is stored as explicit
+// bits; decode is lossless either way.
 //
 // Signed quantities (durations, counts) are stored as uvarint over the
 // two's-complement uint64 — never expected negative, but lossless if so.

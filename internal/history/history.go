@@ -91,12 +91,6 @@ type Config struct {
 	// chaos harness injects disk faults here. Reads and truncation use the
 	// real filesystem, like the WAL.
 	FS store.FS
-	// BlockRecords seals the open tail into an encoded block once it holds
-	// this many records; 512 when 0.
-	BlockRecords int
-	// BlockCacheBlocks bounds the decoded-block LRU that fronts
-	// disk-resident blocks after a lazy Open; 64 when 0.
-	BlockCacheBlocks int
 	// EagerOpen decodes every recovered block at Open, restoring the
 	// pre-lazy resident behavior (every CRC check still runs either way).
 	// Identity tests and the open-cost benchmarks compare against it.
@@ -104,17 +98,23 @@ type Config struct {
 	// Metrics is the registry the store's collectors live in; a private
 	// registry when nil.
 	Metrics *obs.Registry
+
+	// blockRecords (512, the records an encoded block seals at) and
+	// blockCacheBlocks (64, the decoded-block LRU's bound after a lazy
+	// Open): only tests set them, to reach their cases quickly.
+	blockRecords     int
+	blockCacheBlocks int
 }
 
 func (c Config) withDefaults() Config {
-	if c.BlockRecords == 0 {
-		c.BlockRecords = 512
+	if c.blockRecords == 0 {
+		c.blockRecords = 512
 	}
 	if c.Amplify.Factor == 0 {
 		c.Amplify = core.NoAmplification
 	}
-	if c.BlockCacheBlocks == 0 {
-		c.BlockCacheBlocks = 64
+	if c.blockCacheBlocks == 0 {
+		c.blockCacheBlocks = 64
 	}
 	if c.FS == nil {
 		c.FS = store.OS
@@ -193,7 +193,7 @@ func Open(cfg Config) (*Store, error) {
 		wm:          make(map[int]int),
 		persistedWM: make(map[int]int),
 	}
-	s.cache = newBlockCache(cfg.BlockCacheBlocks, s.met)
+	s.cache = newBlockCache(cfg.blockCacheBlocks, s.met)
 	if cfg.Dir != "" {
 		// Recovery is lazy: only each frame's summary prefix is decoded;
 		// the columns stay on disk behind the log ref and materialize on
@@ -281,7 +281,7 @@ func (s *Store) Days() []int { return s.pub.Load().days() }
 // day's watermark) are skipped, so racing appenders and WAL replays are
 // exactly idempotent; cells whose features are the zero 5-tuple are
 // elided (the read side synthesizes them). The new cells join the open
-// tail, which seals into encoded blocks at Config.BlockRecords and
+// tail, which seals into encoded blocks of 512 records and
 // commits them to the log when the store has a directory.
 func (s *Store) AppendSlots(day, lo, hi int, at func(spot, slot int) (core.SlotFeatures, core.QueueType)) error {
 	if hi > s.cfg.Grid.Slots {
@@ -346,7 +346,7 @@ func (s *Store) coveredLocked(day, cut int) int {
 	return s.wm[day]
 }
 
-// sealFullLocked cuts BlockRecords-sized blocks off the open tail and
+// sealFullLocked cuts full-sized blocks off the open tail and
 // commits them. A commit failure is counted, not returned: a failing
 // history disk must not stall its feeder, and the log rewrites the blocks
 // at the next commit.
@@ -354,10 +354,10 @@ func (s *Store) sealFullLocked() {
 	sealed := false
 	for len(s.pending) > 0 {
 		run := s.pendingRunLocked()
-		if run < s.cfg.BlockRecords {
+		if run < s.cfg.blockRecords {
 			break
 		}
-		cut := s.cfg.BlockRecords
+		cut := s.cfg.blockRecords
 		day := s.pending[0].Day
 		s.sealLocked(day, s.pending[:cut], s.coveredLocked(day, cut))
 		s.pending = append(s.pending[:0:0], s.pending[cut:]...)

@@ -303,7 +303,7 @@ func TestReopenIdentity(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(6)
 	cfg.Dir = dir
-	cfg.BlockRecords = 64 // force several blocks + a partial tail
+	cfg.blockRecords = 64 // force several blocks + a partial tail
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +491,7 @@ func TestMetricsConsistency(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Dir = t.TempDir()
 	cfg.Metrics = reg
-	cfg.BlockRecords = 24 // several blocks, so one range query hits AND misses
+	cfg.blockRecords = 24 // several blocks, so one range query hits AND misses
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

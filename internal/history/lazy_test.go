@@ -55,7 +55,7 @@ func assertRangeIdentity(t *testing.T, s *Store, seed int64, trials int) {
 func TestRangeSummaryMatchesDecode(t *testing.T) {
 	cfg := testConfig(6)
 	cfg.Dir = t.TempDir()
-	cfg.BlockRecords = 24 // many blocks per day → plenty of partial overlaps
+	cfg.blockRecords = 24 // many blocks per day → plenty of partial overlaps
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestRangeSummaryMatchesDecode(t *testing.T) {
 func TestLazyOpenMatchesEager(t *testing.T) {
 	cfg := testConfig(5)
 	cfg.Dir = t.TempDir()
-	cfg.BlockRecords = 32
+	cfg.blockRecords = 32
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +208,8 @@ func TestLazyOpenMatchesEager(t *testing.T) {
 func TestBlockCacheEviction(t *testing.T) {
 	cfg := testConfig(5)
 	cfg.Dir = t.TempDir()
-	cfg.BlockRecords = 24
-	cfg.BlockCacheBlocks = 1
+	cfg.blockRecords = 24
+	cfg.blockCacheBlocks = 1
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestRotateWithLazyBlocks(t *testing.T) {
 	faults.SetEnabled(false)
 	cfg := testConfig(6)
 	cfg.Dir = t.TempDir()
-	cfg.BlockRecords = 24
+	cfg.blockRecords = 24
 	cfg.FS = faults.FS(nil)
 	s, err := Open(cfg)
 	if err != nil {

@@ -29,9 +29,9 @@ func tinyConfig(stall chan struct{}) Config {
 		},
 		Clean:        clean.Config{ValidFrame: citymap.Island},
 		Shards:       1,
-		QueueDepth:   8,
-		BlockTimeout: 150 * time.Millisecond,
 		testStall:    func(int) { <-stall },
+		queueDepth:   8,
+		blockTimeout: 150 * time.Millisecond,
 	}
 }
 
@@ -69,8 +69,8 @@ func TestBlockReturns429(t *testing.T) {
 	if w.Code != 429 {
 		t.Fatalf("status %d, want 429", w.Code)
 	}
-	if e := time.Since(start); e < cfg.BlockTimeout {
-		t.Fatalf("429 before the %v deadline (%v)", cfg.BlockTimeout, e)
+	if e := time.Since(start); e < cfg.blockTimeout {
+		t.Fatalf("429 before the %v deadline (%v)", cfg.blockTimeout, e)
 	}
 	var resp struct {
 		Accepted int    `json:"accepted"`

@@ -59,7 +59,6 @@ func BenchmarkIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			cfg := d.serviceConfig()
 			cfg.Shards = shards
-			cfg.QueueDepth = 4096
 			benchFeed(b, d, cfg)
 		})
 	}
@@ -73,27 +72,7 @@ func BenchmarkIngestDurable(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			cfg := d.serviceConfig()
 			cfg.Shards = shards
-			cfg.QueueDepth = 4096
 			cfg.WALDir = b.TempDir()
-			benchFeed(b, d, cfg)
-		})
-	}
-}
-
-// BenchmarkIngestDurableSync sweeps the group-commit batch size: SyncEvery
-// is the crash-loss window in records, so this chart is the price of each
-// durability setting. sync=1 is fsync-per-record — the old per-checkpoint
-// behavior's worst case — and the default (256) should sit within a few
-// percent of the non-durable path.
-func BenchmarkIngestDurableSync(b *testing.B) {
-	d := getDay(b)
-	for _, sync := range []int{1, 16, 64, 256, 1024} {
-		b.Run(fmt.Sprintf("sync=%d", sync), func(b *testing.B) {
-			cfg := d.serviceConfig()
-			cfg.Shards = 1
-			cfg.QueueDepth = 4096
-			cfg.WALDir = b.TempDir()
-			cfg.SyncEvery = sync
 			benchFeed(b, d, cfg)
 		})
 	}

@@ -11,17 +11,15 @@ import (
 )
 
 // historyStore opens a history store matching the fixture day's grid and
-// spot set, with small blocks so a half-day feed already seals durable
-// frames.
+// spot set.
 func historyStore(t testing.TB, d *day, dir string) *history.Store {
 	t.Helper()
 	s, err := history.Open(history.Config{
-		Grid:         d.grid,
-		Spots:        d.scfg.Spots,
-		Thresholds:   d.scfg.Thresholds,
-		Amplify:      d.scfg.Amplify,
-		Dir:          dir,
-		BlockRecords: 64,
+		Grid:       d.grid,
+		Spots:      d.scfg.Spots,
+		Thresholds: d.scfg.Thresholds,
+		Amplify:    d.scfg.Amplify,
+		Dir:        dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +100,10 @@ func TestHistoryCrashRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crashed run: half the feed, checkpoint, kill without flushing.
+	// Crashed run: a quarter of the feed and a history barrier, which
+	// seals the final slots so far into durable blocks (a half day fills
+	// none of the store's 512-record blocks), then another quarter,
+	// checkpoint, kill without flushing.
 	histDir := t.TempDir()
 	crashHist := historyStore(t, d, histDir)
 	crashCfg := base
@@ -113,7 +114,12 @@ func TestHistoryCrashRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := len(d.raw) / 2
-	feed(t, svc, d.raw[:k])
+	feed(t, svc, d.raw[:k/2])
+	// At the grid start the barrier closes no slot.
+	if err := svc.FlushUntil(d.grid.Start); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, svc, d.raw[k/2:k])
 	if err := svc.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,13 @@
 // Durability is a per-shard write-ahead log on store.Log, one checksummed
 // frame per record: each shard streams every arriving record raw
 // (pre-clean) into its log and fsyncs in batches — group commit: one write
-// and one sync cover up to SyncEvery records under load, and the log syncs
-// immediately when the queue goes idle. Files rotate by size. On startup
-// the service replays each shard's log in order through a fresh cleaner
-// and engine — the exact live code path — so the recovered state is
-// byte-identical to the pre-crash state at the last commit, including
+// and one sync cover up to syncEvery (256) records under load, and the log
+// syncs immediately when the queue goes idle. Files rotate at 4 MiB. On
+// startup the service replays each shard's log in order through a fresh
+// cleaner and engine — the exact live code path — so the recovered state
+// is byte-identical to the pre-crash state at the last commit, including
 // records the cleaner held undecided. A crash loses at most the records
-// of the current commit window (bounded by SyncEvery).
+// of the current commit window (bounded by syncEvery).
 //
 // Observability: every counter, queue depth, stage latency and removal rate
 // is a collector in an obs.Registry (Config.Metrics; private by default).
@@ -61,12 +61,18 @@ import (
 
 var (
 	// ErrBackpressure is returned by Accept when a shard queue stays full
-	// past Config.BlockTimeout.
+	// past the accept deadline (2 s).
 	ErrBackpressure = errors.New("ingest: shard queue full past deadline")
 	// ErrClosed is returned by Accept and the control-plane ops (Flush,
 	// FlushUntil, Checkpoint) after Close or Abort.
 	ErrClosed = errors.New("ingest: service closed")
 )
+
+// syncEvery is the group-commit interval: how many logged records may
+// accumulate before the WAL fsyncs (it also syncs whenever a shard's queue
+// goes idle, so a trickle feed is durable almost immediately). The
+// crash-loss window, in records.
+const syncEvery = 256
 
 // Config parameterizes the service.
 type Config struct {
@@ -79,24 +85,10 @@ type Config struct {
 	Clean clean.Config
 	// Shards is the worker count; records route by taxi-ID hash. 4 when 0.
 	Shards int
-	// QueueDepth bounds each shard's record queue; 1024 when 0.
-	QueueDepth int
-	// BlockTimeout bounds how long one Accept call may wait for queue
-	// space before reporting backpressure; 2s when 0. No accepted record
-	// is ever discarded.
-	BlockTimeout time.Duration
 	// WALDir, when non-empty, enables durability: shard i appends the raw
 	// records it accepted to the log under WALDir/shard-NNN/ and replays
 	// them on startup.
 	WALDir string
-	// SyncEvery is the group-commit interval: how many logged records may
-	// accumulate before the WAL fsyncs (it also syncs whenever a shard's
-	// queue goes idle, so a trickle feed is durable almost immediately).
-	// The crash-loss window, in records. 256 when 0.
-	SyncEvery int
-	// SegmentBytes rotates a shard's active WAL file when it reaches this
-	// size; 4 MiB when 0.
-	SegmentBytes int64
 	// FS is the filesystem the WAL writes go through; the real filesystem
 	// when nil. The chaos harness injects disk faults here.
 	FS store.FS
@@ -107,13 +99,10 @@ type Config struct {
 
 	// History, when set, receives every newly-final (spot, slot) context:
 	// each cross-shard watermark advance appends the snapshot's new final
-	// slots as HistoryDay's cells, and Flush/FlushUntil/Close double as
-	// history durability barriers. Appends are idempotent on the history
-	// side, so WAL replay and racing shards cannot double-record a slot.
+	// slots as day 0's cells, and Flush/FlushUntil/Close double as history
+	// durability barriers. Appends are idempotent on the history side, so
+	// WAL replay and racing shards cannot double-record a slot.
 	History HistoryAppender
-	// HistoryDay is the day index the live feed's slots are recorded
-	// under (0 for a single-day feed).
-	HistoryDay int
 
 	// LiveSpots, when enabled, runs online queue-spot discovery over the
 	// pickups that land outside every batch spot: the batch spot detector
@@ -126,20 +115,23 @@ type Config struct {
 	// A stalled worker cannot handle control ops either, so tests must
 	// release the stall before Flush/Close/Abort.
 	testStall func(shard int)
+	// queueDepth (1024 records a shard), blockTimeout (2 s, how long
+	// Accept waits for queue space) and segmentBytes (store.Log's 4 MiB WAL
+	// files when 0): only tests set them, to reach their cases quickly.
+	queueDepth   int
+	blockTimeout time.Duration
+	segmentBytes int64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = 4
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 1024
+	if c.queueDepth == 0 {
+		c.queueDepth = 1024
 	}
-	if c.BlockTimeout == 0 {
-		c.BlockTimeout = 2 * time.Second
-	}
-	if c.SyncEvery == 0 {
-		c.SyncEvery = 256
+	if c.blockTimeout == 0 {
+		c.blockTimeout = 2 * time.Second
 	}
 	if c.Stream.Amplify.Factor == 0 {
 		c.Stream.Amplify = core.NoAmplification
@@ -331,7 +323,7 @@ func shardIndex(id string, n int) int {
 }
 
 // Accept routes records to their shard queues, waiting for queue space up
-// to Config.BlockTimeout, and reports how many entered a queue. The
+// to the accept deadline (2 s), and reports how many entered a queue. The
 // fan-out is batched: one pass groups the request's records into per-shard
 // slabs (copied, so the caller may reuse recs) and each slab travels as a
 // single channel send — one clock read and one queue-wait observation
@@ -353,11 +345,11 @@ func (s *Service) Accept(recs []mdt.Record) (int, error) {
 	}
 	at := time.Now()
 	nsh := len(s.shards)
-	chunk := s.cfg.QueueDepth
+	chunk := s.cfg.queueDepth
 	if chunk > slabMax {
 		chunk = slabMax
 	}
-	deadline := time.NewTimer(s.cfg.BlockTimeout)
+	deadline := time.NewTimer(s.cfg.blockTimeout)
 	defer deadline.Stop()
 	cur := make([]*recSlab, nsh)  // open (unsent) slab per shard
 	first := make([]int, nsh)     // recs index of cur's first record
@@ -554,7 +546,7 @@ func (s *Service) appendHistory() {
 	if snap.FinalBelow == 0 {
 		return
 	}
-	err := h.AppendSlots(s.cfg.HistoryDay, 0, snap.FinalBelow,
+	err := h.AppendSlots(0, 0, snap.FinalBelow,
 		func(spot, slot int) (core.SlotFeatures, core.QueueType) {
 			f, l, _ := snap.Context(spot, slot)
 			return f, l

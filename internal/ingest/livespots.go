@@ -23,16 +23,16 @@ import (
 type LiveSpotsConfig struct {
 	// Enabled turns the tracker on.
 	Enabled bool
-	// Detector parameterizes the window clustering and the
-	// emerging → confirmed → decaying hysteresis; zero fields take
-	// core.DefaultLiveDetectorConfig-style defaults.
+	// Detector parameterizes the window clustering, from which the
+	// emerging → confirmed → decaying hysteresis derives.
 	Detector core.LiveDetectorConfig
-	// RefreshEvery is how many observed pickups may accumulate before the
-	// tracker reconciles clusters and republishes (64 when 0). Watermark
-	// advances and flush barriers also trigger a refresh, so a quiet feed
-	// still decays and drops stale spots on time.
-	RefreshEvery int
 }
+
+// refreshEvery is how many observed pickups may accumulate before the
+// tracker reconciles clusters and republishes. Watermark advances and
+// flush barriers also trigger a refresh, so a quiet feed still decays and
+// drops stale spots on time.
+const refreshEvery = 64
 
 // liveTracker serializes one core.LiveDetector behind a mutex and bridges
 // it to the ingest machinery: shard workers feed pickup events in, and
@@ -40,9 +40,8 @@ type LiveSpotsConfig struct {
 // snapshot through aggregator.publishLive. The tracker mutex is taken
 // before the aggregator mutex, never the other way around.
 type liveTracker struct {
-	agg   *aggregator
-	met   *metrics
-	every int
+	agg *aggregator
+	met *metrics
 
 	mu        sync.Mutex
 	det       *core.LiveDetector
@@ -56,15 +55,11 @@ func newLiveTracker(cfg LiveSpotsConfig, agg *aggregator, met *metrics) (*liveTr
 	if err != nil {
 		return nil, err
 	}
-	every := cfg.RefreshEvery
-	if every <= 0 {
-		every = 64
-	}
-	return &liveTracker{agg: agg, met: met, every: every, det: det}, nil
+	return &liveTracker{agg: agg, met: met, det: det}, nil
 }
 
 // observe feeds the unmatched pickups of one shard's event batch into the
-// detector, refreshing once RefreshEvery have accumulated.
+// detector, refreshing once refreshEvery have accumulated.
 func (t *liveTracker) observe(events []stream.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -77,7 +72,7 @@ func (t *liveTracker) observe(events []stream.Event) {
 		t.det.Observe(ev.Pickup.Centroid, sub[len(sub)-1].Time)
 		t.since++
 	}
-	if t.since >= t.every {
+	if t.since >= refreshEvery {
 		t.refreshLocked()
 	}
 }
@@ -122,7 +117,8 @@ func (t *liveTracker) stats() core.LiveStats {
 
 // liveChanged reports whether two discovered-spot lists differ in anything
 // a reader can observe: position, support, zone or lifecycle state. The
-// Seen timestamps are bookkeeping for DropAfter and don't gate a republish.
+// Seen timestamps are bookkeeping for dropping a decaying spot and don't
+// gate a republish.
 func liveChanged(a, b []core.LiveSpot) bool {
 	if len(a) != len(b) {
 		return true

@@ -73,9 +73,7 @@ func TestLiveSpotDiscoveryPopup(t *testing.T) {
 		Detector: core.LiveDetectorConfig{
 			Cluster: cluster.Params{EpsMeters: 15, MinPoints: 10},
 			Window:  3 * time.Hour,
-			ByZone:  true,
 		},
-		RefreshEvery: 8,
 	}
 	svc, err := NewService(cfg)
 	if err != nil {

@@ -1,9 +1,11 @@
 package ingest
 
 import (
+	"errors"
 	"os"
 	"testing"
 
+	"taxiqueue/internal/chaos"
 	"taxiqueue/internal/mdt"
 )
 
@@ -120,6 +122,34 @@ func TestGroupCommitClosesTheDurabilityGap(t *testing.T) {
 	if got := svc2.Stats().Replayed; got != logged {
 		t.Fatalf("replayed %d, want all %d logged records (including the %d past the checkpoint)",
 			got, logged, 2000)
+	}
+}
+
+// TestFlushUntilReportsFailedCommit: FlushUntil is a durability barrier,
+// so a WAL commit that fails under it is the caller's error, as it is for
+// Flush and Checkpoint. FlushUntil used to drop it and return nil.
+func TestFlushUntilReportsFailedCommit(t *testing.T) {
+	d := getDay(t)
+	faults := chaos.New(chaos.Config{Seed: 1, SyncErrProb: 1})
+	cfg := d.serviceConfig()
+	cfg.Shards = 1
+	cfg.WALDir = t.TempDir()
+	cfg.FS = faults.FS(nil)
+
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Abort()
+	feed(t, svc, d.raw[:2000])
+	if err := svc.FlushUntil(d.grid.Start); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("FlushUntil over a disk whose every fsync fails returned %v, want the injected failure", err)
+	}
+	if err := svc.Checkpoint(); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("Checkpoint returned %v, want the injected failure", err)
+	}
+	if n := faults.Counts()["fs_sync_err"]; n == 0 {
+		t.Fatal("no fsync fault fired")
 	}
 }
 

@@ -42,7 +42,7 @@ type ctlMsg struct {
 const slabMax = 1024
 
 // recSlab is a pooled record slice — the unit of queueing. Accept fills
-// one per shard per request (chunked at min(slabMax, QueueDepth)) and the
+// one per shard per request (chunked at min(slabMax, queue depth)) and the
 // worker returns it to the pool after processing.
 type recSlab struct {
 	recs []mdt.Record
@@ -79,8 +79,8 @@ type shard struct {
 	ch  chan recBatch
 	ctl chan ctlMsg
 
-	// qLen counts the records queued (not slabs): the unit QueueDepth and
-	// the backpressure policies are defined over. Producers reserve space
+	// qLen counts the records queued (not slabs): the unit the queue depth
+	// and backpressure are defined over. Producers reserve space
 	// here before sending; the worker releases it when it picks a batch up.
 	qLen atomic.Int64
 	// space wakes one blocked producer after the worker frees capacity; a
@@ -96,8 +96,9 @@ type shard struct {
 	// tails enforces the per-taxi time-order rule uniformly: it applies
 	// before the WAL *and* when durability is off, so both modes reject the
 	// same records and serve identical labels from identical input. The
-	// granularity is whole seconds — exactly the store's Append invariant,
-	// so sub-second jitter (e.g. the RFC3339 JSON wire truncation) passes.
+	// rule compares whole seconds because the JSON-lines wire truncates
+	// times to the second (RFC3339): a taxi's records that arrive over both
+	// wires may disagree below the second, and that jitter is not disorder.
 	//
 	// Each tail also keeps every ordering-accepted record of the taxi's
 	// newest second — the dedup window that makes re-sent feeds exactly
@@ -159,7 +160,7 @@ func newShard(s *Service, i int) (*shard, error) {
 	sh := &shard{
 		id:      i,
 		svc:     s,
-		ch:      make(chan recBatch, s.cfg.QueueDepth),
+		ch:      make(chan recBatch, s.cfg.queueDepth),
 		ctl:     make(chan ctlMsg, 4),
 		space:   make(chan struct{}, 1),
 		cleaner: clean.NewStreamer(s.cfg.Clean),
@@ -176,7 +177,7 @@ func newShard(s *Service, i int) (*shard, error) {
 	sm := sh.sm
 	walCfg := store.LogConfig{
 		FS:           s.cfg.FS,
-		SegmentBytes: s.cfg.SegmentBytes,
+		SegmentBytes: s.cfg.segmentBytes,
 		OnSync: func(took time.Duration, err error) {
 			if err != nil {
 				sm.ckptErrors.Inc()
@@ -263,7 +264,7 @@ func (sh *shard) release(n int64) {
 // slabs) always has room once the reservation succeeds.
 func (sh *shard) deliver(b recBatch, deadline *time.Timer) error {
 	n := int64(len(b.slab.recs))
-	depth := int64(sh.svc.cfg.QueueDepth)
+	depth := int64(sh.svc.cfg.queueDepth)
 	for {
 		if sh.reserve(n, depth) {
 			sh.ch <- b
@@ -326,8 +327,9 @@ func (sh *shard) handle(msg ctlMsg) bool {
 		sh.emit(sh.engine.FlushUntil(msg.at))
 		// A FlushUntil doubles as a durability barrier: callers use it to
 		// settle the queue, so everything logged must be on stable storage
-		// (and wal_pending truthful) when the reply lands.
-		sh.commit()
+		// (and wal_pending truthful) when the reply lands, and a failed
+		// commit is the caller's error.
+		err = sh.commit()
 	case opDrainUntil:
 		// The queue-settling half of opFlushUntil without the commit:
 		// benchmarks use it as a pure drain barrier so the per-record
@@ -434,14 +436,14 @@ func (sh *shard) process(rec mdt.Record, tail *taxiTail) *taxiTail {
 }
 
 // maybeSync is the group-commit trigger, run once per batch: start a
-// pipelined commit when enough records accumulated (SyncEvery) or when the
+// pipelined commit when enough records accumulated (syncEvery) or when the
 // queue went idle. The worker only pays the buffered write; the fsync runs
 // on the WAL's background syncer, so under load one fsync covers many
 // batches and the hot path never waits on disk latency. A trickle feed
 // still becomes durable moments after the worker goes idle, and control
 // ops (flush, checkpoint) remain hard barriers via the synchronous commit.
 func (sh *shard) maybeSync() {
-	if p := sh.wal.Pending(); p > 0 && (p >= sh.svc.cfg.SyncEvery || len(sh.ch) == 0) {
+	if p := sh.wal.Pending(); p > 0 && (p >= syncEvery || len(sh.ch) == 0) {
 		if err := sh.wal.CommitAsync(); err != nil {
 			sh.sm.ckptErrors.Inc()
 			log.Printf("ingest: shard %d wal commit: %v", sh.id, err)

@@ -39,7 +39,7 @@ func TestSegmentedRecoveryMatchesWALOffAnyCut(t *testing.T) {
 	d := getDay(t)
 	cfg := d.serviceConfig()
 	cfg.Shards = 1
-	cfg.SegmentBytes = 64 << 10 // several full files plus an active tail
+	cfg.segmentBytes = 64 << 10 // several full files plus an active tail
 	dir := t.TempDir()
 	cfg.WALDir = dir
 

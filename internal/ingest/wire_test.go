@@ -115,8 +115,8 @@ func TestProcessedCursorAlignsPoisonedBatch(t *testing.T) {
 	if code != 429 {
 		t.Fatalf("status %d, want 429 from the wedged shard", code)
 	}
-	if resp.Accepted != cfg.QueueDepth || resp.Bad != 1 {
-		t.Fatalf("accepted %d bad %d, want %d/1", resp.Accepted, resp.Bad, cfg.QueueDepth)
+	if resp.Accepted != cfg.queueDepth || resp.Bad != 1 {
+		t.Fatalf("accepted %d bad %d, want %d/1", resp.Accepted, resp.Bad, cfg.queueDepth)
 	}
 	// Records 0-7 occupy lines 0-2 and 4-8 (line 3 is poison): the first
 	// unaccepted record, #8, sits at line 9 — one past the naive cursor.

@@ -56,49 +56,25 @@ type Recommendation struct {
 // then falls back to the batch label grid.
 type ForecastFunc func(spot int, at time.Time) (label core.QueueType, qlen float64, wait time.Duration, ok bool)
 
+// The ranking's fixed terms: the search radius, the length of the list,
+// the distance and the expected wait at which their factors halve, and the
+// speeds that convert distance to ETA (≈30 km/h urban driving for drivers,
+// walking for commuters).
+const (
+	maxDistanceMeters  = 5000
+	maxResults         = 5
+	halfDistanceMeters = 1500
+	halfWait           = 10 * time.Minute
+	driveSpeedMps      = 8.3
+	walkSpeedMps       = 1.4
+)
+
 // Options tunes the ranking.
 type Options struct {
-	// MaxDistanceMeters bounds the search radius; 5 km when zero.
-	MaxDistanceMeters float64
-	// MaxResults caps the returned list; 5 when zero.
-	MaxResults int
-	// HalfDistanceMeters is the distance at which the distance factor
-	// halves; 1.5 km when zero.
-	HalfDistanceMeters float64
-	// TravelSpeedMps converts distance to ETA; 0 picks the audience
-	// default (≈30 km/h driving for drivers, ≈5 km/h walking for
-	// commuters).
-	TravelSpeedMps float64
-	// HalfWait is the expected wait at which the wait factor halves;
-	// 10 min when zero.
-	HalfWait time.Duration
 	// Forecast, when set, upgrades the ranking from "label at the query
 	// instant" to "expected state at arrival": context, queue length and
 	// wait come from the forecast evaluated per spot at at+ETA.
 	Forecast ForecastFunc
-}
-
-func (o Options) withDefaults(aud Audience) Options {
-	if o.MaxDistanceMeters == 0 {
-		o.MaxDistanceMeters = 5000
-	}
-	if o.MaxResults == 0 {
-		o.MaxResults = 5
-	}
-	if o.HalfDistanceMeters == 0 {
-		o.HalfDistanceMeters = 1500
-	}
-	if o.TravelSpeedMps == 0 {
-		if aud == ForDriver {
-			o.TravelSpeedMps = 8.3 // ~30 km/h urban driving
-		} else {
-			o.TravelSpeedMps = 1.4 // walking
-		}
-	}
-	if o.HalfWait == 0 {
-		o.HalfWait = 10 * time.Minute
-	}
-	return o
 }
 
 // contextWeight scores how attractive a context is for the audience. A
@@ -145,16 +121,19 @@ func Recommend(res *core.Result, aud Audience, from geo.Point, at time.Time, opt
 		math.IsNaN(from.Lon) || math.IsInf(from.Lon, 0) {
 		return nil
 	}
-	opts = opts.withDefaults(aud)
+	speed := walkSpeedMps
+	if aud == ForDriver {
+		speed = driveSpeedMps
+	}
 	grid := res.Config.Grid
 	var out []Recommendation
 	for i := range res.Spots {
 		sa := &res.Spots[i]
 		d := geo.Equirect(from, sa.Spot.Pos)
-		if d > opts.MaxDistanceMeters {
+		if d > maxDistanceMeters {
 			continue
 		}
-		eta := time.Duration(d / opts.TravelSpeedMps * float64(time.Second))
+		eta := time.Duration(d / speed * float64(time.Second))
 		arrival := at.Add(eta)
 		ctx := sa.LabelAt(grid, arrival)
 		var wait time.Duration
@@ -170,10 +149,10 @@ func Recommend(res *core.Result, aud Audience, from geo.Point, at time.Time, opt
 		}
 		activity := float64(sa.Spot.PickupCount)
 		activityFactor := activity / (activity + 100) // saturates toward 1
-		distFactor := opts.HalfDistanceMeters / (opts.HalfDistanceMeters + d)
+		distFactor := halfDistanceMeters / (halfDistanceMeters + d)
 		waitFactor := 1.0
 		if forecasted {
-			waitFactor = float64(opts.HalfWait) / float64(opts.HalfWait+wait)
+			waitFactor = float64(halfWait) / float64(halfWait+wait)
 		}
 		out = append(out, Recommendation{
 			Spot:         sa.Spot,
@@ -191,8 +170,8 @@ func Recommend(res *core.Result, aud Audience, from geo.Point, at time.Time, opt
 		}
 		return out[i].Distance < out[j].Distance
 	})
-	if len(out) > opts.MaxResults {
-		out = out[:opts.MaxResults]
+	if len(out) > maxResults {
+		out = out[:maxResults]
 	}
 	return out
 }

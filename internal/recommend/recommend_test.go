@@ -81,13 +81,13 @@ func TestCommuterPrefersTaxiQueues(t *testing.T) {
 }
 
 func TestDistanceCutoff(t *testing.T) {
-	res := fakeResult(spotAt(8000, 300, core.C2))
-	if recs := Recommend(res, ForDriver, origin, noon, Options{}); len(recs) != 0 {
-		t.Fatal("spot beyond the 5 km default radius recommended")
-	}
-	recs := Recommend(res, ForDriver, origin, noon, Options{MaxDistanceMeters: 10000})
+	res := fakeResult(spotAt(8000, 300, core.C2), spotAt(4900, 300, core.C2))
+	recs := Recommend(res, ForDriver, origin, noon, Options{})
 	if len(recs) != 1 {
-		t.Fatal("widened radius did not include the spot")
+		t.Fatalf("got %d recommendations, want only the spot inside 5 km", len(recs))
+	}
+	if recs[0].Distance > maxDistanceMeters {
+		t.Fatalf("spot %.0f m away recommended beyond the 5 km radius", recs[0].Distance)
 	}
 }
 
@@ -97,9 +97,9 @@ func TestMaxResults(t *testing.T) {
 		spots = append(spots, spotAt(500+float64(i)*100, 300, core.C2))
 	}
 	res := fakeResult(spots...)
-	recs := Recommend(res, ForDriver, origin, noon, Options{MaxResults: 3})
-	if len(recs) != 3 {
-		t.Fatalf("got %d recommendations, want 3", len(recs))
+	recs := Recommend(res, ForDriver, origin, noon, Options{})
+	if len(recs) != maxResults {
+		t.Fatalf("got %d recommendations, want %d", len(recs), maxResults)
 	}
 	// Identical contexts and pickups: nearer spots score higher.
 	for i := 1; i < len(recs); i++ {
@@ -218,20 +218,20 @@ func TestForecastEvaluatesAtArrival(t *testing.T) {
 		sa.Labels[j] = core.C2
 	}
 	res := fakeResult(sa)
-	// Walking 2 km at 1.4 m/s ≈ 24 min: a commuter queries at 12:10, lands
-	// past 12:30. Use a driver with an artificially slow speed instead so
-	// the arrival crosses the slot boundary.
-	at := time.Date(2026, 1, 5, 12, 10, 0, 0, time.UTC)
-	recs := Recommend(res, ForDriver, origin, at, Options{TravelSpeedMps: 1.0})
+	// Driving 2 km at 8.3 m/s takes ≈4 min: a driver who queries at 12:28
+	// lands past 12:30.
+	at := time.Date(2026, 1, 5, 12, 28, 0, 0, time.UTC)
+	recs := Recommend(res, ForDriver, origin, at, Options{})
 	if len(recs) != 1 {
 		t.Fatalf("got %d recommendations, want 1 (arrival-time C2)", len(recs))
 	}
 	if recs[0].Context != core.C2 {
 		t.Fatalf("context %v, want C2 at arrival", recs[0].Context)
 	}
-	// At driving speed the arrival stays inside the C3 slot: filtered out.
-	if recs := Recommend(res, ForDriver, origin, at, Options{}); len(recs) != 0 {
-		t.Fatalf("driving-speed arrival still C3, got %d recommendations", len(recs))
+	// Queried at 12:10 the arrival stays inside the C3 slot: filtered out.
+	early := time.Date(2026, 1, 5, 12, 10, 0, 0, time.UTC)
+	if recs := Recommend(res, ForDriver, origin, early, Options{}); len(recs) != 0 {
+		t.Fatalf("arrival at 12:14 still C3, got %d recommendations", len(recs))
 	}
 }
 

@@ -35,29 +35,21 @@ type Config struct {
 	NumTaxis int
 	// City is the landmark map; a default full-scale city when nil.
 	City *citymap.Map
-	// ObservedFraction is the share of taxis whose MDT logs appear in the
-	// output dataset (the paper's operator covers 60% of the fleet);
-	// 0.6 when zero.
-	ObservedFraction float64
-	// RateScale scales all spot arrival rates; 1 when zero.
-	RateScale float64
 	// InjectFaults enables the §6.1.1 error modes (duplicates, improper
 	// states, GPS outliers).
 	InjectFaults bool
 	// Dispatcher receives booking requests; a fresh one when nil.
 	Dispatcher *dispatch.Dispatcher
-	// RoamLogIntervalSec is the mean seconds between roaming GPS logs;
-	// 110 when zero. Larger values shrink the dataset.
-	RoamLogIntervalSec float64
-	// TripLogIntervalSec is the mean seconds between on-trip GPS logs;
-	// 80 when zero.
-	TripLogIntervalSec float64
 }
 
-// The default mean seconds between GPS logs, roaming and on a trip.
 const (
-	defaultRoamLogIntervalSec = 110
-	defaultTripLogIntervalSec = 80
+	// observedFraction is the share of taxis whose MDT logs appear in the
+	// output dataset: the paper's operator covers 60% of the fleet.
+	observedFraction = 0.6
+	// roamLogIntervalSec and tripLogIntervalSec are the mean seconds
+	// between GPS logs, roaming and on a trip.
+	roamLogIntervalSec = 110
+	tripLogIntervalSec = 80
 )
 
 // DefaultFleet is the fleet a city gets when Config.NumTaxis is zero:
@@ -86,20 +78,8 @@ func (c Config) withDefaults() Config {
 	if c.NumTaxis == 0 {
 		c.NumTaxis = DefaultFleet(c.City)
 	}
-	if c.ObservedFraction == 0 {
-		c.ObservedFraction = 0.6
-	}
-	if c.RateScale == 0 {
-		c.RateScale = 1
-	}
 	if c.Dispatcher == nil {
 		c.Dispatcher = &dispatch.Dispatcher{}
-	}
-	if c.RoamLogIntervalSec == 0 {
-		c.RoamLogIntervalSec = defaultRoamLogIntervalSec
-	}
-	if c.TripLogIntervalSec == 0 {
-		c.TripLogIntervalSec = defaultTripLogIntervalSec
 	}
 	return c
 }
@@ -177,10 +157,10 @@ func New(cfg Config) *Sim {
 	return s
 }
 
-// recordsPerTaxiDay is what one observed taxi logs in a simulated day at
-// the default log intervals: 1,048 to 1,150 records at city scales 0.05 to
-// 1, seeds 1 and 7, weekdays and Sundays. It sits above the highest so that
-// the record log is allocated once.
+// recordsPerTaxiDay is what one observed taxi logs in a simulated day:
+// 1,048 to 1,150 records at city scales 0.05 to 1, seeds 1 and 7, weekdays
+// and Sundays. It sits above the highest so that the record log is
+// allocated once.
 const recordsPerTaxiDay = 1200
 
 // faultHeadroom is the share of extra capacity fault injection needs: it
@@ -189,9 +169,7 @@ const recordsPerTaxiDay = 1200
 const faultHeadroom = 1.0 / 32
 
 // logCapacity sizes the record log so that one allocation holds the whole
-// run, faults included: recordsPerTaxiDay per observed taxi and day, scaled
-// by how much faster or slower than the defaults the configured intervals
-// log.
+// run, faults included: recordsPerTaxiDay per observed taxi and day.
 func (s *Sim) logCapacity() int {
 	observed := 0
 	for _, tx := range s.taxis {
@@ -199,9 +177,7 @@ func (s *Sim) logCapacity() int {
 			observed++
 		}
 	}
-	speedup := (defaultRoamLogIntervalSec + defaultTripLogIntervalSec) /
-		(s.cfg.RoamLogIntervalSec + s.cfg.TripLogIntervalSec)
-	n := float64(observed) * recordsPerTaxiDay * s.cfg.Duration.Hours() / 24 * speedup
+	n := float64(observed) * recordsPerTaxiDay * s.cfg.Duration.Hours() / 24
 	if s.cfg.InjectFaults {
 		n *= 1 + faultHeadroom
 	}

@@ -61,8 +61,8 @@ func (s *Sim) initSpots() {
 // rates returns the spot's current arrival rates per second.
 func (s *Sim) rates(sp *spot) (paxPerSec, taxiPerSec, bookingFrac float64) {
 	r := citymap.RatesAt(sp.lm, s.hour(), s.dayKind())
-	return r.PassengersPerHour / 3600 * s.cfg.RateScale,
-		r.TaxisPerHour / 3600 * s.cfg.RateScale,
+	return r.PassengersPerHour / 3600,
+		r.TaxisPerHour / 3600,
 		r.BookingFraction
 }
 

@@ -43,7 +43,7 @@ func (s *Sim) initTaxis() {
 		tx := &taxi{
 			index:     i,
 			id:        taxiID(i),
-			observed:  s.rng.Float64() < s.cfg.ObservedFraction,
+			observed:  s.rng.Float64() < observedFraction,
 			pos:       s.randomIslandPoint(),
 			poolIdx:   -1,
 			lastState: mdt.Free,
@@ -51,7 +51,7 @@ func (s *Sim) initTaxis() {
 		s.taxis[i] = tx
 		s.poolAdd(tx)
 		// Stagger the first roam log across the first interval.
-		s.schedule(s.cfg.Start.Add(s.expDur(s.cfg.RoamLogIntervalSec)), func() { s.roamLog(tx, tx.epoch) })
+		s.schedule(s.cfg.Start.Add(s.expDur(roamLogIntervalSec)), func() { s.roamLog(tx, tx.epoch) })
 		// One or two driver breaks per day.
 		s.scheduleBreaks(tx)
 	}
@@ -71,7 +71,7 @@ func (s *Sim) toRoaming(tx *taxi) {
 	s.setMode(tx, modeRoaming)
 	s.poolAdd(tx)
 	epoch := tx.epoch
-	s.after(s.expDur(s.cfg.RoamLogIntervalSec), func() { s.roamLog(tx, epoch) })
+	s.after(s.expDur(roamLogIntervalSec), func() { s.roamLog(tx, epoch) })
 }
 
 // roamLog emits a periodic FREE GPS record while the taxi cruises; it
@@ -95,11 +95,11 @@ func (s *Sim) roamLog(tx *taxi, epoch uint64) {
 				}
 			})
 		}
-		s.after(time.Duration(n)*45*time.Second+s.expDur(s.cfg.RoamLogIntervalSec), func() { s.roamLog(tx, epoch) })
+		s.after(time.Duration(n)*45*time.Second+s.expDur(roamLogIntervalSec), func() { s.roamLog(tx, epoch) })
 		return
 	}
 	s.emit(tx, mdt.Free, tx.pos, s.speedIn(15, 55))
-	s.after(s.expDur(s.cfg.RoamLogIntervalSec), func() { s.roamLog(tx, epoch) })
+	s.after(s.expDur(roamLogIntervalSec), func() { s.roamLog(tx, epoch) })
 }
 
 // stepPosition moves p a given distance on a random bearing, reflecting back
@@ -190,7 +190,7 @@ func (s *Sim) demandShape() float64 {
 // as queue spots (fewer than two consecutive low-speed records).
 func (s *Sim) streetHailProcess() {
 	// Rate: ~6 quick hails per taxi per day at peak.
-	perSec := float64(s.cfg.NumTaxis) * 8.0 / 86400 * s.demandShape() * s.cfg.RateScale
+	perSec := float64(s.cfg.NumTaxis) * 8.0 / 86400 * s.demandShape()
 	s.after(s.expDur(1/math.Max(perSec, 1e-9)), s.streetHailProcess)
 	tx := s.poolTakeRandom()
 	if tx == nil {
@@ -216,7 +216,7 @@ func (s *Sim) streetHailProcess() {
 // spots: PEA extracts them, and they become the spatial noise DBSCAN must
 // reject (the paper's 264k daily pickup events vs ~180 spots).
 func (s *Sim) scatteredSlowProcess() {
-	perSec := float64(s.cfg.NumTaxis) * 9.0 / 86400 * s.demandShape() * s.cfg.RateScale
+	perSec := float64(s.cfg.NumTaxis) * 9.0 / 86400 * s.demandShape()
 	s.after(s.expDur(1/math.Max(perSec, 1e-9)), s.scatteredSlowProcess)
 	tx := s.poolTakeRandom()
 	if tx == nil {
@@ -239,7 +239,7 @@ func (s *Sim) scatteredSlowProcess() {
 // small streets). Successful ones are served by a roaming taxi with the full
 // ONCALL -> ARRIVED -> POB sequence.
 func (s *Sim) homeBookingProcess() {
-	perSec := float64(s.cfg.NumTaxis) * 3.0 / 86400 * s.demandShape() * s.cfg.RateScale
+	perSec := float64(s.cfg.NumTaxis) * 3.0 / 86400 * s.demandShape()
 	s.after(s.expDur(1/math.Max(perSec, 1e-9)), s.homeBookingProcess)
 	pickup := s.randomIslandPoint()
 	avail := s.freeTaxisWithin(pickup, s.disp.Radius())
@@ -339,9 +339,8 @@ func (s *Sim) startTrip(tx *taxi, from geo.Point) {
 		})
 	}
 	// Periodic trip logs, interpolated along the straight segment.
-	interval := s.cfg.TripLogIntervalSec
 	for i := 1; ; i++ {
-		at := time.Duration(float64(i) * interval * float64(time.Second))
+		at := time.Duration(float64(i) * tripLogIntervalSec * float64(time.Second))
 		if at >= logsUntil {
 			break
 		}

@@ -55,7 +55,12 @@ type Event struct {
 	Stats core.SlotStats
 }
 
-// Config parameterizes the online engine.
+// assignRadiusMeters bounds pickup-to-spot matching: 2×ε, the batch
+// engine's default.
+const assignRadiusMeters = 30
+
+// Config parameterizes the online engine. PEA runs at
+// core.DefaultSpeedThresholdKmh.
 type Config struct {
 	// Spots are the batch-detected queue spots being watched.
 	Spots []core.QueueSpot
@@ -64,10 +69,6 @@ type Config struct {
 	Thresholds []core.Thresholds
 	// Grid is the slot partition for the streaming day.
 	Grid core.SlotGrid
-	// SpeedThresholdKmh is PEA's η_sp; 10 km/h when zero.
-	SpeedThresholdKmh float64
-	// AssignRadiusMeters bounds pickup-to-spot matching; 30 m when zero.
-	AssignRadiusMeters float64
 	// Amplify is the §6.2.1 coverage correction for the live feed.
 	Amplify core.Amplification
 }
@@ -85,18 +86,12 @@ type Live struct {
 
 // NewLive validates cfg and builds the engine.
 func NewLive(cfg Config) *Live {
-	if cfg.SpeedThresholdKmh == 0 {
-		cfg.SpeedThresholdKmh = core.DefaultSpeedThresholdKmh
-	}
-	if cfg.AssignRadiusMeters == 0 {
-		cfg.AssignRadiusMeters = 30
-	}
 	if cfg.Amplify.Factor == 0 {
 		cfg.Amplify = core.NoAmplification
 	}
 	l := &Live{
 		cfg:     cfg,
-		spotIdx: core.NewSpotIndex(cfg.Spots, cfg.AssignRadiusMeters),
+		spotIdx: core.NewSpotIndex(cfg.Spots, assignRadiusMeters),
 		taxis:   make(map[string]*core.PEA),
 		accs:    make([]map[int]*core.SlotStats, len(cfg.Spots)),
 	}
@@ -129,7 +124,7 @@ func (l *Live) Ingest(rec mdt.Record) []Event {
 		st = &core.PEA{}
 		l.taxis[rec.TaxiID] = st
 	}
-	if pk, ok := st.Step(rec, l.cfg.SpeedThresholdKmh); ok {
+	if pk, ok := st.Step(rec, core.DefaultSpeedThresholdKmh); ok {
 		events = append(events, l.acceptPickup(pk))
 	}
 	return events

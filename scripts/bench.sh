@@ -4,7 +4,7 @@
 # race-tests the concurrent packages.
 #
 # Usage:
-#   scripts/bench.sh                 # default: BENCH_OUT=BENCH_PR22.json
+#   scripts/bench.sh                 # writes bench_micro.json (git-ignored)
 #   BENCHTIME=3x scripts/bench.sh    # more iterations per benchmark
 #   BENCH_COUNT=4 scripts/bench.sh   # -count=4, record the per-bench minimum
 #   BENCH_OUT=after.json scripts/bench.sh
@@ -20,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${BENCH_OUT:-BENCH_PR22.json}"
+out="${BENCH_OUT:-bench_micro.json}"
 benchtime="${BENCHTIME:-1x}"
 count="${BENCH_COUNT:-1}"
 raw="$(mktemp /tmp/bench_raw.XXXXXX.txt)"
@@ -52,15 +52,14 @@ go test -run '^$' -bench '^Benchmark(Scan|Sort)$' -benchmem \
 	-benchtime "$benchtime" -count "$count" -timeout 45m ./internal/store | tee -a "$raw"
 
 # Ingest throughput: records/sec vs shard count, with and without the WAL.
-# The BenchmarkIngest pattern also picks up BenchmarkIngestDurable (group
-# commit at the default SyncEvery) and BenchmarkIngestDurableSync, the
-# SyncEvery sweep over the durability/throughput trade-off.
+# The BenchmarkIngest pattern also picks up BenchmarkIngestDurable (the
+# WAL's group commit, one fsync per 256 records under load).
 ingest_benchtime="${INGEST_BENCHTIME:-200000x}"
 echo ">> go test -bench BenchmarkIngest -benchmem -benchtime $ingest_benchtime -count $count ./internal/ingest"
 go test -run '^$' -bench 'BenchmarkIngest' -benchmem \
 	-benchtime "$ingest_benchtime" -count "$count" -timeout 45m ./internal/ingest | tee -a "$raw"
 
-# Live spot discovery: one op is the ingest tracker's RefreshEvery batch,
+# Live spot discovery: one op is the ingest tracker's refresh batch,
 # 64 pickups into a steady 3 h window plus one Refresh (the batch spot
 # detector over the window), for a dense and a sparse window.
 live_benchtime="${LIVE_BENCHTIME:-20x}"

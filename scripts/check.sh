@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# The pre-PR gate: check formatting, build everything, vet, run the full
-# test suite, re-run the concurrent packages under the race detector, then
-# fuzz the byte and query parsers and the cleaner's batch == live
-# property. Green here is the bar every change must clear (ROADMAP tier-1
-# plus the race and fuzz gates).
+# The pre-PR gate: check formatting, build everything, vet this module and
+# the benchmark's, run the full test suite, re-run the concurrent packages
+# under the race detector, then fuzz the byte and query parsers and the
+# cleaner's batch == live property. Green here is the bar every change
+# must clear (ROADMAP tier-1 plus the race and fuzz gates).
 #
 # Usage:
 #   scripts/check.sh
@@ -23,6 +23,12 @@ go build ./...
 
 echo ">> go vet ./..."
 go vet ./...
+
+# bench/ is a module of its own, so ./... above skips it: type-check it
+# against this checkout so a main-module change that breaks the
+# benchmark's build fails here. It writes nothing under bench/.
+echo ">> (cd bench && go vet ./...)"
+(cd bench && go vet ./...)
 
 echo ">> go test ./..."
 go test ./...
