@@ -60,8 +60,8 @@ func TestRecomputeMatchesCleanAnalyze(t *testing.T) {
 
 // TestRecomputePublishesOnlyWhatIsServed: the published result holds no
 // pickups and no per-spot waits. Nothing in queued reads them, and
-// keeping them held each pickup's PEA sub-trajectory for as long as the
-// view was served.
+// keeping them would hold every pickup for as long as the view is
+// served.
 func TestRecomputePublishesOnlyWhatIsServed(t *testing.T) {
 	srv := newServer(obs.NewRegistry())
 	if err := srv.recompute(777, 0.1, 25); err != nil {

@@ -196,8 +196,8 @@ func newServer(reg *obs.Registry) *server {
 // recompute runs the nightly batch analysis and publishes the result as a
 // fresh immutable view. The simulated day is cleaned in place: nothing
 // reads the raw records again, and the day is held once. Nothing queued
-// serves reads the pickups, with their PEA sub-trajectories, or the waits:
-// they are dropped before publishing.
+// serves reads the pickups or the waits: they are dropped before
+// publishing.
 func (s *server) recompute(seed int64, scale float64, minPts int) error {
 	city := s.city()
 	if city == nil {

@@ -223,7 +223,7 @@ func TestSweepMonotonicity(t *testing.T) {
 		pts = append(pts, blob(rng, c, 40+rng.Intn(80), 7)...)
 	}
 	pts = append(pts, uniformNoise(rng, 400)...)
-	cells, err := Sweep(pts, []float64{5, 10, 15, 20}, []int{25, 50, 100, 150})
+	cells, err := SweepParallel(pts, []float64{5, 10, 15, 20}, []int{25, 50, 100, 150}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,11 @@ func ExampleExtractPickups() {
 		rec(230, 35, mdt.POB), // drives off (terminates the run)
 	}
 	pickups := core.ExtractPickups(trajectory, core.DefaultSpeedThresholdKmh)
-	fmt.Printf("pickups: %d, run length: %d records\n", len(pickups), len(pickups[0].Sub))
-	w, _ := core.ExtractWait(pickups[0].Sub)
+	fmt.Printf("pickups: %d, run ends at +%v\n", len(pickups), pickups[0].End.Sub(base))
+	w := pickups[0].Wait
 	fmt.Printf("street job: %v, waited %v\n", w.Street(), w.Duration())
 	// Output:
-	// pickups: 1, run length: 3 records
+	// pickups: 1, run ends at +2m50s
 	// street job: true, waited 1m50s
 }
 

@@ -35,7 +35,7 @@ func TestLiveDetectorDayReplayMatchesBatch(t *testing.T) {
 	}
 	// Replay in Result.Pickups order — the order DetectSpots clustered.
 	for _, p := range res.Pickups {
-		if !d.Observe(p.Centroid, p.Sub[len(p.Sub)-1].Time) {
+		if !d.Observe(p.Centroid, p.End) {
 			t.Fatal("simulated pickup rejected")
 		}
 	}

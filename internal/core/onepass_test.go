@@ -12,21 +12,16 @@ import (
 )
 
 // samePickups fails t unless got equals want field for field: the same
-// pickups in the same order, every Sub record and every centroid bit-equal.
+// pickups in the same order, every centroid, wait, end and §7.2 fact
+// bit-equal.
 func samePickups(t *testing.T, what string, got, want []Pickup) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d pickups, want %d", what, len(got), len(want))
 	}
 	for i := range want {
-		g, w := got[i], want[i]
-		if g.Centroid != w.Centroid || len(g.Sub) != len(w.Sub) {
-			t.Fatalf("%s: pickup %d has %d records at %v, want %d at %v", what, i, len(g.Sub), g.Centroid, len(w.Sub), w.Centroid)
-		}
-		for j := range w.Sub {
-			if g.Sub[j] != w.Sub[j] {
-				t.Fatalf("%s: pickup %d record %d is %+v, want %+v", what, i, j, g.Sub[j], w.Sub[j])
-			}
+		if got[i] != want[i] {
+			t.Fatalf("%s: pickup %d is %+v, want %+v", what, i, got[i], want[i])
 		}
 	}
 }

@@ -16,7 +16,7 @@ func TestExtractAllParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: %d pickups, sequential %d", workers, len(par), len(seq))
 		}
 		for i := range seq {
-			if len(par[i].Sub) != len(seq[i].Sub) || par[i].Centroid != seq[i].Centroid {
+			if par[i] != seq[i] {
 				t.Fatalf("workers=%d: pickup %d differs", workers, i)
 			}
 		}
@@ -49,7 +49,7 @@ func TestExtractAllParallelSmallInputTakesSerialPath(t *testing.T) {
 		t.Fatalf("below-threshold input: %d pickups, sequential %d", len(par), len(seq))
 	}
 	for i := range seq {
-		if len(par[i].Sub) != len(seq[i].Sub) || par[i].Centroid != seq[i].Centroid {
+		if par[i] != seq[i] {
 			t.Fatalf("below-threshold input: pickup %d differs", i)
 		}
 	}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"sort"
+	"time"
 
 	"taxiqueue/internal/geo"
 	"taxiqueue/internal/mdt"
@@ -17,11 +18,23 @@ import (
 // (§6.1.2: 10 km/h).
 const DefaultSpeedThresholdKmh = 10
 
-// Pickup is one slow pickup event extracted by PEA: the sub-trajectory Rᵏ
-// plus its central GPS location (the mean of the member coordinates, §4.3).
+// Pickup is one slow pickup event extracted by PEA, summarised when PEA
+// commits its sub-trajectory Rᵏ. The run itself is not kept: a pickup
+// carries what the later stages read from it.
 type Pickup struct {
-	Sub      mdt.Trajectory
+	// Centroid is the run's central GPS location: the mean of its member
+	// coordinates (§4.3), summed in geo.Centroid's order.
 	Centroid geo.Point
+	// Wait is the run's Algorithm 2 wait, valid when HasWait.
+	Wait Wait
+	// End is the time of the run's last record.
+	End     time.Time
+	HasWait bool // WTE found a (start, end) pair in the run
+	// EndState is the state of the run's last record, and Busy reports
+	// whether the run holds a BUSY record: the two facts the §7.2
+	// cherry-picking count reads.
+	EndState mdt.State
+	Busy     bool
 }
 
 // PEA is the Pickup Extraction Algorithm (Algorithm 1) as a state machine
@@ -54,15 +67,23 @@ type PEA struct {
 // pickup it completes, if any. speedThresholdKmh <= 0 selects
 // DefaultSpeedThresholdKmh.
 func (st *PEA) Step(p mdt.Record, speedThresholdKmh float64) (Pickup, bool) {
+	pk, _, ok := st.step(p, speedThresholdKmh)
+	return pk, ok
+}
+
+// step is Step that also returns the committed run Rᵏ. The run is the
+// PEA's own buffer: it is valid only until the next call.
+func (st *PEA) step(p mdt.Record, speedThresholdKmh float64) (Pickup, mdt.Trajectory, bool) {
 	if p.State.NonOperational() {
 		st.reset()
 		st.havePrev = false
-		return Pickup{}, false
+		return Pickup{}, nil, false
 	}
 	if speedThresholdKmh <= 0 {
 		speedThresholdKmh = DefaultSpeedThresholdKmh
 	}
 	var pk Pickup
+	var run mdt.Trajectory
 	committed := false
 	low := p.Speed <= speedThresholdKmh
 	switch {
@@ -81,12 +102,14 @@ func (st *PEA) Step(p mdt.Record, speedThresholdKmh float64) (Pickup, bool) {
 	case !low && st.sigma1 && !st.sigma2:
 		st.sigma1 = false
 	case !low && st.sigma2:
-		pk, committed = commitRun(st.run)
+		if pk, committed = commitRun(st.run); committed {
+			run = st.run
+		}
 		st.reset()
 	}
 	st.prev = p
 	st.havePrev = true
-	return pk, committed
+	return pk, run, committed
 }
 
 func (st *PEA) reset() {
@@ -108,8 +131,8 @@ func ExtractPickups(tr mdt.Trajectory, speedThresholdKmh float64) []Pickup {
 }
 
 // commitRun applies Algorithm 1's three state-transition constraints to a
-// completed low-speed run and, if it qualifies, copies it out with its
-// centroid.
+// completed low-speed run and, if it qualifies, summarises it into a
+// Pickup without copying it.
 func commitRun(run mdt.Trajectory) (Pickup, bool) {
 	if len(run) < 2 {
 		return Pickup{}, false
@@ -134,13 +157,18 @@ func commitRun(run mdt.Trajectory) (Pickup, bool) {
 	if !changed {
 		return Pickup{}, false
 	}
-	sub := make(mdt.Trajectory, len(run))
-	copy(sub, run)
-	pts := make([]geo.Point, len(sub))
-	for i, r := range sub {
-		pts[i] = r.Pos
+	last := run[len(run)-1]
+	pk := Pickup{End: last.Time, EndState: last.State}
+	var lat, lon float64
+	for i := range run {
+		lat += run[i].Pos.Lat
+		lon += run[i].Pos.Lon
+		pk.Busy = pk.Busy || run[i].State == mdt.Busy
 	}
-	return Pickup{Sub: sub, Centroid: geo.Centroid(pts)}, true
+	n := float64(len(run))
+	pk.Centroid = geo.Point{Lat: lat / n, Lon: lon / n}
+	pk.Wait, pk.HasWait = ExtractWait(run)
+	return pk, true
 }
 
 // extractDay is Algorithm 1 over a whole day in one pass: recs, time-ordered

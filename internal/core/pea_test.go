@@ -30,6 +30,22 @@ func traj(steps ...[3]float64) mdt.Trajectory {
 
 func st(s mdt.State) float64 { return float64(s) }
 
+// extractRuns is ExtractPickups that also returns a copy of the run PEA
+// committed for each pickup: the runs production PEA commits, which a
+// Pickup no longer carries.
+func extractRuns(tr mdt.Trajectory, speedThresholdKmh float64) ([]Pickup, []mdt.Trajectory) {
+	var pea PEA
+	var pickups []Pickup
+	var runs []mdt.Trajectory
+	for _, p := range tr {
+		if pk, run, ok := pea.step(p, speedThresholdKmh); ok {
+			pickups = append(pickups, pk)
+			runs = append(runs, append(mdt.Trajectory(nil), run...))
+		}
+	}
+	return pickups, runs
+}
+
 func TestPEAExtractsSlowStreetPickup(t *testing.T) {
 	// approach fast, crawl FREE x3, POB slow, depart fast.
 	tr := traj(
@@ -40,11 +56,11 @@ func TestPEAExtractsSlowStreetPickup(t *testing.T) {
 		[3]float64{180, 4, st(mdt.POB)},
 		[3]float64{240, 30, st(mdt.POB)},
 	)
-	got := ExtractPickups(tr, 10)
+	got, runs := extractRuns(tr, 10)
 	if len(got) != 1 {
 		t.Fatalf("extracted %d pickups, want 1", len(got))
 	}
-	sub := got[0].Sub
+	sub := runs[0]
 	if len(sub) != 4 {
 		t.Fatalf("sub-trajectory has %d records, want 4 (crawl+POB)", len(sub))
 	}
@@ -156,14 +172,14 @@ func TestPEANonOperationalResets(t *testing.T) {
 		[3]float64{260, 4, st(mdt.POB)},
 		[3]float64{320, 30, st(mdt.POB)},
 	)
-	got := ExtractPickups(tr, 10)
+	got, runs := extractRuns(tr, 10)
 	// After the BREAK reset, FREE(200,0) and POB(260,4) form a new
 	// two-record run terminated by the fast POB: FREE->POB, extract.
 	if len(got) != 1 {
 		t.Fatalf("extracted %d pickups, want 1 (post-break run)", len(got))
 	}
-	if got[0].Sub[0].Time != t0.Add(200*time.Second) {
-		t.Fatalf("run did not restart after BREAK: starts %v", got[0].Sub[0].Time)
+	if runs[0][0].Time != t0.Add(200*time.Second) {
+		t.Fatalf("run did not restart after BREAK: starts %v", runs[0][0].Time)
 	}
 }
 
@@ -249,14 +265,19 @@ func TestPEABusyPickupExtractedButNoWait(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("BUSY pickup not extracted: %d", len(got))
 	}
-	if _, ok := ExtractWait(got[0].Sub); ok {
+	if got[0].HasWait {
 		t.Fatal("WTE produced a wait for a BUSY-only pickup")
+	}
+	if !got[0].Busy || got[0].EndState != mdt.POB || got[0].End != t0.Add(120*time.Second) {
+		t.Fatalf("BUSY pickup summarised as %+v", got[0])
 	}
 }
 
 func TestExtractAllDeterministic(t *testing.T) {
+	// Each taxi's run ends at its own time, which names the taxi in the
+	// output: A at +120 s, B at +1120 s, C at +2120 s.
 	byTaxi := map[string]mdt.Trajectory{}
-	for _, id := range []string{"C", "A", "B"} {
+	for k, id := range []string{"C", "A", "B"} {
 		tr := traj(
 			[3]float64{0, 4, st(mdt.Free)},
 			[3]float64{60, 3, st(mdt.Free)},
@@ -265,6 +286,7 @@ func TestExtractAllDeterministic(t *testing.T) {
 		)
 		for i := range tr {
 			tr[i].TaxiID = id
+			tr[i].Time = tr[i].Time.Add(time.Duration((k+2)%3) * 1000 * time.Second)
 		}
 		byTaxi[id] = tr
 	}
@@ -274,11 +296,11 @@ func TestExtractAllDeterministic(t *testing.T) {
 		t.Fatalf("extraction counts: %d, %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Sub[0].TaxiID != b[i].Sub[0].TaxiID {
+		if a[i] != b[i] {
 			t.Fatal("ExtractAll order not deterministic")
 		}
-	}
-	if a[0].Sub[0].TaxiID != "A" || a[2].Sub[0].TaxiID != "C" {
-		t.Fatal("ExtractAll not sorted by taxi ID")
+		if want := t0.Add(time.Duration(1000*i+120) * time.Second); !a[i].End.Equal(want) {
+			t.Fatalf("ExtractAll not sorted by taxi ID: pickup %d ends at %v, want %v", i, a[i].End, want)
+		}
 	}
 }

@@ -32,16 +32,18 @@ func randomTrajectory(rng *rand.Rand, n int) mdt.Trajectory {
 }
 
 // TestPEAInvariantsOnRandomInput checks the DESIGN.md §6 invariants on
-// arbitrary input: every extracted sub-trajectory has >= 2 records, only
-// low speeds, no non-operational states, at least one state transition,
-// never starts occupied and ends unoccupied, and never FREE->ONCALL.
+// arbitrary input, over the runs production PEA commits: every run has
+// >= 2 records, only low speeds, no non-operational states, at least one
+// state transition, never starts occupied and ends unoccupied, and never
+// FREE->ONCALL.
 func TestPEAInvariantsOnRandomInput(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTrajectory(rng, int(size))
 		const eta = 10.0
-		for _, p := range ExtractPickups(tr, eta) {
-			sub := p.Sub
+		pickups, runs := extractRuns(tr, eta)
+		for k, p := range pickups {
+			sub := runs[k]
 			if len(sub) < 2 {
 				return false
 			}
@@ -70,12 +72,7 @@ func TestPEAInvariantsOnRandomInput(t *testing.T) {
 			if start == mdt.Free && end == mdt.OnCall {
 				return false
 			}
-			// Centroid must be the arithmetic mean of member coordinates.
-			var pts []geo.Point
-			for _, r := range sub {
-				pts = append(pts, r.Pos)
-			}
-			if geo.Equirect(p.Centroid, geo.Centroid(pts)) > 0.001 {
+			if p != summarise(sub) {
 				return false
 			}
 		}
@@ -212,14 +209,64 @@ func TestClassifyTotalOnRandomFeatures(t *testing.T) {
 	}
 }
 
-// TestPEASubTrajectoriesDisjoint: extracted runs never share a record.
+// summarise is what a pickup must carry of its run: the run's centroid
+// (geo.Centroid), its Algorithm 2 wait, its last record's time and state,
+// and whether it holds a BUSY record — computed from a copy of the run.
+func summarise(run mdt.Trajectory) Pickup {
+	pts := make([]geo.Point, len(run))
+	busy := false
+	for i, r := range run {
+		pts[i] = r.Pos
+		busy = busy || r.State == mdt.Busy
+	}
+	w, ok := ExtractWait(run)
+	last := run[len(run)-1]
+	return Pickup{Centroid: geo.Centroid(pts), Wait: w, HasWait: ok, End: last.Time, EndState: last.State, Busy: busy}
+}
+
+// TestPickupSummariesMatchRuns: on random days whose taxis' records
+// interleave, every pickup equals the summary of a copy of the run its
+// taxi's PEA committed: the summary is taken at commit, before the taxi's
+// run buffer is reused.
+func TestPickupSummariesMatchRuns(t *testing.T) {
+	f := func(seed int64, taxis uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(taxis)%8
+		trs := make([]mdt.Trajectory, n)
+		for k := range trs {
+			trs[k] = randomTrajectory(rng, 50+rng.Intn(150))
+		}
+		peas := make([]PEA, n)
+		for left := n; left > 0; {
+			k := rng.Intn(n)
+			if len(trs[k]) == 0 {
+				continue
+			}
+			r := trs[k][0]
+			if trs[k] = trs[k][1:]; len(trs[k]) == 0 {
+				left--
+			}
+			if pk, run, ok := peas[k].step(r, 10); ok && pk != summarise(append(mdt.Trajectory(nil), run...)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPEASubTrajectoriesDisjoint: the runs PEA commits never share a
+// record.
 func TestPEASubTrajectoriesDisjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 50; trial++ {
 		tr := randomTrajectory(rng, 200)
 		seen := map[time.Time]bool{}
-		for _, p := range ExtractPickups(tr, 10) {
-			for _, r := range p.Sub {
+		_, runs := extractRuns(tr, 10)
+		for _, run := range runs {
+			for _, r := range run {
 				if seen[r.Time] {
 					t.Fatal("two sub-trajectories share a record")
 				}

@@ -34,12 +34,6 @@ type RegistrySpot struct {
 // stable, the rest are flagged Sporadic. The output is ordered by
 // descending AvgPickups.
 func MergeSpots(daily [][]QueueSpot, matchMeters float64, minDays int) []RegistrySpot {
-	if matchMeters <= 0 {
-		matchMeters = 20
-	}
-	if minDays < 1 {
-		minDays = 1
-	}
 	// Flatten with day indexes and cluster positions with DBSCAN
 	// (minPts=1: every spot belongs somewhere).
 	type member struct {
@@ -59,8 +53,7 @@ func MergeSpots(daily [][]QueueSpot, matchMeters float64, minDays int) []Registr
 	}
 	res, err := cluster.DBSCAN(pts, cluster.Params{EpsMeters: matchMeters, MinPoints: 1})
 	if err != nil {
-		// Unreachable with the validated parameters above; degrade to one
-		// spot per member.
+		// matchMeters <= 0 matches nothing: one spot per member.
 		res = cluster.Result{Labels: make([]int, len(pts)), NumClusters: len(pts)}
 		for i := range res.Labels {
 			res.Labels[i] = i

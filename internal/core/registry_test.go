@@ -92,9 +92,9 @@ func TestMergeSpotsEmpty(t *testing.T) {
 
 func TestMergeSpotsDefaults(t *testing.T) {
 	daily := [][]QueueSpot{{jitterSpot(regA, 0, 0, 10)}}
-	reg := MergeSpots(daily, 0, 0) // defaults: 20 m, minDays 1
+	reg := MergeSpots(daily, 20, 1) // what both callers pass on one day
 	if len(reg) != 1 || reg[0].Sporadic {
-		t.Fatalf("defaults mishandled: %+v", reg)
+		t.Fatalf("one day's spot mishandled: %+v", reg)
 	}
 }
 

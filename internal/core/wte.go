@@ -55,13 +55,14 @@ func ExtractWait(sub mdt.Trajectory) (Wait, bool) {
 	return w, true
 }
 
-// ExtractWaits runs WTE over a spot's pickup-event set W(r) and returns the
-// taxi wait set Y(r), in input order.
+// ExtractWaits returns the taxi wait set Y(r) of a spot's pickup-event set
+// W(r), in input order: the wait WTE found in each pickup's run when PEA
+// committed it.
 func ExtractWaits(pickups []Pickup) []Wait {
 	out := make([]Wait, 0, len(pickups))
-	for _, p := range pickups {
-		if w, ok := ExtractWait(p.Sub); ok {
-			out = append(out, w)
+	for i := range pickups {
+		if pickups[i].HasWait {
+			out = append(out, pickups[i].Wait)
 		}
 	}
 	return out

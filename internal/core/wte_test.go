@@ -115,18 +115,19 @@ func TestWTENonNegativeWaits(t *testing.T) {
 }
 
 func TestExtractWaitsSkipsWaitless(t *testing.T) {
-	pickups := []Pickup{
-		{Sub: traj(
-			[3]float64{0, 2, st(mdt.Free)},
+	var pickups []Pickup
+	for _, first := range []mdt.State{mdt.Free, mdt.Busy} { // a BUSY pickup has no wait
+		pickups = append(pickups, ExtractPickups(traj(
+			[3]float64{0, 2, st(first)},
 			[3]float64{60, 1, st(mdt.POB)},
-		)},
-		{Sub: traj( // BUSY pickup: no wait
-			[3]float64{0, 2, st(mdt.Busy)},
-			[3]float64{60, 1, st(mdt.POB)},
-		)},
+			[3]float64{120, 30, st(mdt.POB)},
+		), 10)...)
+	}
+	if len(pickups) != 2 {
+		t.Fatalf("pickups = %d, want 2", len(pickups))
 	}
 	waits := ExtractWaits(pickups)
-	if len(waits) != 1 {
-		t.Fatalf("waits = %d, want 1", len(waits))
+	if len(waits) != 1 || waits[0] != pickups[0].Wait {
+		t.Fatalf("waits = %+v, want only the street pickup's %+v", waits, pickups[0].Wait)
 	}
 }

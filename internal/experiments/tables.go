@@ -477,17 +477,9 @@ func (s *Suite) DriverBehavior() (map[core.QueueType]int, string, error) {
 			// A BUSY-state pickup: the run contains BUSY and ends POB;
 			// WTE extracts no wait from it, so it is invisible to QCD —
 			// we join it to the slot label by its POB time.
-			hasBusy := false
-			for _, rec := range p.Sub {
-				if rec.State == mdt.Busy {
-					hasBusy = true
-					break
-				}
+			if p.Busy && p.EndState == mdt.POB {
+				counts[sa.LabelAt(d.Grid, p.End)]++
 			}
-			if !hasBusy || p.Sub[len(p.Sub)-1].State != mdt.POB {
-				continue
-			}
-			counts[sa.LabelAt(d.Grid, p.Sub[len(p.Sub)-1].Time)]++
 		}
 	}
 	t := report.NewTable("§7.2 BUSY-state cherry-picking pickups by queue context",

@@ -434,9 +434,12 @@ func (s *Service) broadcast(op ctlOp, at time.Time) error {
 // For a paused feed the op runs after the backlog drains (the "end of day"
 // switch, and what graceful Close uses); under sustained load it runs
 // after at most one queue depth of records. Returns ErrClosed after
-// Close/Abort.
+// Close/Abort. A failed WAL commit holds back neither the live-spot
+// refresh nor history's durability barrier, which lives on another disk:
+// both still run, and the WAL error is returned joined with history's.
 func (s *Service) Flush() error {
-	if err := s.control(opFlush, time.Time{}); err != nil {
+	err := s.control(opFlush, time.Time{})
+	if errors.Is(err, ErrClosed) {
 		return err
 	}
 	if s.live != nil {
@@ -444,21 +447,22 @@ func (s *Service) Flush() error {
 		// window points expire and decaying spots age out.
 		s.live.advance(s.grid.End())
 	}
-	return s.flushHistory()
+	return errors.Join(err, s.flushHistory())
 }
 
 // FlushUntil finalizes every slot the feed can no longer touch given its
 // clock reached now, without closing the current slot — the timer-driven
 // variant for feeds that pause mid-slot. Returns ErrClosed after
-// Close/Abort.
+// Close/Abort; a failed WAL commit is handled as in Flush.
 func (s *Service) FlushUntil(now time.Time) error {
-	if err := s.control(opFlushUntil, now); err != nil {
+	err := s.control(opFlushUntil, now)
+	if errors.Is(err, ErrClosed) {
 		return err
 	}
 	if s.live != nil {
 		s.live.advance(now)
 	}
-	return s.flushHistory()
+	return errors.Join(err, s.flushHistory())
 }
 
 // drainUntil is FlushUntil minus the durability barrier: the same slot

@@ -68,8 +68,7 @@ func (t *liveTracker) observe(events []stream.Event) {
 		if ev.Kind != stream.PickupDetected || ev.Spot >= 0 {
 			continue
 		}
-		sub := ev.Pickup.Sub
-		t.det.Observe(ev.Pickup.Centroid, sub[len(sub)-1].Time)
+		t.det.Observe(ev.Pickup.Centroid, ev.Pickup.End)
 		t.since++
 	}
 	if t.since >= refreshEvery {

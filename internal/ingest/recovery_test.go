@@ -3,9 +3,12 @@ package ingest
 import (
 	"errors"
 	"os"
+	"sync"
 	"testing"
+	"time"
 
 	"taxiqueue/internal/chaos"
+	"taxiqueue/internal/core"
 	"taxiqueue/internal/mdt"
 )
 
@@ -150,6 +153,67 @@ func TestFlushUntilReportsFailedCommit(t *testing.T) {
 	}
 	if n := faults.Counts()["fs_sync_err"]; n == 0 {
 		t.Fatal("no fsync fault fired")
+	}
+}
+
+// countingHistory is a HistoryAppender that counts its calls.
+type countingHistory struct {
+	mu      sync.Mutex
+	appends int
+	flushes int
+}
+
+func (h *countingHistory) AppendSlots(int, int, int, func(int, int) (core.SlotFeatures, core.QueueType)) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.appends++
+	return nil
+}
+
+func (h *countingHistory) Flush() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.flushes++
+	return nil
+}
+
+func (h *countingHistory) counts() (appends, flushes int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.appends, h.flushes
+}
+
+// TestFailingWALDoesNotHoldBackHistory: a WAL disk whose every fsync fails
+// must not hold back history's durability barrier, which lives on another
+// disk. FlushUntil and Flush report the WAL error and still flush history;
+// they used to return at the failed commit, before the history flush.
+func TestFailingWALDoesNotHoldBackHistory(t *testing.T) {
+	d := getDay(t)
+	faults := chaos.New(chaos.Config{Seed: 1, SyncErrProb: 1})
+	hist := &countingHistory{}
+	cfg := d.serviceConfig()
+	cfg.Shards = 1
+	cfg.WALDir = t.TempDir()
+	cfg.FS = faults.FS(nil)
+	cfg.History = hist
+
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Abort()
+	feed(t, svc, d.raw[:len(d.raw)/2])
+	if err := svc.FlushUntil(d.grid.Start.Add(12 * time.Hour)); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("FlushUntil over a failing WAL disk returned %v, want the injected failure", err)
+	}
+	if appends, flushes := hist.counts(); appends == 0 || flushes != 1 {
+		t.Fatalf("after FlushUntil: %d history appends and %d flushes, want some appends and 1 flush", appends, flushes)
+	}
+	if err := svc.Flush(); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("Flush over a failing WAL disk returned %v, want the injected failure", err)
+	}
+	if _, flushes := hist.counts(); flushes != 2 {
+		t.Fatalf("after Flush: %d history flushes, want 2", flushes)
 	}
 }
 

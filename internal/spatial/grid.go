@@ -1,8 +1,9 @@
 // Package spatial provides the 2-D point index the system uses to tame the
-// O(n²) neighbour searches inside DBSCAN and pickup-to-spot matching: a
-// uniform grid index (§4.3 of the paper suggests "the R-Tree based or grid
-// based spatial index"; the grid is the one kept), plus a linear scan that
-// is the correctness reference.
+// O(n²) neighbour searches of pickup-to-spot matching and the Hausdorff
+// comparison: a uniform grid index (§4.3 of the paper suggests "the R-Tree
+// based or grid based spatial index"; the grid is the one kept), plus a
+// linear scan that is the correctness reference and the search under
+// cluster.DBSCANNaive. DBSCAN itself runs on its own sub-cell grid.
 //
 // Both answer the same two queries over a fixed point set:
 //
@@ -33,7 +34,8 @@ type Index interface {
 }
 
 // Grid is a uniform-cell spatial hash over a fixed point set. Cell size is
-// chosen by the caller; for DBSCAN the natural choice is the eps radius.
+// chosen by the caller; for radius queries the natural choice is the
+// radius.
 // After construction the grid is read-only and safe for concurrent queries.
 type Grid struct {
 	pts      []geo.Point
@@ -43,7 +45,6 @@ type Grid struct {
 	cellID   map[uint64]int32 // cell key → index into spans
 	spans    []gridSpan       // per-cell [lo, hi) range into ids
 	ids      []int32          // all point IDs, grouped by cell
-	counts   []int32          // build scratch, kept for Reset reuse
 }
 
 type gridSpan struct{ lo, hi int32 }
@@ -54,34 +55,17 @@ type gridSpan struct{ lo, hi int32 }
 // cell, then IDs are placed into one backing array carved into per-cell
 // spans — no per-cell append growth.
 func NewGrid(pts []geo.Point, cellMeters float64) *Grid {
-	g := new(Grid)
-	g.Reset(pts, cellMeters)
-	return g
-}
-
-// Reset rebuilds the index over pts in place, reusing the cell map and
-// every backing array of the previous build that is large enough — the
-// parameter-sweep path rebuilds the same point set once per eps value, and
-// without reuse each rebuild re-allocates the whole index. Reset must not
-// run concurrently with queries; the zero Grid is a valid receiver.
-func (g *Grid) Reset(pts []geo.Point, cellMeters float64) {
 	if cellMeters <= 0 {
 		cellMeters = 15
 	}
-	g.pts = pts
-	if g.cellID == nil {
-		g.cellID = make(map[uint64]int32, len(pts)/2+1)
-	} else {
-		clear(g.cellID)
-	}
-	g.origin = geo.Point{}
+	g := &Grid{pts: pts, cellID: make(map[uint64]int32, len(pts)/2+1)}
 	if len(pts) > 0 {
 		g.origin = geo.BoundingRect(pts).Center()
 	}
 	metersPerDegLat := 2 * math.Pi * geo.EarthRadiusMeters / 360
 	g.cellDeg = cellMeters / metersPerDegLat
 	g.cellDegX = cellMeters / (metersPerDegLat * math.Cos(g.origin.Lat*math.Pi/180))
-	counts := g.counts[:0]
+	var counts []int32
 	for _, p := range pts {
 		key := g.cellKey(p)
 		if id, ok := g.cellID[key]; ok {
@@ -91,27 +75,19 @@ func (g *Grid) Reset(pts []geo.Point, cellMeters float64) {
 			counts = append(counts, 1)
 		}
 	}
-	g.counts = counts
-	if cap(g.spans) < len(counts) {
-		g.spans = make([]gridSpan, len(counts))
-	} else {
-		g.spans = g.spans[:len(counts)]
-	}
+	g.spans = make([]gridSpan, len(counts))
 	off := int32(0)
 	for i, c := range counts {
 		g.spans[i] = gridSpan{lo: off, hi: off} // hi advances during placement
 		off += c
 	}
-	if cap(g.ids) < len(pts) {
-		g.ids = make([]int32, len(pts))
-	} else {
-		g.ids = g.ids[:len(pts)]
-	}
+	g.ids = make([]int32, len(pts))
 	for i, p := range pts {
 		sp := &g.spans[g.cellID[g.cellKey(p)]]
 		g.ids[sp.hi] = int32(i)
 		sp.hi++
 	}
+	return g
 }
 
 // cellIDs returns the point IDs of one cell, or nil when the cell is empty.
@@ -155,16 +131,18 @@ func (g *Grid) Range(rect geo.Rect, dst []int) []int {
 	return dst
 }
 
-// Within implements Index.
+// Within implements Index. One geo.Disc per query decides each candidate
+// exactly as geo.Equirect(center, p) <= radiusMeters would.
 func (g *Grid) Within(center geo.Point, radiusMeters float64, dst []int) []int {
 	rect := geo.RectAround(center, radiusMeters)
+	disc := geo.NewDisc(center, radiusMeters)
 	loX, loY := g.cellCoords(geo.Point{Lat: rect.MinLat, Lon: rect.MinLon})
 	hiX, hiY := g.cellCoords(geo.Point{Lat: rect.MaxLat, Lon: rect.MaxLon})
 	for cx := loX; cx <= hiX; cx++ {
 		for cy := loY; cy <= hiY; cy++ {
 			key := uint64(uint32(cx))<<32 | uint64(uint32(cy))
 			for _, id := range g.cellIDs(key) {
-				if geo.Equirect(center, g.pts[id]) <= radiusMeters {
+				if disc.Contains(g.pts[id]) {
 					dst = append(dst, int(id))
 				}
 			}

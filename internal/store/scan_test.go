@@ -50,10 +50,14 @@ func scanOracle(byTaxi map[string][]mdt.Record, order []string, from, to time.Ti
 	return out
 }
 
-// sameRecord compares every field at full time precision.
+// sameRecord compares every field at full time precision and every float
+// bit for bit, so a NaN coordinate, which Save and Load carry unchanged,
+// equals itself.
 func sameRecord(a, b mdt.Record) bool {
-	return a.Time.Equal(b.Time) && a.TaxiID == b.TaxiID && a.Pos == b.Pos &&
-		a.Speed == b.Speed && a.State == b.State
+	return a.Time.Equal(b.Time) && a.TaxiID == b.TaxiID && a.State == b.State &&
+		math.Float64bits(a.Pos.Lat) == math.Float64bits(b.Pos.Lat) &&
+		math.Float64bits(a.Pos.Lon) == math.Float64bits(b.Pos.Lon) &&
+		math.Float64bits(a.Speed) == math.Float64bits(b.Speed)
 }
 
 // oracleFeed is a random interleaved feed over nTaxi taxis whose IDs sort

@@ -42,9 +42,7 @@ type Event struct {
 	Kind EventKind
 	Spot int // index into the Live engine's spot list; -1 on a pickup outside every spot's radius
 	// PickupDetected:
-	Pickup  core.Pickup
-	Wait    core.Wait
-	HasWait bool
+	Pickup core.Pickup
 	// SlotClosed:
 	Slot     int
 	Features core.SlotFeatures
@@ -155,15 +153,10 @@ func (l *Live) closeBelow(limit int, events []Event) []Event {
 // batch spot list cannot account for.
 func (l *Live) acceptPickup(pk core.Pickup) Event {
 	best := l.spotIdx.Nearest(pk.Centroid)
-	ev := Event{Kind: PickupDetected, Spot: best, Pickup: pk}
-	if w, ok := core.ExtractWait(pk.Sub); ok {
-		ev.Wait = w
-		ev.HasWait = true
-		if best >= 0 {
-			l.foldWait(best, w)
-		}
+	if pk.HasWait && best >= 0 {
+		l.foldWait(best, pk.Wait)
 	}
-	return ev
+	return Event{Kind: PickupDetected, Spot: best, Pickup: pk}
 }
 
 // acc returns (creating if needed) the accumulator for (spot, slot); nil

@@ -62,7 +62,8 @@ func liveFromBatch(d *batchDay) *Live {
 }
 
 // TestIncrementalPEAMatchesBatch: streaming the day through Live must
-// produce, taxi by taxi, exactly the pickups of the batch algorithm.
+// produce, taxi by taxi, exactly the pickups of the batch algorithm, every
+// field of every pickup equal.
 func TestIncrementalPEAMatchesBatch(t *testing.T) {
 	d := getBatchDay(t)
 	live := liveFromBatch(d)
@@ -70,8 +71,8 @@ func TestIncrementalPEAMatchesBatch(t *testing.T) {
 	for _, rec := range d.records {
 		for _, ev := range live.Ingest(rec) {
 			if ev.Kind == PickupDetected {
-				id := ev.Pickup.Sub[0].TaxiID
-				streamedBy[id] = append(streamedBy[id], ev.Pickup)
+				// The record that ends a taxi's run commits its pickup.
+				streamedBy[rec.TaxiID] = append(streamedBy[rec.TaxiID], ev.Pickup)
 			}
 		}
 	}
@@ -83,16 +84,8 @@ func TestIncrementalPEAMatchesBatch(t *testing.T) {
 			t.Fatalf("taxi %s: streamed %d pickups, batch %d", id, len(streamed), len(batch))
 		}
 		for i := range batch {
-			if len(streamed[i].Sub) != len(batch[i].Sub) {
-				t.Fatalf("taxi %s pickup %d: lengths differ", id, i)
-			}
-			for j := range batch[i].Sub {
-				if !streamed[i].Sub[j].Equal(batch[i].Sub[j]) {
-					t.Fatalf("taxi %s pickup %d record %d differs", id, i, j)
-				}
-			}
-			if geo.Equirect(streamed[i].Centroid, batch[i].Centroid) > 0.001 {
-				t.Fatalf("taxi %s pickup %d centroid differs", id, i)
+			if streamed[i] != batch[i] {
+				t.Fatalf("taxi %s pickup %d: streamed %+v, batch %+v", id, i, streamed[i], batch[i])
 			}
 		}
 	}
@@ -166,8 +159,8 @@ func TestLiveCellsMatchBatchOnSameWaits(t *testing.T) {
 			switch {
 			case ev.Kind == SlotClosed:
 				closed[key{ev.Spot, ev.Slot}] = ev.Features
-			case ev.HasWait && ev.Spot >= 0:
-				waits[ev.Spot] = append(waits[ev.Spot], ev.Wait)
+			case ev.Kind == PickupDetected && ev.Pickup.HasWait && ev.Spot >= 0:
+				waits[ev.Spot] = append(waits[ev.Spot], ev.Pickup.Wait)
 			}
 		}
 	}

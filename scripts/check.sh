@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The pre-PR gate: check formatting, build everything, vet this module and
 # the benchmark's, run the full test suite, re-run the concurrent packages
-# under the race detector, then fuzz the byte and query parsers and the
-# cleaner's batch == live property. Green here is the bar every change
-# must clear (ROADMAP tier-1 plus the race and fuzz gates).
+# under the race detector, then fuzz the byte and query parsers, the
+# cleaner's batch == live property and DBSCAN against its textbook loop.
+# Green here is the bar every change must clear (ROADMAP tier-1 plus the
+# race and fuzz gates).
 #
 # Usage:
 #   scripts/check.sh
@@ -60,5 +61,8 @@ go test -run '^$' -fuzz '^FuzzRangeParams$' -fuzztime=15s ./cmd/queued
 # Shrinking FuzzStreamerMatchesClean's new inputs took most of its budget
 # (56,357 executions in 15 s); unshrunk it makes ~210,000.
 go test -run '^$' -fuzz '^FuzzStreamerMatchesClean$' -fuzztime=15s -fuzzminimizetime=0 ./internal/clean
+# FuzzDBSCANMatchesNaive stalled for up to 20 s while it shrank a new
+# input: 4,900 executions in 15 s. Unshrunk it makes 70,000–95,000.
+go test -run '^$' -fuzz '^FuzzDBSCANMatchesNaive$' -fuzztime=15s -fuzzminimizetime=0 ./internal/cluster
 
 echo ">> all checks clean"
