@@ -15,6 +15,7 @@ import (
 	"taxiqueue/internal/cluster"
 	"taxiqueue/internal/core"
 	"taxiqueue/internal/ingest"
+	"taxiqueue/internal/obs"
 	"taxiqueue/internal/sim"
 )
 
@@ -43,9 +44,10 @@ func liveFixtureCfg(t *testing.T, mod func(*ingest.Config)) (*httptest.Server, *
 		t.Fatal(err)
 	}
 	icfg := ingest.Config{
-		Stream: liveStreamConfig(res),
-		Clean:  clean.Config{ValidFrame: citymap.Island},
-		Shards: 4,
+		Stream:  liveStreamConfig(res),
+		Clean:   clean.Config{ValidFrame: citymap.Island},
+		Shards:  4,
+		Metrics: obs.NewRegistry(),
 	}
 	if mod != nil {
 		mod(&icfg)
@@ -54,12 +56,12 @@ func liveFixtureCfg(t *testing.T, mod func(*ingest.Config)) (*httptest.Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(svc.Registry())
+	srv := newServer(icfg.Metrics)
 	srv.view.Store(newBatchView(out.Config.City, res))
 	srv.svc = svc
 	mux := http.NewServeMux()
 	registerServe(mux, srv)
-	registerOps(mux, srv, svc.Registry(), true)
+	registerOps(mux, srv, icfg.Metrics, true)
 	ts := httptest.NewServer(mux)
 	return ts, srv, svc, out, []func(){ts.Close, func() { _ = svc.Close() }}
 }

@@ -352,7 +352,6 @@ func main() {
 	live := flag.Bool("live", false, "serve contexts from the live /ingest feed (batch run only bootstraps spots)")
 	shards := flag.Int("shards", 4, "live mode: ingest shard count")
 	liveSpots := flag.Bool("live-spots", false, "live mode: discover new queue spots online from pickups outside the batch list (serves /spots?live=1)")
-	liveSpotWindow := flag.Duration("live-spot-window", 3*time.Hour, "live spot discovery: sliding pickup window")
 	liveSpotMinPts := flag.Int("live-spot-minpts", 0, "live spot discovery: DBSCAN min-points over the window (0 = paper default 50)")
 	walDir := flag.String("wal", "", "live mode: WAL directory (empty = durability off)")
 	histDir := flag.String("history", "", "directory for the columnar slot-context history store (enables /history, /heatmap, /transitions)")
@@ -409,7 +408,6 @@ func main() {
 		}
 		if *liveSpots {
 			det := core.DefaultLiveDetectorConfig()
-			det.Window = *liveSpotWindow
 			if *liveSpotMinPts > 0 {
 				det.Cluster.MinPoints = *liveSpotMinPts
 			}
@@ -485,7 +483,7 @@ func main() {
 		}
 		sp := sa.Spot
 		name := sp.Zone.String() + "-" + sp.Pos.String()
-		monSvc.Add(monitor.NewAreaCounter(name, geo.CirclePolygon(sp.Pos, 40, 12)))
+		monSvc.Add(monitor.NewAreaCounter(name))
 	}
 
 	mux := http.NewServeMux()

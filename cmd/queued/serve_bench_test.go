@@ -130,14 +130,15 @@ const benchDays = 4
 // and the locked baseline over the same state, and an optional background
 // feeder that replays the day with a +24h shift per lap.
 type serveEnv struct {
-	srv    *server
-	locked *lockedServer
-	svc    *ingest.Service
-	day    []mdt.Record
-	grid   core.SlotGrid // batch (single-day) grid
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
+	srv     *server
+	locked  *lockedServer
+	svc     *ingest.Service
+	metrics *obs.Registry // the service's collectors
+	day     []mdt.Record
+	grid    core.SlotGrid // batch (single-day) grid
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	once    sync.Once
 }
 
 func newServeEnv(tb testing.TB, feed bool) *serveEnv {
@@ -157,24 +158,27 @@ func newServeEnv(tb testing.TB, feed bool) *serveEnv {
 	}
 	scfg := liveStreamConfig(res)
 	scfg.Grid.Slots *= benchDays
+	reg := obs.NewRegistry()
 	svc, err := ingest.NewService(ingest.Config{
-		Stream: scfg,
-		Clean:  clean.Config{ValidFrame: citymap.Island},
-		Shards: 2,
+		Stream:  scfg,
+		Clean:   clean.Config{ValidFrame: citymap.Island},
+		Shards:  2,
+		Metrics: reg,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := newServer(svc.Registry())
+	srv := newServer(reg)
 	srv.view.Store(newBatchView(out.Config.City, res))
 	srv.svc = svc
 	env := &serveEnv{
-		srv:    srv,
-		locked: &lockedServer{city: out.Config.City, res: res, grid: cfg.Grid, svc: svc},
-		svc:    svc,
-		day:    cleaned,
-		grid:   cfg.Grid,
-		stop:   make(chan struct{}),
+		srv:     srv,
+		locked:  &lockedServer{city: out.Config.City, res: res, grid: cfg.Grid, svc: svc},
+		svc:     svc,
+		metrics: reg,
+		day:     cleaned,
+		grid:    cfg.Grid,
+		stop:    make(chan struct{}),
 	}
 	if feed {
 		env.startFeeder()

@@ -35,7 +35,7 @@ func TestServeRaceStress(t *testing.T) {
 	registerServe(mux, env.srv)
 	registerForecast(mux, &forecastServer{fc: fc})
 	mux.HandleFunc("/recommend", env.srv.handleRecommend)
-	registerOps(mux, env.srv, env.svc.Registry(), false)
+	registerOps(mux, env.srv, env.metrics, false)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,8 +16,7 @@ import (
 
 	"taxiqueue/internal/citymap"
 	"taxiqueue/internal/clean"
-	"taxiqueue/internal/ingest"
-	"taxiqueue/internal/mdt"
+	"taxiqueue/internal/feedclient"
 	"taxiqueue/internal/sim"
 )
 
@@ -335,7 +334,8 @@ func run(cfg Config, rng *rand.Rand) (Summary, error) {
 	rec := newRecorder()
 	runStart := time.Now()
 	deadline := runStart.Add(cfg.Duration)
-	stop := make(chan struct{})
+	feedCtx, stopFeed := context.WithCancel(context.Background())
+	defer stopFeed()
 	var wg sync.WaitGroup
 
 	fetch := func(name, url string) {
@@ -354,7 +354,7 @@ func run(cfg Config, rng *rand.Rand) (Summary, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fed, feedErrs = feedLoop(cfg, client, stop)
+			fed, feedErrs = feedLoop(feedCtx, cfg, client)
 		}()
 	}
 
@@ -394,7 +394,7 @@ func run(cfg Config, rng *rand.Rand) (Summary, error) {
 		}
 	}
 
-	wgWaitReaders(&wg, stop, deadline)
+	wgWaitReaders(&wg, stopFeed, deadline)
 	elapsed := time.Since(runStart)
 
 	sum := Summary{
@@ -418,61 +418,48 @@ func run(cfg Config, rng *rand.Rand) (Summary, error) {
 
 // wgWaitReaders stops the feeder once the read deadline passes, then waits
 // for everything.
-func wgWaitReaders(wg *sync.WaitGroup, stop chan struct{}, deadline time.Time) {
+func wgWaitReaders(wg *sync.WaitGroup, stopFeed context.CancelFunc, deadline time.Time) {
 	if d := time.Until(deadline); d > 0 {
 		time.Sleep(d)
 	}
-	close(stop)
+	stopFeed()
 	wg.Wait()
 }
 
 // feedLoop replays a simulated, cleaned MDT day into /ingest in
-// JSON-lines batches, shifting each lap by +24h to preserve per-taxi time
-// order. Returns how many records were posted and how many batches
-// failed.
-func feedLoop(cfg Config, client *http.Client, stop chan struct{}) (fed, errs int) {
+// JSON-lines batches through feedclient, shifting each lap by +24h to
+// preserve per-taxi time order, until ctx ends. feedclient re-sends what a
+// 429 left unprocessed and retries transport errors and 5xx answers.
+// Returns how many records the server consumed, and 1 when the feed
+// stopped on an error rather than on ctx.
+func feedLoop(ctx context.Context, cfg Config, client *http.Client) (fed, errs int) {
 	out := sim.Run(sim.Config{Seed: cfg.FeedSeed, City: citymap.Generate(cfg.FeedSeed, cfg.FeedScale)})
 	day, _ := clean.Compact(out.Records, clean.Config{ValidFrame: citymap.Island})
 	if len(day) == 0 {
 		return 0, 0
 	}
-	batch := make([]mdt.Record, cfg.FeedBatch)
-	var body bytes.Buffer
-	for shift := time.Duration(0); ; shift += 24 * time.Hour {
-		for i := 0; i < len(day); i += cfg.FeedBatch {
-			select {
-			case <-stop:
-				return fed, errs
-			default:
+	fc, err := feedclient.New(feedclient.Config{
+		URL:        cfg.URL + "/ingest",
+		BatchSize:  cfg.FeedBatch,
+		Encoding:   "json",
+		HTTPClient: client,
+	})
+	if err != nil {
+		return 0, 1
+	}
+	for lap := 0; ; lap++ {
+		if lap > 0 {
+			for j := range day {
+				day[j].Time = day[j].Time.Add(24 * time.Hour)
 			}
-			n := len(day) - i
-			if n > cfg.FeedBatch {
-				n = cfg.FeedBatch
-			}
-			b := batch[:n]
-			copy(b, day[i:i+n])
-			if shift != 0 {
-				for j := range b {
-					b[j].Time = b[j].Time.Add(shift)
-				}
-			}
-			body.Reset()
-			if err := ingest.EncodeJSONLines(&body, b); err != nil {
+		}
+		rep, err := fc.Stream(ctx, day)
+		fed += rep.Sent
+		if err != nil {
+			if ctx.Err() == nil {
 				errs++
-				continue
 			}
-			resp, err := client.Post(cfg.URL+"/ingest", ingest.ContentTypeJSONLines, &body)
-			if err != nil {
-				errs++
-				continue
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				errs++
-				continue
-			}
-			fed += n
+			return fed, errs
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"taxiqueue/internal/clean"
 	"taxiqueue/internal/cluster"
 	"taxiqueue/internal/core"
-	"taxiqueue/internal/geo"
 	"taxiqueue/internal/monitor"
 	"taxiqueue/internal/sim"
 )
@@ -66,7 +65,7 @@ func main() {
 
 	// Replay the ground-truth stand occupancy into the monitor component,
 	// as the deployed camera system would.
-	counter := monitor.NewAreaCounter("airport", geo.CirclePolygon(spot.Spot.Pos, 40, 12))
+	counter := monitor.NewAreaCounter("airport")
 	for _, s := range truth.TaxiQueueLog {
 		if err := counter.Observe(s.Time, s.Len); err != nil {
 			log.Fatal(err)

@@ -55,7 +55,7 @@ func main() {
 	// Monitor service over the busiest spot, fed from ground truth.
 	monSvc := monitor.NewService()
 	busiest := result.Spots[0]
-	counter := monitor.NewAreaCounter("busiest", geo.CirclePolygon(busiest.Spot.Pos, 40, 12))
+	counter := monitor.NewAreaCounter("busiest")
 	for i, lm := range city.Landmarks {
 		if geo.Equirect(lm.Pos, busiest.Spot.Pos) < 30 {
 			for _, s := range day.Truth.Spots[i].TaxiQueueLog {

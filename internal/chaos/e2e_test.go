@@ -86,7 +86,7 @@ func snapshotCtx(t *testing.T, svc *ingest.Service, d *e2eDay) ([][]core.QueueTy
 		labels[i] = make([]core.QueueType, d.grid.Slots)
 		feats[i] = make([]core.SlotFeatures, d.grid.Slots)
 		for j := 0; j < d.grid.Slots; j++ {
-			f, l, ok := svc.Context(i, j)
+			f, l, ok := svc.Snapshot().Context(i, j)
 			if !ok {
 				t.Fatalf("spot %d slot %d not final", i, j)
 			}

@@ -56,9 +56,6 @@ var zoneRects = [NumZones]geo.Rect{
 	East:    {MinLat: 1.220, MinLon: 103.880, MaxLat: 1.460, MaxLon: 104.045},
 }
 
-// ZoneRect returns the bounding rectangle of z.
-func ZoneRect(z Zone) geo.Rect { return zoneRects[z] }
-
 // innerMargin insets the drivable frame from the island boundary so that
 // GPS jitter on legitimate records never crosses it: only injected
 // urban-canyon outliers land outside the Island frame.
@@ -459,17 +456,6 @@ func (m *Map) TaxiStands() []Landmark {
 	var out []Landmark
 	for _, lm := range m.Landmarks {
 		if lm.TaxiStand {
-			out = append(out, lm)
-		}
-	}
-	return out
-}
-
-// InZone returns the landmarks located in z.
-func (m *Map) InZone(z Zone) []Landmark {
-	var out []Landmark
-	for _, lm := range m.Landmarks {
-		if lm.Zone == z {
 			out = append(out, lm)
 		}
 	}

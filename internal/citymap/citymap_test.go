@@ -42,7 +42,7 @@ func TestZoneOfKnownPoints(t *testing.T) {
 
 func TestZoneRectsInsideIsland(t *testing.T) {
 	for z := Zone(0); int(z) < NumZones; z++ {
-		r := ZoneRect(z)
+		r := zoneRects[z]
 		if !Island.Contains(geo.Point{Lat: r.MinLat, Lon: r.MinLon}) ||
 			!Island.Contains(geo.Point{Lat: r.MaxLat, Lon: r.MaxLon}) {
 			t.Errorf("zone %v rect %+v leaves the island", z, r)
@@ -55,7 +55,7 @@ func TestCentralZoneSmall(t *testing.T) {
 	area := func(r geo.Rect) float64 {
 		return (r.MaxLat - r.MinLat) * (r.MaxLon - r.MinLon)
 	}
-	frac := area(ZoneRect(Central)) / area(Island)
+	frac := area(zoneRects[Central]) / area(Island)
 	if frac < 0.03 || frac > 0.12 {
 		t.Errorf("central zone is %.1f%% of the island, want ~6%%", frac*100)
 	}
@@ -115,7 +115,12 @@ func TestGenerateZonePlacement(t *testing.T) {
 			t.Errorf("landmark %q outside the island", lm.Name)
 		}
 	}
-	central := len(m.InZone(Central))
+	central := 0
+	for _, lm := range m.Landmarks {
+		if lm.Zone == Central {
+			central++
+		}
+	}
 	if central < len(m.Landmarks)/5 {
 		t.Errorf("central zone has %d of %d landmarks; expected the largest share", central, len(m.Landmarks))
 	}

@@ -108,7 +108,7 @@ const unvisited = -2
 // run is the classic DBSCAN control loop with an explicit seed queue.
 // Cluster numbers are assigned in order of the first core point scanned,
 // which makes results deterministic for a fixed input order.
-func run(pts []geo.Point, p Params, idx spatial.Index) Result {
+func run(pts []geo.Point, p Params, idx *spatial.Linear) Result {
 	labels := make([]int, len(pts))
 	for i := range labels {
 		labels[i] = unvisited

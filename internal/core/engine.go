@@ -238,7 +238,3 @@ func (e *Engine) Analyze(recs []mdt.Record) (*Result, error) {
 	pipelineSpots.Set(int64(len(spots)))
 	return res, nil
 }
-
-// Grid returns the engine's effective slot grid after an Analyze call made
-// with this configuration (zero until defaults are resolved).
-func (e *Engine) Grid() SlotGrid { return e.cfg.Grid }

@@ -175,8 +175,8 @@ func TestDepartureIntervalsWithinSlotOnly(t *testing.T) {
 }
 
 func TestLittleLawConsistencyWithQueueingPackage(t *testing.T) {
-	// The QLen feature must equal queueing.Little applied to the same
-	// inputs (shared definition).
+	// The QLen feature must equal Little's law, L = λW, applied to the
+	// same inputs.
 	g := DaySlots(midnight())
 	var waits []Wait
 	for i := 0; i < 10; i++ {

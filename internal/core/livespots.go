@@ -55,7 +55,12 @@ type LiveDetectorConfig struct {
 	// MinPoints is the paper's per-day density scaled to the window the
 	// caller chooses; every extracted cluster holds at least MinPoints.
 	Cluster cluster.Params
-	// Window is how much pickup history stays clusterable (default 3h).
+	// Window is how much pickup history stays clusterable (default 3h, the
+	// one value production uses). It stays settable because the
+	// live-discovery tests reach their cases at windows from 30 min to
+	// 48 h: a whole-day window for the replay-equals-batch checks,
+	// 30-minute ones to expire pickups and walk spots through their
+	// lifecycle in a short feed.
 	Window time.Duration
 }
 

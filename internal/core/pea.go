@@ -23,7 +23,7 @@ const DefaultSpeedThresholdKmh = 10
 // carries what the later stages read from it.
 type Pickup struct {
 	// Centroid is the run's central GPS location: the mean of its member
-	// coordinates (§4.3), summed in geo.Centroid's order.
+	// coordinates (§4.3), summed in record order.
 	Centroid geo.Point
 	// Wait is the run's Algorithm 2 wait, valid when HasWait.
 	Wait Wait

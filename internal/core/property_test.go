@@ -209,9 +209,35 @@ func TestClassifyTotalOnRandomFeatures(t *testing.T) {
 	}
 }
 
-// summarise is what a pickup must carry of its run: the run's centroid
-// (geo.Centroid), its Algorithm 2 wait, its last record's time and state,
-// and whether it holds a BUSY record — computed from a copy of the run.
+// centroid returns the arithmetic-mean coordinate of pts, summed in order:
+// the estimator the paper uses when it "computes a central GPS location by
+// averaging" (§4.3). It returns the zero Point when pts is empty.
+func centroid(pts []geo.Point) geo.Point {
+	if len(pts) == 0 {
+		return geo.Point{}
+	}
+	var lat, lon float64
+	for _, p := range pts {
+		lat += p.Lat
+		lon += p.Lon
+	}
+	n := float64(len(pts))
+	return geo.Point{Lat: lat / n, Lon: lon / n}
+}
+
+func TestCentroid(t *testing.T) {
+	if c := centroid(nil); c != (geo.Point{}) {
+		t.Fatalf("centroid(nil) = %v, want zero", c)
+	}
+	pts := []geo.Point{{Lat: 1, Lon: 103}, {Lat: 2, Lon: 104}, {Lat: 3, Lon: 105}}
+	if c := centroid(pts); c.Lat != 2 || c.Lon != 104 {
+		t.Fatalf("centroid = %v, want (2, 104)", c)
+	}
+}
+
+// summarise is what a pickup must carry of its run: the run's centroid,
+// its Algorithm 2 wait, its last record's time and state, and whether it
+// holds a BUSY record — computed from a copy of the run.
 func summarise(run mdt.Trajectory) Pickup {
 	pts := make([]geo.Point, len(run))
 	busy := false
@@ -221,7 +247,7 @@ func summarise(run mdt.Trajectory) Pickup {
 	}
 	w, ok := ExtractWait(run)
 	last := run[len(run)-1]
-	return Pickup{Centroid: geo.Centroid(pts), Wait: w, HasWait: ok, End: last.Time, EndState: last.State, Busy: busy}
+	return Pickup{Centroid: centroid(pts), Wait: w, HasWait: ok, End: last.Time, EndState: last.State, Busy: busy}
 }
 
 // TestPickupSummariesMatchRuns: on random days whose taxis' records

@@ -7,7 +7,6 @@
 package dispatch
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -56,27 +55,6 @@ func (d *Dispatcher) Request(now time.Time, spotKey string, pickup geo.Point, av
 	return !b.Failed
 }
 
-// Ledger returns a copy of all bookings in arrival order.
-func (d *Dispatcher) Ledger() []Booking {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]Booking(nil), d.ledger...)
-}
-
-// FailedCount returns the number of failed bookings with SpotKey key and
-// time in [from, to).
-func (d *Dispatcher) FailedCount(key string, from, to time.Time) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, b := range d.ledger {
-		if b.Failed && b.SpotKey == key && !b.Time.Before(from) && b.Time.Before(to) {
-			n++
-		}
-	}
-	return n
-}
-
 // FailedNear returns the number of failed bookings within radiusMeters of
 // pos with time in [from, to). This is how the engine joins failed bookings
 // to detected queue spots, which have no SpotKey.
@@ -103,37 +81,4 @@ func (d *Dispatcher) Totals() (total, failed int) {
 		}
 	}
 	return len(d.ledger), failed
-}
-
-// FailureRateByHour returns the 24-element failure-rate histogram
-// (failed/total per hour of day); hours with no bookings report 0.
-func (d *Dispatcher) FailureRateByHour() [24]float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var failed, total [24]int
-	for _, b := range d.ledger {
-		h := b.Time.Hour()
-		total[h]++
-		if b.Failed {
-			failed[h]++
-		}
-	}
-	var out [24]float64
-	for h := range out {
-		if total[h] > 0 {
-			out[h] = float64(failed[h]) / float64(total[h])
-		}
-	}
-	return out
-}
-
-// Sorted reports whether the ledger is in non-decreasing time order
-// (it always is when callers request in simulation order; exposed for
-// invariant tests).
-func (d *Dispatcher) Sorted() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return sort.SliceIsSorted(d.ledger, func(i, j int) bool {
-		return d.ledger[i].Time.Before(d.ledger[j].Time)
-	})
 }

@@ -38,21 +38,6 @@ func TestDefaultRadius(t *testing.T) {
 	}
 }
 
-func TestFailedCountWindow(t *testing.T) {
-	var d Dispatcher
-	for i := 0; i < 10; i++ {
-		d.Request(t0.Add(time.Duration(i)*time.Minute), "A", spotA, i%2) // odd i succeed
-	}
-	// Failures at minutes 0,2,4,6,8. Window [2m, 7m) covers 2,4,6.
-	got := d.FailedCount("A", t0.Add(2*time.Minute), t0.Add(7*time.Minute))
-	if got != 3 {
-		t.Fatalf("FailedCount = %d, want 3", got)
-	}
-	if d.FailedCount("B", t0, t0.Add(time.Hour)) != 0 {
-		t.Error("FailedCount matched wrong key")
-	}
-}
-
 func TestFailedNear(t *testing.T) {
 	var d Dispatcher
 	d.Request(t0, "A", spotA, 0)
@@ -65,47 +50,6 @@ func TestFailedNear(t *testing.T) {
 	all := d.FailedNear(spotA, 50000, t0.Add(-time.Minute), t0.Add(time.Minute))
 	if all != 2 {
 		t.Fatalf("FailedNear(island) = %d, want 2", all)
-	}
-}
-
-func TestLedgerCopyIsolated(t *testing.T) {
-	var d Dispatcher
-	d.Request(t0, "A", spotA, 1)
-	l := d.Ledger()
-	l[0].SpotKey = "mutated"
-	if d.Ledger()[0].SpotKey != "A" {
-		t.Fatal("Ledger exposes internal state")
-	}
-}
-
-func TestFailureRateByHour(t *testing.T) {
-	var d Dispatcher
-	// Hour 8: 1 success, 1 failure. Hour 9: all success.
-	d.Request(t0, "A", spotA, 1)
-	d.Request(t0.Add(time.Minute), "A", spotA, 0)
-	d.Request(t0.Add(time.Hour), "A", spotA, 1)
-	rates := d.FailureRateByHour()
-	if rates[8] != 0.5 {
-		t.Errorf("hour 8 rate = %g, want 0.5", rates[8])
-	}
-	if rates[9] != 0 {
-		t.Errorf("hour 9 rate = %g, want 0", rates[9])
-	}
-	if rates[3] != 0 {
-		t.Errorf("empty hour rate = %g, want 0", rates[3])
-	}
-}
-
-func TestSorted(t *testing.T) {
-	var d Dispatcher
-	d.Request(t0, "A", spotA, 1)
-	d.Request(t0.Add(time.Second), "A", spotA, 1)
-	if !d.Sorted() {
-		t.Fatal("chronological ledger reported unsorted")
-	}
-	d.Request(t0.Add(-time.Hour), "A", spotA, 1)
-	if d.Sorted() {
-		t.Fatal("out-of-order ledger reported sorted")
 	}
 }
 

@@ -32,11 +32,6 @@ type Config struct {
 	ContextSpots int
 }
 
-// DefaultConfig returns the paper-scale settings.
-func DefaultConfig() Config {
-	return Config{Seed: 2015, CityScale: 1.0, Eps: 15, MinPts: 50, ContextSpots: 25}
-}
-
 func (c Config) withDefaults() Config {
 	if c.CityScale == 0 {
 		c.CityScale = 1.0

@@ -359,8 +359,7 @@ func (s *Suite) Table8() (Table8Result, string, error) {
 		// Exercise the real monitor component: replay the ground-truth
 		// change log into an AreaCounter, exactly what the camera system
 		// would have produced.
-		counter := monitor.NewAreaCounter(truth.Landmark.Name,
-			geo.CirclePolygon(truth.Landmark.Pos, 40, 12))
+		counter := monitor.NewAreaCounter(truth.Landmark.Name)
 		for _, sample := range truth.TaxiQueueLog {
 			if err := counter.Observe(sample.Time, sample.Len); err != nil {
 				return Table8Result{}, "", err

@@ -16,12 +16,12 @@ import (
 func sameTables(t *testing.T, a, b *Learner) {
 	t.Helper()
 	ta, tb := a.Table(), b.Table()
-	if ta.Spots() != tb.Spots() || ta.Slots() != tb.Slots() {
-		t.Fatalf("table shapes differ: %dx%d vs %dx%d", ta.Spots(), ta.Slots(), tb.Spots(), tb.Slots())
+	if ta.Spots() != tb.Spots() || ta.grid.Slots != tb.grid.Slots {
+		t.Fatalf("table shapes differ: %dx%d vs %dx%d", ta.Spots(), ta.grid.Slots, tb.Spots(), tb.grid.Slots)
 	}
 	for spot := 0; spot < ta.Spots(); spot++ {
-		for j := 0; j < ta.Slots(); j++ {
-			if pa, pb := ta.Profile(spot, j), tb.Profile(spot, j); pa != pb {
+		for j := 0; j < ta.grid.Slots; j++ {
+			if pa, pb := ta.profiles[spot][j], tb.profiles[spot][j]; pa != pb {
 				t.Fatalf("profile (%d, %d) differs:\n  %+v\n  %+v", spot, j, pa, pb)
 			}
 		}
@@ -126,18 +126,18 @@ func TestKillRestartRecover(t *testing.T) {
 	sameTables(t, l, r)
 
 	// Replaying recorded days into the rebuilt learner must not move it.
-	before := r.Table().Profile(2, 9)
+	before := r.Table().profiles[2][9]
 	if err := r.BackfillHistory(h); err != nil {
 		t.Fatal(err)
 	}
-	if after := r.Table().Profile(2, 9); after != before {
+	if after := r.Table().profiles[2][9]; after != before {
 		t.Fatalf("replay moved a rebuilt profile:\n  %+v\n  %+v", before, after)
 	}
 	// And a genuinely new day must still fold: day 9 after day 3 decays
 	// the old weight by β^6 and adds 1.
 	appendUniform(t, r, 9, c3Feats(), core.C3)
 	want := before.Weight*math.Pow(0.7, 6) + 1
-	if w := r.Table().Profile(2, 9).Weight; math.Abs(w-want) > 1e-9 {
+	if w := r.Table().profiles[2][9].Weight; math.Abs(w-want) > 1e-9 {
 		t.Fatalf("new day fold weight %v, want %v", w, want)
 	}
 }

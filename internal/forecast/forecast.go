@@ -17,12 +17,11 @@
 // Forecasting is a pure function of an immutable profile Table: when the
 // learned rate regime is stable (λ below the service capacity implied by
 // the departure interval, with enough observed days behind it) the wait
-// and queue length come from the M/M/c Erlang-C model in
-// internal/queueing; otherwise — a saturated taxi stand is exactly the
-// regime where M/M/c has no stationary answer — the empirical per-slot
-// history answers directly. Tables are published behind an atomic pointer
-// (RCU style, like every read path in this repo), so queries take no lock
-// and never see a half-applied day.
+// comes from the M/M/c Erlang-C model (MMc); otherwise — a saturated taxi
+// stand is exactly the regime where M/M/c has no stationary answer — the
+// empirical per-slot history answers directly. Tables are published
+// behind an atomic pointer (RCU style, like every read path in this repo),
+// so queries take no lock and never see a half-applied day.
 //
 // Profiles are derived state and are never written to disk: they are a
 // pure fold over the history store's closed slots, so after a restart
@@ -40,7 +39,6 @@ import (
 
 	"taxiqueue/internal/core"
 	"taxiqueue/internal/obs"
-	"taxiqueue/internal/queueing"
 )
 
 // ErrClosed is returned by appends after Close.
@@ -213,18 +211,6 @@ type Table struct {
 // Spots returns how many queue spots the table profiles.
 func (t *Table) Spots() int { return len(t.profiles) }
 
-// Slots returns the slot-of-day count.
-func (t *Table) Slots() int { return t.grid.Slots }
-
-// Profile returns the (spot, slot-of-day) profile; the zero profile for
-// out-of-range indexes.
-func (t *Table) Profile(spot, slot int) SlotProfile {
-	if spot < 0 || spot >= len(t.profiles) || slot < 0 || slot >= t.grid.Slots {
-		return SlotProfile{}
-	}
-	return t.profiles[spot][slot]
-}
-
 // Forecast evaluates spot's expected queue state at the instant at; ok is
 // false for an out-of-range spot or an instant before the grid start.
 //
@@ -265,7 +251,7 @@ func (t *Table) Forecast(spot int, at time.Time) (Forecast, bool) {
 	}
 	// t̄dep is the mean interval between consecutive departures, so the
 	// stand's total service capacity is 1/t̄dep, split across the servers.
-	q := queueing.MMc{Lambda: lambda, Mu: 1 / (p.TDepSec * servers), Servers: servers}
+	q := MMc{Lambda: lambda, Mu: 1 / (p.TDepSec * servers), Servers: servers}
 	// Beyond maxModelRho the stationary answer diverges (Lq ~ 1/(1-ρ)) while
 	// the learned rates carry day-to-day noise — the empirical history is
 	// the better estimator near saturation, not a blown-up Erlang-C tail.
@@ -328,9 +314,6 @@ func Open(cfg Config) (*Learner, error) {
 
 // Grid returns the learner's slot grid.
 func (l *Learner) Grid() core.SlotGrid { return l.cfg.Grid }
-
-// Spots returns how many queue spots the learner tracks.
-func (l *Learner) Spots() int { return l.cfg.Spots }
 
 // Table returns the current published profile table: one atomic load,
 // never nil after Open.

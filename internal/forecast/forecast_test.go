@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"taxiqueue/internal/core"
-	"taxiqueue/internal/queueing"
 )
 
 func testGrid() core.SlotGrid {
@@ -151,7 +150,7 @@ func TestForecastModelStableRegime(t *testing.T) {
 	// The wait must be exactly the Erlang-C answer for the learned rates;
 	// the queue length stays the EW empirical mean.
 	slotSec := testGrid().SlotLen.Seconds()
-	q := queueing.MMc{
+	q := MMc{
 		Lambda:  f2.NArr / slotSec,
 		Mu:      1 / (f2.TDep.Seconds() * float64(servers)),
 		Servers: servers,
@@ -198,11 +197,11 @@ func TestAppendIdempotent(t *testing.T) {
 	}
 	defer l.Close()
 	appendUniform(t, l, 0, c3Feats(), core.C3)
-	before := l.Table().Profile(1, 7)
+	before := l.Table().profiles[1][7]
 	for i := 0; i < 4; i++ {
 		appendUniform(t, l, 0, c3Feats(), core.C3)
 	}
-	after := l.Table().Profile(1, 7)
+	after := l.Table().profiles[1][7]
 	if before != after {
 		t.Fatalf("replay moved the profile:\n  %+v\n  %+v", before, after)
 	}
@@ -211,9 +210,9 @@ func TestAppendIdempotent(t *testing.T) {
 	}
 	// Out-of-order older days are ignored too.
 	appendUniform(t, l, 2, c3Feats(), core.C3)
-	mid := l.Table().Profile(1, 7)
+	mid := l.Table().profiles[1][7]
 	appendUniform(t, l, 1, c2Feats(), core.C2)
-	if got := l.Table().Profile(1, 7); got != mid {
+	if got := l.Table().profiles[1][7]; got != mid {
 		t.Fatalf("stale day 1 after day 2 moved the profile")
 	}
 }
@@ -230,7 +229,7 @@ func TestEWDecayAndLabelHistogram(t *testing.T) {
 	f3, f2 := c3Feats(), c2Feats()
 	appendUniform(t, l, 0, f3, core.C3)
 	appendUniform(t, l, 1, f2, core.C2)
-	p := l.Table().Profile(0, 0)
+	p := l.Table().profiles[0][0]
 	if math.Abs(p.Weight-1.7) > 1e-12 {
 		t.Fatalf("weight %v, want 1.7", p.Weight)
 	}
@@ -249,7 +248,7 @@ func TestEWDecayAndLabelHistogram(t *testing.T) {
 
 	// A day gap decays twice: append day 3 (gap 2 from day 1).
 	appendUniform(t, l, 3, f2, core.C2)
-	p = l.Table().Profile(0, 0)
+	p = l.Table().profiles[0][0]
 	want := 1.7*0.49 + 1
 	if math.Abs(p.Weight-want) > 1e-12 {
 		t.Fatalf("weight %v after gap-2 fold, want %v", p.Weight, want)

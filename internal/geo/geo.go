@@ -1,6 +1,7 @@
 // Package geo provides the geographic primitives used throughout the queue
 // detection system: WGS-84 points, great-circle and fast equirectangular
-// distances, bearings, destination points, bounding boxes and polygons.
+// distances, a prepared radius test, destination points and bounding
+// boxes.
 //
 // All distances are in meters, all angles in degrees unless stated
 // otherwise. Latitudes are positive north, longitudes positive east.
@@ -103,16 +104,6 @@ func (d Disc) Contains(p Point) bool {
 	return Equirect(d.center, p) <= d.radius
 }
 
-// Bearing returns the initial great-circle bearing from a to b in degrees
-// clockwise from north, in [0, 360).
-func Bearing(a, b Point) float64 {
-	lat1, lat2 := radians(a.Lat), radians(b.Lat)
-	dLon := radians(b.Lon - a.Lon)
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
-	return math.Mod(degrees(math.Atan2(y, x))+360, 360)
-}
-
 // Destination returns the point reached by travelling distanceMeters from p
 // along the given initial bearing (degrees clockwise from north).
 func Destination(p Point, bearingDeg, distanceMeters float64) Point {
@@ -127,38 +118,12 @@ func Destination(p Point, bearingDeg, distanceMeters float64) Point {
 }
 
 // Offset returns p displaced by the given east and north distances in
-// meters, using the local tangent-plane approximation. It is the inverse
-// convenience of LocalXY and is exact enough for city-scale work.
+// meters, using the local tangent-plane approximation. It is exact enough
+// for city-scale work.
 func Offset(p Point, eastMeters, northMeters float64) Point {
 	dLat := degrees(northMeters / EarthRadiusMeters)
 	dLon := degrees(eastMeters / (EarthRadiusMeters * math.Cos(radians(p.Lat))))
 	return Point{Lat: p.Lat + dLat, Lon: p.Lon + dLon}
-}
-
-// LocalXY projects p into a local tangent plane centered at origin and
-// returns (east, north) in meters. Distances between projected points match
-// Equirect distances.
-func LocalXY(origin, p Point) (x, y float64) {
-	x = radians(p.Lon-origin.Lon) * math.Cos(radians(origin.Lat)) * EarthRadiusMeters
-	y = radians(p.Lat-origin.Lat) * EarthRadiusMeters
-	return x, y
-}
-
-// Centroid returns the arithmetic-mean coordinate of pts. For city-scale
-// clusters the arithmetic mean of lat/lon is the estimator the paper uses
-// when it "computes a central GPS location by averaging" (§4.3).
-// It returns the zero Point when pts is empty.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var lat, lon float64
-	for _, p := range pts {
-		lat += p.Lat
-		lon += p.Lon
-	}
-	n := float64(len(pts))
-	return Point{Lat: lat / n, Lon: lon / n}
 }
 
 // Rect is a latitude/longitude axis-aligned bounding box.
@@ -168,26 +133,10 @@ type Rect struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
 }
 
-// NewRect returns the rectangle spanned by two corner points in any order.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		MinLat: math.Min(a.Lat, b.Lat),
-		MinLon: math.Min(a.Lon, b.Lon),
-		MaxLat: math.Max(a.Lat, b.Lat),
-		MaxLon: math.Max(a.Lon, b.Lon),
-	}
-}
-
 // Contains reports whether p lies inside r (inclusive of edges).
 func (r Rect) Contains(p Point) bool {
 	return p.Lat >= r.MinLat && p.Lat <= r.MaxLat &&
 		p.Lon >= r.MinLon && p.Lon <= r.MaxLon
-}
-
-// Intersects reports whether r and o overlap (sharing an edge counts).
-func (r Rect) Intersects(o Rect) bool {
-	return r.MinLat <= o.MaxLat && r.MaxLat >= o.MinLat &&
-		r.MinLon <= o.MaxLon && r.MaxLon >= o.MinLon
 }
 
 // Center returns the midpoint of r.
@@ -205,16 +154,6 @@ func (r Rect) Expand(meters float64) Rect {
 	return Rect{
 		MinLat: r.MinLat - dLat, MinLon: r.MinLon - dLon,
 		MaxLat: r.MaxLat + dLat, MaxLon: r.MaxLon + dLon,
-	}
-}
-
-// Union returns the smallest rectangle containing both r and o.
-func (r Rect) Union(o Rect) Rect {
-	return Rect{
-		MinLat: math.Min(r.MinLat, o.MinLat),
-		MinLon: math.Min(r.MinLon, o.MinLon),
-		MaxLat: math.Max(r.MaxLat, o.MaxLat),
-		MaxLon: math.Max(r.MaxLon, o.MaxLon),
 	}
 }
 
@@ -238,51 +177,4 @@ func BoundingRect(pts []Point) Rect {
 // given radius (meters) around p. Used to pre-filter radius queries.
 func RectAround(p Point, radiusMeters float64) Rect {
 	return Rect{MinLat: p.Lat, MaxLat: p.Lat, MinLon: p.Lon, MaxLon: p.Lon}.Expand(radiusMeters)
-}
-
-// Polygon is a simple (non-self-intersecting) polygon given as a ring of
-// vertices. The ring may be open (first != last); Contains treats it as
-// implicitly closed.
-type Polygon []Point
-
-// Contains reports whether p lies strictly inside or on the boundary of the
-// polygon, using the even-odd ray-casting rule in lat/lon space. City-scale
-// polygons (taxi-stand areas, zones) are small enough that planar
-// ray-casting is exact for practical purposes.
-func (poly Polygon) Contains(p Point) bool {
-	n := len(poly)
-	if n < 3 {
-		return false
-	}
-	inside := false
-	j := n - 1
-	for i := 0; i < n; i++ {
-		pi, pj := poly[i], poly[j]
-		if (pi.Lat > p.Lat) != (pj.Lat > p.Lat) {
-			cross := (pj.Lon-pi.Lon)*(p.Lat-pi.Lat)/(pj.Lat-pi.Lat) + pi.Lon
-			if p.Lon < cross {
-				inside = !inside
-			} else if p.Lon == cross {
-				return true // on an edge
-			}
-		}
-		j = i
-	}
-	return inside
-}
-
-// Bounds returns the bounding rectangle of the polygon.
-func (poly Polygon) Bounds() Rect { return BoundingRect(poly) }
-
-// CirclePolygon approximates the circle of the given radius around center
-// with a regular n-gon (n >= 3). Useful for defining monitor areas.
-func CirclePolygon(center Point, radiusMeters float64, n int) Polygon {
-	if n < 3 {
-		n = 3
-	}
-	poly := make(Polygon, n)
-	for i := 0; i < n; i++ {
-		poly[i] = Destination(center, float64(i)*360/float64(n), radiusMeters)
-	}
-	return poly
 }

@@ -58,26 +58,6 @@ func TestEquirectMatchesHaversineAtCityScale(t *testing.T) {
 	}
 }
 
-func TestBearingCardinal(t *testing.T) {
-	p := Point{Lat: 1.3, Lon: 103.8}
-	cases := []struct {
-		name string
-		to   Point
-		want float64
-	}{
-		{"north", Point{Lat: 1.4, Lon: 103.8}, 0},
-		{"east", Point{Lat: 1.3, Lon: 103.9}, 90},
-		{"south", Point{Lat: 1.2, Lon: 103.8}, 180},
-		{"west", Point{Lat: 1.3, Lon: 103.7}, 270},
-	}
-	for _, c := range cases {
-		got := Bearing(p, c.to)
-		if diff := math.Abs(got - c.want); diff > 0.2 && diff < 359.8 {
-			t.Errorf("Bearing %s = %.2f, want %.2f", c.name, got, c.want)
-		}
-	}
-}
-
 func TestDestinationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
@@ -89,7 +69,9 @@ func TestDestinationRoundTrip(t *testing.T) {
 			t.Fatalf("Destination distance %.4f, want %.4f", got, dist)
 		}
 		if dist > 1 {
-			if gb := Bearing(p, q); angleDiff(gb, brng) > 0.5 {
+			// The direction of q from p on the local tangent plane.
+			x := (q.Lon - p.Lon) * math.Cos(radians(p.Lat))
+			if gb := degrees(math.Atan2(x, q.Lat-p.Lat)); angleDiff(gb, brng) > 0.5 {
 				t.Fatalf("Destination bearing %.3f, want %.3f", gb, brng)
 			}
 		}
@@ -109,32 +91,8 @@ func TestOffsetDistance(t *testing.T) {
 	}
 }
 
-func TestLocalXYMatchesEquirect(t *testing.T) {
-	origin := rafflesPlace
-	p := Offset(origin, 1234, -567)
-	x, y := LocalXY(origin, p)
-	want := Equirect(origin, p)
-	if got := math.Hypot(x, y); math.Abs(got-want) > 0.5 {
-		t.Fatalf("LocalXY norm %.3f, want %.3f", got, want)
-	}
-	if math.Abs(x-1234) > 2 || math.Abs(y-(-567)) > 2 {
-		t.Fatalf("LocalXY = (%.1f, %.1f), want (1234, -567)", x, y)
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	if c := Centroid(nil); c != (Point{}) {
-		t.Fatalf("Centroid(nil) = %v, want zero", c)
-	}
-	pts := []Point{{1, 103}, {2, 104}, {3, 105}}
-	c := Centroid(pts)
-	if c.Lat != 2 || c.Lon != 104 {
-		t.Fatalf("Centroid = %v, want (2, 104)", c)
-	}
-}
-
 func TestRectContains(t *testing.T) {
-	r := NewRect(Point{1.2, 103.6}, Point{1.5, 104.0})
+	r := Rect{MinLat: 1.2, MinLon: 103.6, MaxLat: 1.5, MaxLon: 104.0}
 	if !r.Contains(Point{1.3, 103.8}) {
 		t.Error("interior point not contained")
 	}
@@ -143,23 +101,6 @@ func TestRectContains(t *testing.T) {
 	}
 	if r.Contains(Point{1.6, 103.8}) {
 		t.Error("outside point contained")
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := NewRect(Point{1.0, 103.0}, Point{1.2, 103.2})
-	b := NewRect(Point{1.1, 103.1}, Point{1.3, 103.3})
-	c := NewRect(Point{1.5, 103.5}, Point{1.6, 103.6})
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Error("overlapping rects do not intersect")
-	}
-	if a.Intersects(c) {
-		t.Error("disjoint rects intersect")
-	}
-	// Touching at an edge counts.
-	d := NewRect(Point{1.2, 103.0}, Point{1.4, 103.2})
-	if !a.Intersects(d) {
-		t.Error("edge-touching rects do not intersect")
 	}
 }
 
@@ -175,73 +116,6 @@ func TestRectExpandCoversRadius(t *testing.T) {
 	}
 }
 
-func TestRectUnionAndBounding(t *testing.T) {
-	a := NewRect(Point{1.0, 103.0}, Point{1.1, 103.1})
-	b := NewRect(Point{1.2, 103.2}, Point{1.3, 103.3})
-	u := a.Union(b)
-	if !u.Contains(Point{1.05, 103.05}) || !u.Contains(Point{1.25, 103.25}) {
-		t.Error("union does not contain both inputs")
-	}
-	pts := []Point{{1.0, 103.0}, {1.3, 103.3}, {1.1, 103.2}}
-	br := BoundingRect(pts)
-	for _, p := range pts {
-		if !br.Contains(p) {
-			t.Errorf("BoundingRect misses %v", p)
-		}
-	}
-	if br != (Rect{MinLat: 1.0, MinLon: 103.0, MaxLat: 1.3, MaxLon: 103.3}) {
-		t.Errorf("BoundingRect = %+v", br)
-	}
-}
-
-func TestPolygonContains(t *testing.T) {
-	square := Polygon{{1.0, 103.0}, {1.0, 103.1}, {1.1, 103.1}, {1.1, 103.0}}
-	if !square.Contains(Point{1.05, 103.05}) {
-		t.Error("center of square not contained")
-	}
-	if square.Contains(Point{1.2, 103.05}) {
-		t.Error("point north of square contained")
-	}
-	if square.Contains(Point{1.05, 103.2}) {
-		t.Error("point east of square contained")
-	}
-	var empty Polygon
-	if empty.Contains(Point{1, 103}) {
-		t.Error("empty polygon contains a point")
-	}
-}
-
-func TestPolygonContainsConcave(t *testing.T) {
-	// A "U" shape: the notch must be outside.
-	u := Polygon{
-		{0, 0}, {0, 3}, {3, 3}, {3, 2}, {1, 2}, {1, 1}, {3, 1}, {3, 0},
-	}
-	if !u.Contains(Point{0.5, 1.5}) {
-		t.Error("bottom of U not contained")
-	}
-	if u.Contains(Point{2, 1.5}) {
-		t.Error("notch of U contained")
-	}
-}
-
-func TestCirclePolygonContainsCenter(t *testing.T) {
-	poly := CirclePolygon(orchard, 200, 16)
-	if len(poly) != 16 {
-		t.Fatalf("CirclePolygon len = %d, want 16", len(poly))
-	}
-	if !poly.Contains(orchard) {
-		t.Error("circle polygon does not contain its center")
-	}
-	inside := Destination(orchard, 45, 150)
-	if !poly.Contains(inside) {
-		t.Error("point at 150 m not inside 200 m circle polygon")
-	}
-	outside := Destination(orchard, 45, 260)
-	if poly.Contains(outside) {
-		t.Error("point at 260 m inside 200 m circle polygon")
-	}
-}
-
 func TestPointValid(t *testing.T) {
 	valid := []Point{{0, 0}, {90, 180}, {-90, -180}, {1.3, 103.8}}
 	for _, p := range valid {
@@ -254,19 +128,6 @@ func TestPointValid(t *testing.T) {
 		if p.Valid() {
 			t.Errorf("%v reported valid", p)
 		}
-	}
-}
-
-func TestPropertyOffsetLocalXYInverse(t *testing.T) {
-	f := func(dx, dy float64) bool {
-		dx = math.Mod(dx, 20000)
-		dy = math.Mod(dy, 20000)
-		p := Offset(rafflesPlace, dx, dy)
-		x, y := LocalXY(rafflesPlace, p)
-		return math.Abs(x-dx) < 1.5 && math.Abs(y-dy) < 1.5
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,9 +1,10 @@
-// Package hausdorff implements the point-set distances used in §6.1.3 to
+// Package hausdorff implements the point-set distance §6.1.3 uses to
 // measure day-to-day stability of the detected queue-spot sets: the
-// classical (Pompeiu-)Hausdorff distance and the modified Hausdorff
-// distance of Dubuisson & Jain (ICPR 1994), which the paper adopts.
+// modified Hausdorff distance of Dubuisson & Jain (ICPR 1994), which
+// averages the nearest-neighbour distances where the classical Hausdorff
+// distance takes their maximum.
 //
-// All distances are great-circle meters.
+// All distances are equirectangular meters (geo.Equirect).
 package hausdorff
 
 import (
@@ -44,29 +45,6 @@ func nearest(idx *spatial.Grid, pts []geo.Point, p geo.Point) float64 {
 			return best
 		}
 	}
-}
-
-// Directed returns the classical directed Hausdorff distance
-// h(A,B) = max_{a∈A} min_{b∈B} d(a,b). It is +Inf when B is empty and A is
-// not, and 0 when A is empty.
-func Directed(a, b []geo.Point) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	idx := spatial.NewGrid(b, 200)
-	worst := 0.0
-	for _, p := range a {
-		if d := nearest(idx, b, p); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// Distance returns the classical symmetric Hausdorff distance
-// H(A,B) = max(h(A,B), h(B,A)).
-func Distance(a, b []geo.Point) float64 {
-	return math.Max(Directed(a, b), Directed(b, a))
 }
 
 // DirectedModified returns the Dubuisson-Jain directed modified Hausdorff

@@ -19,20 +19,13 @@ func randomSet(n int, seed int64) []geo.Point {
 
 func TestIdenticalSetsZero(t *testing.T) {
 	a := randomSet(150, 1)
-	for name, f := range map[string]func(a, b []geo.Point) float64{
-		"Distance": Distance, "Modified": Modified,
-	} {
-		if d := f(a, a); d != 0 {
-			t.Errorf("%s(A,A) = %g, want 0", name, d)
-		}
+	if d := Modified(a, a); d != 0 {
+		t.Errorf("Modified(A,A) = %g, want 0", d)
 	}
 }
 
 func TestSymmetry(t *testing.T) {
 	a, b := randomSet(120, 2), randomSet(80, 3)
-	if d1, d2 := Distance(a, b), Distance(b, a); math.Abs(d1-d2) > 1e-9 {
-		t.Errorf("Distance not symmetric: %g vs %g", d1, d2)
-	}
 	if d1, d2 := Modified(a, b), Modified(b, a); math.Abs(d1-d2) > 1e-9 {
 		t.Errorf("Modified not symmetric: %g vs %g", d1, d2)
 	}
@@ -44,7 +37,7 @@ func TestKnownTwoPointDistance(t *testing.T) {
 	a := []geo.Point{p}
 	b := []geo.Point{q}
 	for name, f := range map[string]func(a, b []geo.Point) float64{
-		"Distance": Distance, "Modified": Modified, "Directed": Directed, "DirectedModified": DirectedModified,
+		"Modified": Modified, "DirectedModified": DirectedModified,
 	} {
 		if d := f(a, b); math.Abs(d-500) > 1 {
 			t.Errorf("%s = %.2f, want ~500", name, d)
@@ -53,22 +46,23 @@ func TestKnownTwoPointDistance(t *testing.T) {
 }
 
 func TestDirectedAsymmetricExample(t *testing.T) {
-	// A = {p}; B = {p, far}: h(A,B)=0 but h(B,A)=dist(far,p).
+	// A = {p}; B = {p, far}: h_mod(A,B)=0 but h_mod(B,A)=dist(far,p)/2.
 	p := geo.Point{Lat: 1.3, Lon: 103.8}
 	far := geo.Destination(p, 0, 2000)
 	a := []geo.Point{p}
 	b := []geo.Point{p, far}
-	if d := Directed(a, b); d > 1 {
-		t.Errorf("h(A,B) = %.2f, want ~0", d)
+	if d := DirectedModified(a, b); d > 1 {
+		t.Errorf("h_mod(A,B) = %.2f, want ~0", d)
 	}
-	if d := Directed(b, a); math.Abs(d-2000) > 2 {
-		t.Errorf("h(B,A) = %.2f, want ~2000", d)
+	if d := DirectedModified(b, a); math.Abs(d-1000) > 1 {
+		t.Errorf("h_mod(B,A) = %.2f, want ~1000", d)
 	}
 }
 
 func TestModifiedRobustToSingleOutlier(t *testing.T) {
 	// The modified distance averages, so a single far outlier in a
-	// 100-point set moves MHD by ~dist/100 while classical H jumps to dist.
+	// 100-point set moves MHD by ~dist/100, where the classical Hausdorff
+	// distance (the maximum) would jump to dist.
 	// Use a compact base set so the outlier is genuinely far from all of it.
 	rng := rand.New(rand.NewSource(4))
 	center := geo.Point{Lat: 1.3, Lon: 103.8}
@@ -79,11 +73,7 @@ func TestModifiedRobustToSingleOutlier(t *testing.T) {
 	outlier := geo.Destination(center, 45, 10000)
 	a := append(append([]geo.Point(nil), base...), base[0])
 	b := append(append([]geo.Point(nil), base...), outlier)
-	h := Distance(a, b)
 	mhd := Modified(a, b)
-	if h < 9000 {
-		t.Errorf("classical Hausdorff = %.0f, want ~10000 (outlier-dominated)", h)
-	}
 	if mhd > 1000 {
 		t.Errorf("modified Hausdorff = %.0f, want small (outlier-robust)", mhd)
 	}
@@ -106,14 +96,14 @@ func TestPerturbationScale(t *testing.T) {
 
 func TestEmptySets(t *testing.T) {
 	a := randomSet(10, 7)
-	if d := Directed(nil, a); d != 0 {
-		t.Errorf("Directed(empty, A) = %g, want 0", d)
+	if d := DirectedModified(nil, a); d != 0 {
+		t.Errorf("DirectedModified(empty, A) = %g, want 0", d)
 	}
-	if d := Directed(a, nil); !math.IsInf(d, 1) {
-		t.Errorf("Directed(A, empty) = %g, want +Inf", d)
+	if d := DirectedModified(a, nil); !math.IsInf(d, 1) {
+		t.Errorf("DirectedModified(A, empty) = %g, want +Inf", d)
 	}
-	if d := Distance(nil, nil); d != 0 {
-		t.Errorf("Distance(empty, empty) = %g, want 0", d)
+	if d := Modified(nil, nil); d != 0 {
+		t.Errorf("Modified(empty, empty) = %g, want 0", d)
 	}
 }
 

@@ -31,10 +31,10 @@ type cell struct {
 // advances) coordinate through mu; readers never touch it. Each time the
 // cross-shard finality watermark advances, the writer that moved it
 // rebuilds an immutable Snapshot of every final cell and swaps it into pub
-// — the RCU publish. The query path is Service.Context/Label, which load
-// pub once and read plain memory; the mutex-guarded path survives as
-// Service.ContextLocked, the reference implementation the equivalence
-// tests and serve benchmarks compare against.
+// — the RCU publish. The query path is Service.Snapshot, which loads pub
+// once, then the Snapshot's reads of plain memory; the mutex-guarded path
+// survives as Service.ContextLocked, the reference implementation the
+// equivalence tests and serve benchmarks compare against.
 //
 // Cells exist only for (spot, slot) pairs a shard actually fed: a read of a
 // never-fed pair is served the empty context without allocating, so a

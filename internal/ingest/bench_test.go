@@ -25,10 +25,10 @@ func benchFeed(b *testing.B, d *day, cfg Config) {
 		feed(b, svc, d.cleaned[:n])
 		done += n
 		// Barrier: drain the queues so the timer covers processing, not
-		// just enqueueing (a flush at grid start closes nothing). The
-		// non-committing drain keeps the public FlushUntil's per-flush
-		// fsync off the per-record clock — see drainUntil.
-		if err := svc.drainUntil(d.grid.Start); err != nil {
+		// just enqueueing (a flush at grid start closes nothing). With the
+		// WAL on, each shard's commit here puts one fsync per fixture day
+		// on the clock.
+		if err := svc.FlushUntil(d.grid.Start); err != nil {
 			b.Fatal(err)
 		}
 		if done < b.N {

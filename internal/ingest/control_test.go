@@ -226,7 +226,7 @@ func TestAggregatorReadsDontGrow(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for j := 0; j < svc.grid.Slots; j++ {
-			if _, _, ok := svc.Context(0, j); !ok {
+			if _, _, ok := svc.Snapshot().Context(0, j); !ok {
 				t.Fatalf("slot %d not final after Flush", j)
 			}
 		}
@@ -266,7 +266,7 @@ func TestAggregatorReadsDontGrow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < svc2.grid.Slots; j++ {
-		svc2.Context(0, j)
+		svc2.Snapshot().Context(0, j)
 	}
 	n := svc2.agg.cellCount()
 	if n == 0 {

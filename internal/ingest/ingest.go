@@ -308,10 +308,6 @@ func NewService(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Registry returns the registry holding the service's collectors (the one
-// from Config.Metrics, or the private default). Mount it as /metrics.
-func (s *Service) Registry() *obs.Registry { return s.cfg.Metrics }
-
 // shardIndex routes a taxi ID to its shard (FNV-1a; allocation free).
 func shardIndex(id string, n int) int {
 	h := uint32(2166136261)
@@ -465,15 +461,6 @@ func (s *Service) FlushUntil(now time.Time) error {
 	return errors.Join(err, s.flushHistory())
 }
 
-// drainUntil is FlushUntil minus the durability barrier: the same slot
-// finalization and queue round-trip, but no synchronous WAL commit.
-// Benchmarks use it to settle the shards between timed feed chunks without
-// charging the per-record numbers a per-flush fsync at a rate no real
-// deployment would see (a production flush is end-of-feed, not per-11k
-// records). Everything durable-cost-related that is per-record — encode,
-// buffered write, pipelined group commit — still runs on the clock.
-func (s *Service) drainUntil(now time.Time) error { return s.control(opDrainUntil, now) }
-
 // Checkpoint is the bare durability barrier: every shard drains its queue
 // and commits its WAL, so every record accepted before the call is on
 // stable storage when it returns nil. Returns ErrClosed after Close/Abort.
@@ -586,26 +573,6 @@ func (s *Service) minClosed() int {
 // (every spot of one slot, say) should load it once and read through it so
 // all answers come from one consistent epoch.
 func (s *Service) Snapshot() *Snapshot { return s.agg.pub.Load() }
-
-// LiveSpots returns the online-discovered queue spots current at the
-// published snapshot (nil when live discovery is disabled). Lock-free; the
-// slice is immutable.
-func (s *Service) LiveSpots() []core.LiveSpot { return s.Snapshot().Live() }
-
-// Context returns the merged features and label for (spot, slot); ok is
-// false while any shard could still contribute to the slot (or the indexes
-// are out of range). A final slot with no activity classifies like an
-// empty batch slot. Lock-free: one snapshot pointer load plus an array
-// read.
-func (s *Service) Context(spot, slot int) (core.SlotFeatures, core.QueueType, bool) {
-	return s.Snapshot().Context(spot, slot)
-}
-
-// Label is Context without the features.
-func (s *Service) Label(spot, slot int) (core.QueueType, bool) {
-	_, l, ok := s.Context(spot, slot)
-	return l, ok
-}
 
 // ContextLocked is the pre-snapshot read path — watermark gate plus a
 // mutex-guarded lazy cell evaluation — retained as the reference

@@ -75,7 +75,7 @@ func snapshot(t testing.TB, svc *Service, d *day) ([][]core.QueueType, [][]core.
 		labels[i] = make([]core.QueueType, d.grid.Slots)
 		feats[i] = make([]core.SlotFeatures, d.grid.Slots)
 		for j := 0; j < d.grid.Slots; j++ {
-			f, l, ok := svc.Context(i, j)
+			f, l, ok := svc.Snapshot().Context(i, j)
 			if !ok {
 				t.Fatalf("spot %d slot %d not final", i, j)
 			}
@@ -279,10 +279,10 @@ func TestContextGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if _, _, ok := svc.Context(0, 0); ok {
+	if _, _, ok := svc.Snapshot().Context(0, 0); ok {
 		t.Fatal("slot 0 served before any record")
 	}
-	if _, _, ok := svc.Context(-1, 0); ok {
+	if _, _, ok := svc.Snapshot().Context(-1, 0); ok {
 		t.Fatal("negative spot served")
 	}
 	noon := d.grid.Start.Add(12 * time.Hour)
@@ -290,10 +290,10 @@ func TestContextGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := d.grid.Index(noon)
-	if _, _, ok := svc.Context(0, j-2); !ok {
+	if _, _, ok := svc.Snapshot().Context(0, j-2); !ok {
 		t.Fatalf("slot %d not final after FlushUntil(noon)", j-2)
 	}
-	if _, _, ok := svc.Context(0, j); ok {
+	if _, _, ok := svc.Snapshot().Context(0, j); ok {
 		t.Fatal("current slot served as final")
 	}
 }

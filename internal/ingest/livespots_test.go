@@ -96,7 +96,7 @@ func TestLiveSpotDiscoveryPopup(t *testing.T) {
 	if err := svc.FlushUntil(noon); err != nil {
 		t.Fatal(err)
 	}
-	for _, ls := range svc.LiveSpots() {
+	for _, ls := range svc.Snapshot().Live() {
 		if geo.Equirect(ls.Spot.Pos, site) < 60 {
 			t.Fatalf("live spot at the popup site before the popup: %+v", ls)
 		}
@@ -111,14 +111,14 @@ func TestLiveSpotDiscoveryPopup(t *testing.T) {
 	}
 
 	var got *core.LiveSpot
-	for i, ls := range svc.LiveSpots() {
+	for i, ls := range svc.Snapshot().Live() {
 		if geo.Equirect(ls.Spot.Pos, site) < 60 {
-			got = &svc.LiveSpots()[i]
+			got = &svc.Snapshot().Live()[i]
 			break
 		}
 	}
 	if got == nil {
-		t.Fatalf("popup site never discovered; %d live spots tracked", len(svc.LiveSpots()))
+		t.Fatalf("popup site never discovered; %d live spots tracked", len(svc.Snapshot().Live()))
 	}
 	if got.State != core.SpotConfirmed {
 		t.Fatalf("popup spot state %v, want confirmed (%+v)", got.State, got)
@@ -148,7 +148,7 @@ func TestLiveSpotsDisabledByDefault(t *testing.T) {
 	d := getDay(t)
 	svc := runService(t, d.serviceConfig(), d.raw[:2000])
 	defer svc.Close()
-	if live := svc.LiveSpots(); live != nil {
+	if live := svc.Snapshot().Live(); live != nil {
 		t.Fatalf("live spots with discovery disabled: %+v", live)
 	}
 }

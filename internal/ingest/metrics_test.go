@@ -76,7 +76,7 @@ func TestMetricsMatchStats(t *testing.T) {
 
 	// The Prometheus scrape renders those same values.
 	var buf bytes.Buffer
-	if err := svc.Registry().WritePrometheus(&buf); err != nil {
+	if err := svc.cfg.Metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -106,7 +106,7 @@ func TestMetricsHandlerServesScrape(t *testing.T) {
 	}
 	defer svc.Close()
 	w := httptest.NewRecorder()
-	svc.Registry().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	svc.cfg.Metrics.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
 	if w.Code != 200 {
 		t.Fatalf("scrape status %d", w.Code)
 	}

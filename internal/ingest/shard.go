@@ -26,7 +26,6 @@ const (
 	opCheckpoint              // commit the WAL
 	opStop                    // graceful: opFlush then exit
 	opAbort                   // crash-test: exit immediately, no drain, no commit
-	opDrainUntil              // opFlushUntil minus the durability barrier (benchmarks)
 )
 
 type ctlMsg struct {
@@ -330,11 +329,6 @@ func (sh *shard) handle(msg ctlMsg) bool {
 		// (and wal_pending truthful) when the reply lands, and a failed
 		// commit is the caller's error.
 		err = sh.commit()
-	case opDrainUntil:
-		// The queue-settling half of opFlushUntil without the commit:
-		// benchmarks use it as a pure drain barrier so the per-record
-		// numbers aren't charged a per-flush fsync at an artificial rate.
-		sh.emit(sh.engine.FlushUntil(msg.at))
 	case opCheckpoint:
 		err = sh.commit()
 	case opStop:

@@ -217,16 +217,6 @@ func ReadText(r io.Reader) ([]Record, error) {
 // (Definition 1). The analytics code treats it as read-only.
 type Trajectory []Record
 
-// Sorted reports whether the trajectory is non-decreasing in time.
-func (tr Trajectory) Sorted() bool {
-	for i := 1; i < len(tr); i++ {
-		if tr[i].Time.Before(tr[i-1].Time) {
-			return false
-		}
-	}
-	return true
-}
-
 // SplitByTaxi groups records by taxi ID into per-taxi trajectories,
 // preserving the relative order of each taxi's records. The input must be
 // time-ordered per taxi (globally time-ordered input satisfies this).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -231,7 +232,7 @@ func TestSplitByTaxi(t *testing.T) {
 		if len(tr) != 3 {
 			t.Errorf("taxi %s has %d records, want 3", id, len(tr))
 		}
-		if !tr.Sorted() {
+		if !slices.IsSortedFunc(tr, func(a, b Record) int { return a.Time.Compare(b.Time) }) {
 			t.Errorf("taxi %s trajectory not sorted", id)
 		}
 	}
@@ -283,21 +284,6 @@ func TestSplitByTaxiPreservesOrderAndIsolation(t *testing.T) {
 func TestSplitByTaxiEmpty(t *testing.T) {
 	if got := SplitByTaxi(nil); len(got) != 0 {
 		t.Fatalf("SplitByTaxi(nil) returned %d groups", len(got))
-	}
-}
-
-func TestTrajectorySorted(t *testing.T) {
-	base := sampleRecord()
-	later := base
-	later.Time = base.Time.Add(time.Minute)
-	if !(Trajectory{base, later}).Sorted() {
-		t.Error("ordered trajectory reported unsorted")
-	}
-	if (Trajectory{later, base}).Sorted() {
-		t.Error("disordered trajectory reported sorted")
-	}
-	if !(Trajectory{}).Sorted() || !(Trajectory{base}).Sorted() {
-		t.Error("trivial trajectories reported unsorted")
 	}
 }
 

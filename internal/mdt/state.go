@@ -139,36 +139,3 @@ func LegalTransition(from, to State) bool {
 	}
 	return legalNext[from]&(1<<to) != 0
 }
-
-// Successors returns the set of states reachable from s in one legal
-// transition, excluding the self-transition.
-func Successors(s State) []State {
-	if !s.Valid() {
-		return nil
-	}
-	var out []State
-	for t := State(0); t < numStates; t++ {
-		if t != s && legalNext[s]&(1<<t) != 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// JobKind distinguishes the two taxi-job categories of §2.2.
-type JobKind uint8
-
-const (
-	// StreetJob is a street-hail pickup (FREE -> POB directly).
-	StreetJob JobKind = iota
-	// BookingJob is a phone/SMS/app booking (ONCALL -> ARRIVED -> POB).
-	BookingJob
-)
-
-// String implements fmt.Stringer.
-func (k JobKind) String() string {
-	if k == StreetJob {
-		return "street"
-	}
-	return "booking"
-}

@@ -1,9 +1,10 @@
 // Package monitor reproduces the independent vehicle monitor system of
-// §6.2.2 (citing Wu et al., MDM 2012): it continuously observes the number
-// of vehicles inside a predefined polygon (a taxi-stand area), updates the
-// count every 60 seconds, and exposes the series through a RESTful JSON
-// endpoint. The per-slot average taxi numbers it reports validate the
-// queue-type labels (Table 8).
+// §6.2.2 (citing Wu et al., MDM 2012): for each monitored taxi-stand area
+// it keeps the vehicle count from the count changes it is fed, and serves
+// the count and its 60-second series through a RESTful JSON endpoint. The
+// per-slot average taxi numbers it reports validate the queue-type labels
+// (Table 8). Which vehicles are inside an area is the feeder's business:
+// the simulator's ground truth here, a camera system in the paper.
 package monitor
 
 import (
@@ -13,8 +14,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"taxiqueue/internal/geo"
 )
 
 // Sample is one observation of the vehicle count inside the monitored area.
@@ -23,27 +22,23 @@ type Sample struct {
 	Count int       `json:"count"`
 }
 
-// AreaCounter tracks the vehicle count inside one polygonal area from a
+// AreaCounter tracks the vehicle count inside one monitored area from a
 // change log (every count change is reported once). It is safe for
 // concurrent use.
 type AreaCounter struct {
 	name string
-	area geo.Polygon
 
 	mu  sync.RWMutex
 	log []Sample // non-decreasing time; Count is the value from that instant on
 }
 
-// NewAreaCounter creates a counter for the given polygon.
-func NewAreaCounter(name string, area geo.Polygon) *AreaCounter {
-	return &AreaCounter{name: name, area: area}
+// NewAreaCounter creates a counter for the named area.
+func NewAreaCounter(name string) *AreaCounter {
+	return &AreaCounter{name: name}
 }
 
 // Name returns the monitor's name.
 func (c *AreaCounter) Name() string { return c.name }
-
-// Area returns the monitored polygon.
-func (c *AreaCounter) Area() geo.Polygon { return c.area }
 
 // Observe records that the vehicle count changed to n at time t. Calls must
 // be in non-decreasing time order; out-of-order observations are rejected.

@@ -7,16 +7,11 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"taxiqueue/internal/geo"
 )
 
 var t0 = time.Date(2026, 1, 5, 12, 0, 0, 0, time.UTC)
 
-func newCounter() *AreaCounter {
-	area := geo.CirclePolygon(geo.Point{Lat: 1.3, Lon: 103.83}, 40, 12)
-	return NewAreaCounter("lucky-plaza", area)
-}
+func newCounter() *AreaCounter { return NewAreaCounter("lucky-plaza") }
 
 func TestCountAt(t *testing.T) {
 	c := newCounter()
@@ -170,19 +165,5 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAreaPolygonUsable(t *testing.T) {
-	c := newCounter()
-	center := geo.Point{Lat: 1.3, Lon: 103.83}
-	if !c.Area().Contains(center) {
-		t.Error("monitored area does not contain its center")
-	}
-	if c.Area().Contains(geo.Destination(center, 0, 500)) {
-		t.Error("monitored area contains a point 500 m away")
-	}
-	if c.Name() != "lucky-plaza" {
-		t.Error("name mismatch")
 	}
 }

@@ -55,11 +55,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the value by n (negative allowed) and returns the new value,
-// so a caller can both publish and act on a running total with one atomic
-// op.
-func (g *Gauge) Add(n int64) int64 { return g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

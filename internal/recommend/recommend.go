@@ -23,14 +23,6 @@ const (
 	ForCommuter
 )
 
-// String implements fmt.Stringer.
-func (a Audience) String() string {
-	if a == ForDriver {
-		return "driver"
-	}
-	return "commuter"
-}
-
 // Recommendation is one ranked queue spot.
 type Recommendation struct {
 	Spot     core.QueueSpot
@@ -172,30 +164,6 @@ func Recommend(res *core.Result, aud Audience, from geo.Point, at time.Time, opt
 	})
 	if len(out) > maxResults {
 		out = out[:maxResults]
-	}
-	return out
-}
-
-// EmergingPassengerQueues returns the spots whose context switched into a
-// passenger-queue state (C1/C2) at the slot containing `at`, having been in
-// a non-passenger-queue state in the previous slot — the "recent emerging
-// passenger queue spots" feed the §9 driver recommendation describes.
-func EmergingPassengerQueues(res *core.Result, at time.Time) []core.QueueSpot {
-	grid := res.Config.Grid
-	j := grid.Index(at)
-	if j <= 0 {
-		return nil
-	}
-	paxQueue := func(q core.QueueType) bool { return q == core.C1 || q == core.C2 }
-	var out []core.QueueSpot
-	for i := range res.Spots {
-		sa := &res.Spots[i]
-		if j >= len(sa.Labels) {
-			continue
-		}
-		if paxQueue(sa.Labels[j]) && !paxQueue(sa.Labels[j-1]) {
-			out = append(out, sa.Spot)
-		}
 	}
 	return out
 }

@@ -120,27 +120,6 @@ func TestActivityBreaksTies(t *testing.T) {
 	}
 }
 
-func TestEmergingPassengerQueues(t *testing.T) {
-	sa := spotAt(1000, 300, core.C4)
-	// Flip to C2 at slot 24 (noon).
-	for j := 24; j < 48; j++ {
-		sa.Labels[j] = core.C2
-	}
-	steady := spotAt(2000, 300, core.C2) // C2 all day: not "emerging" at noon
-	res := fakeResult(sa, steady)
-	got := EmergingPassengerQueues(res, noon)
-	if len(got) != 1 {
-		t.Fatalf("emerging spots = %d, want 1", len(got))
-	}
-	if got[0].PickupCount != 300 || got[0].Pos != sa.Spot.Pos {
-		t.Fatal("wrong emerging spot")
-	}
-	// Slot 0 has no predecessor.
-	if EmergingPassengerQueues(res, res.Config.Grid.Start) != nil {
-		t.Fatal("slot 0 reported emerging queues")
-	}
-}
-
 // TestNonFinitePositionRejected is the regression test for the NaN/Inf
 // query bug: NaN distances pass the radius filter (NaN > max is false)
 // and poison the sort comparator, so a non-finite position used to
@@ -251,11 +230,5 @@ func TestForecastFallback(t *testing.T) {
 	}
 	if recs[0].Context != core.C2 {
 		t.Fatalf("context %v, want batch label C2", recs[0].Context)
-	}
-}
-
-func TestAudienceString(t *testing.T) {
-	if ForDriver.String() != "driver" || ForCommuter.String() != "commuter" {
-		t.Fatal("audience names wrong")
 	}
 }

@@ -25,22 +25,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row of formatted cells: each argument is rendered with
-// %v unless it is a float64, which gets %.1f... use AddRow with Fmt* helpers
-// for specific formatting instead.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.1f", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	var b strings.Builder
@@ -96,47 +80,3 @@ func F2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // Meters formats a distance in meters.
 func Meters(v float64) string { return fmt.Sprintf("%.1f m", v) }
-
-// Series renders a named numeric series (a "figure" in text form): one
-// labeled value per line plus a proportional bar.
-type Series struct {
-	Title  string
-	labels []string
-	values []float64
-}
-
-// NewSeries creates a series with a title.
-func NewSeries(title string) *Series { return &Series{Title: title} }
-
-// Add appends one labeled value.
-func (s *Series) Add(label string, value float64) {
-	s.labels = append(s.labels, label)
-	s.values = append(s.values, value)
-}
-
-// String renders the series with scaled bars.
-func (s *Series) String() string {
-	var b strings.Builder
-	if s.Title != "" {
-		b.WriteString(s.Title)
-		b.WriteByte('\n')
-	}
-	maxVal := 0.0
-	maxLabel := 0
-	for i, v := range s.values {
-		if v > maxVal {
-			maxVal = v
-		}
-		if len(s.labels[i]) > maxLabel {
-			maxLabel = len(s.labels[i])
-		}
-	}
-	for i, v := range s.values {
-		bar := ""
-		if maxVal > 0 {
-			bar = strings.Repeat("#", int(v/maxVal*40+0.5))
-		}
-		fmt.Fprintf(&b, "%-*s %8.1f  %s\n", maxLabel, s.labels[i], v, bar)
-	}
-	return b.String()
-}

@@ -41,15 +41,6 @@ func TestTableExtraCells(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tb := NewTable("t", "A", "B")
-	tb.AddRowf(3.14159, 42)
-	out := tb.String()
-	if !strings.Contains(out, "3.1") || !strings.Contains(out, "42") {
-		t.Errorf("AddRowf formatting wrong:\n%s", out)
-	}
-}
-
 func TestFormatHelpers(t *testing.T) {
 	if Pct(0.483) != "48.3%" {
 		t.Errorf("Pct = %q", Pct(0.483))
@@ -62,28 +53,6 @@ func TestFormatHelpers(t *testing.T) {
 	}
 	if Meters(7.61) != "7.6 m" {
 		t.Errorf("Meters = %q", Meters(7.61))
-	}
-}
-
-func TestSeriesRendering(t *testing.T) {
-	s := NewSeries("Spots per day")
-	s.Add("Mon", 80)
-	s.Add("Sun", 40)
-	out := s.String()
-	if !strings.HasPrefix(out, "Spots per day\n") {
-		t.Error("missing series title")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("series lines = %d", len(lines))
-	}
-	monBar := strings.Count(lines[1], "#")
-	sunBar := strings.Count(lines[2], "#")
-	if monBar != 40 {
-		t.Errorf("max bar = %d, want 40", monBar)
-	}
-	if sunBar != 20 {
-		t.Errorf("half bar = %d, want 20", sunBar)
 	}
 }
 
@@ -114,13 +83,5 @@ func TestGeoJSON(t *testing.T) {
 	}
 	if strings.Contains(empty.String(), "null") {
 		t.Error("empty collection encodes null features")
-	}
-}
-
-func TestSeriesAllZero(t *testing.T) {
-	s := NewSeries("z")
-	s.Add("a", 0)
-	if strings.Contains(s.String(), "#") {
-		t.Error("zero series drew bars")
 	}
 }

@@ -40,7 +40,7 @@ func dayDigest(out Output) string {
 }
 
 func hashTruth(h hash.Hash, tr *Truth, u64 func(uint64)) {
-	fmt.Fprintf(h, "illegal=%d end=%d", tr.IllegalTransitions, tr.End().UnixNano())
+	fmt.Fprintf(h, "illegal=%d end=%d", tr.IllegalTransitions, tr.end.UnixNano())
 	for _, st := range tr.Spots {
 		for _, log := range [][]LenSample{st.TaxiQueueLog, st.PaxQueueLog} {
 			u64(uint64(len(log)))

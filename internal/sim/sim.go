@@ -351,9 +351,4 @@ func (s *Sim) freeTaxisWithin(center geo.Point, radius float64) int {
 	return n
 }
 
-// FreeTaxisWithin exposes the dispatching-circle count for tests.
-func (s *Sim) FreeTaxisWithin(center geo.Point, radius float64) int {
-	return s.freeTaxisWithin(center, radius)
-}
-
 func taxiID(i int) string { return fmt.Sprintf("SH%04dA", i+1) }

@@ -195,9 +195,10 @@ func TestPassengerQueuesForm(t *testing.T) {
 	start := out.Config.Start
 	anyPaxQueue := false
 	for _, sp := range out.Truth.Spots {
-		if sp.MaxPaxQueueLen(start.Add(7*time.Hour), start.Add(22*time.Hour)) >= 3 {
-			anyPaxQueue = true
-			break
+		for _, q := range sp.PaxQueueLog {
+			if !q.Time.Before(start.Add(7*time.Hour)) && q.Time.Before(start.Add(22*time.Hour)) && q.Len >= 3 {
+				anyPaxQueue = true
+			}
 		}
 	}
 	if !anyPaxQueue {
@@ -283,11 +284,11 @@ func TestFreeTaxisWithin(t *testing.T) {
 	s := New(smallConfig(16))
 	// All taxis start pooled; counting within the whole island must see
 	// the entire fleet.
-	n := s.FreeTaxisWithin(citymap.Island.Center(), 1e6)
+	n := s.freeTaxisWithin(citymap.Island.Center(), 1e6)
 	if n != s.cfg.NumTaxis {
-		t.Fatalf("FreeTaxisWithin(island) = %d, want %d", n, s.cfg.NumTaxis)
+		t.Fatalf("freeTaxisWithin(island) = %d, want %d", n, s.cfg.NumTaxis)
 	}
-	if s.FreeTaxisWithin(citymap.Island.Center(), 0.0001) > s.cfg.NumTaxis {
+	if s.freeTaxisWithin(citymap.Island.Center(), 0.0001) > s.cfg.NumTaxis {
 		t.Fatal("tiny radius returned more than fleet size")
 	}
 
@@ -327,9 +328,9 @@ func TestFreeTaxisWithin(t *testing.T) {
 					radii = append(radii, geo.Equirect(c, s.taxis[s.pool[rng.Intn(len(s.pool))]].pos))
 				}
 				for _, r := range radii {
-					got, want := s.FreeTaxisWithin(c, r), brute(c, r)
+					got, want := s.freeTaxisWithin(c, r), brute(c, r)
 					if got != want {
-						t.Fatalf("%v: FreeTaxisWithin(%v, %g) = %d, brute force %d", s.now, c, r, got, want)
+						t.Fatalf("%v: freeTaxisWithin(%v, %g) = %d, brute force %d", s.now, c, r, got, want)
 					}
 					if want > 0 {
 						nonEmpty++
@@ -353,8 +354,8 @@ func TestShortRun(t *testing.T) {
 	}
 	end := cfg.Start.Add(time.Hour)
 	_ = end
-	if out.Truth.End() != out.Config.Start.Add(time.Hour) {
-		t.Fatalf("truth end = %v", out.Truth.End())
+	if out.Truth.end != out.Config.Start.Add(time.Hour) {
+		t.Fatalf("truth end = %v", out.Truth.end)
 	}
 }
 

@@ -50,28 +50,6 @@ func (st *SpotTruth) AvgPaxQueueLen(from, to time.Time) float64 {
 	return avgFromLog(st.PaxQueueLog, from, to)
 }
 
-// MaxPaxQueueLen returns the maximum passenger queue length observed in
-// [from, to).
-func (st *SpotTruth) MaxPaxQueueLen(from, to time.Time) int {
-	maxLen := 0
-	cur := 0
-	for _, s := range st.PaxQueueLog {
-		if s.Time.Before(from) {
-			cur = s.Len
-			continue
-		}
-		if !s.Time.Before(to) {
-			break
-		}
-		cur = s.Len
-		if cur > maxLen {
-			maxLen = cur
-		}
-	}
-	_ = cur
-	return maxLen
-}
-
 // FailedBookingCount counts failed bookings in [from, to).
 func (st *SpotTruth) FailedBookingCount(from, to time.Time) int {
 	n := 0
@@ -124,9 +102,6 @@ func newTruth(city *citymap.Map) *Truth {
 	}
 	return t
 }
-
-// End returns the end of the simulated window.
-func (t *Truth) End() time.Time { return t.end }
 
 func (t *Truth) finish(end time.Time) { t.end = end }
 

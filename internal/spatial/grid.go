@@ -5,13 +5,10 @@
 // linear scan that is the correctness reference and the search under
 // cluster.DBSCANNaive. DBSCAN itself runs on its own sub-cell grid.
 //
-// Both answer the same two queries over a fixed point set:
-//
-//   - Range(rect):   all point IDs inside a bounding rectangle
-//   - Within(p, r):  all point IDs within r meters of p
-//
-// Point IDs are the indexes into the point slice supplied at construction,
-// so callers can carry arbitrary payloads in parallel slices.
+// Both answer one query over a fixed point set: Within(p, r), the IDs of
+// all points within r meters of p. Point IDs are the indexes into the
+// point slice supplied at construction, so callers can carry arbitrary
+// payloads in parallel slices.
 package spatial
 
 import (
@@ -19,19 +16,6 @@ import (
 
 	"taxiqueue/internal/geo"
 )
-
-// Index is the query interface shared by the grid index and the
-// brute-force reference implementation used in tests.
-type Index interface {
-	// Range appends to dst the IDs of all points inside rect and returns
-	// the extended slice.
-	Range(rect geo.Rect, dst []int) []int
-	// Within appends to dst the IDs of all points within radiusMeters of
-	// center (inclusive) and returns the extended slice.
-	Within(center geo.Point, radiusMeters float64, dst []int) []int
-	// Len returns the number of indexed points.
-	Len() int
-}
 
 // Grid is a uniform-cell spatial hash over a fixed point set. Cell size is
 // chosen by the caller; for radius queries the natural choice is the
@@ -111,28 +95,13 @@ func (g *Grid) cellKey(p geo.Point) uint64 {
 	return uint64(uint32(cx))<<32 | uint64(uint32(cy))
 }
 
-// Len implements Index.
+// Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.pts) }
 
-// Range implements Index.
-func (g *Grid) Range(rect geo.Rect, dst []int) []int {
-	loX, loY := g.cellCoords(geo.Point{Lat: rect.MinLat, Lon: rect.MinLon})
-	hiX, hiY := g.cellCoords(geo.Point{Lat: rect.MaxLat, Lon: rect.MaxLon})
-	for cx := loX; cx <= hiX; cx++ {
-		for cy := loY; cy <= hiY; cy++ {
-			key := uint64(uint32(cx))<<32 | uint64(uint32(cy))
-			for _, id := range g.cellIDs(key) {
-				if rect.Contains(g.pts[id]) {
-					dst = append(dst, int(id))
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// Within implements Index. One geo.Disc per query decides each candidate
-// exactly as geo.Equirect(center, p) <= radiusMeters would.
+// Within appends to dst the IDs of all points within radiusMeters of
+// center (inclusive) and returns the extended slice. One geo.Disc per
+// query decides each candidate exactly as geo.Equirect(center, p) <=
+// radiusMeters would.
 func (g *Grid) Within(center geo.Point, radiusMeters float64, dst []int) []int {
 	rect := geo.RectAround(center, radiusMeters)
 	disc := geo.NewDisc(center, radiusMeters)
@@ -151,27 +120,14 @@ func (g *Grid) Within(center geo.Point, radiusMeters float64, dst []int) []int {
 	return dst
 }
 
-// Linear is the brute-force reference Index used to validate the grid in
-// tests and as the baseline in ablation benches.
+// Linear is the brute-force reference the grid is tested against, and the
+// neighbour search of cluster.DBSCANNaive.
 type Linear struct{ pts []geo.Point }
 
 // NewLinear wraps pts in a brute-force index.
 func NewLinear(pts []geo.Point) *Linear { return &Linear{pts: pts} }
 
-// Len implements Index.
-func (l *Linear) Len() int { return len(l.pts) }
-
-// Range implements Index.
-func (l *Linear) Range(rect geo.Rect, dst []int) []int {
-	for i, p := range l.pts {
-		if rect.Contains(p) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// Within implements Index.
+// Within answers Grid.Within's query by testing every point.
 func (l *Linear) Within(center geo.Point, radiusMeters float64, dst []int) []int {
 	for i, p := range l.pts {
 		if geo.Equirect(center, p) <= radiusMeters {

@@ -58,8 +58,8 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
-func indexesUnderTest(pts []geo.Point) map[string]Index {
-	return map[string]Index{
+func indexesUnderTest(pts []geo.Point) map[string]*Grid {
+	return map[string]*Grid{
 		"grid15":  NewGrid(pts, 15),
 		"grid100": NewGrid(pts, 100),
 	}
@@ -81,23 +81,6 @@ func TestIndexesMatchLinearWithin(t *testing.T) {
 			if !equalIDs(got, want) {
 				t.Fatalf("%s: Within(%v, %.1f) mismatch: got %d ids, want %d",
 					name, center, radius, len(got), len(want))
-			}
-		}
-	}
-}
-
-func TestIndexesMatchLinearRange(t *testing.T) {
-	pts := clusteredPoints(3000, 21)
-	ref := NewLinear(pts)
-	rng := rand.New(rand.NewSource(22))
-	for name, idx := range indexesUnderTest(pts) {
-		for q := 0; q < 50; q++ {
-			a := pts[rng.Intn(len(pts))]
-			rect := geo.RectAround(a, 20+rng.Float64()*2000)
-			want := sortedIDs(ref.Range(rect, nil))
-			got := sortedIDs(idx.Range(rect, nil))
-			if !equalIDs(got, want) {
-				t.Fatalf("%s: Range mismatch: got %d ids, want %d", name, len(got), len(want))
 			}
 		}
 	}
@@ -128,9 +111,6 @@ func TestEmptyIndexes(t *testing.T) {
 		}
 		if got := idx.Within(geo.Point{Lat: 1.3, Lon: 103.8}, 100, nil); len(got) != 0 {
 			t.Errorf("%s: empty Within returned %v", name, got)
-		}
-		if got := idx.Range(geo.RectAround(geo.Point{Lat: 1.3, Lon: 103.8}, 100), nil); len(got) != 0 {
-			t.Errorf("%s: empty Range returned %v", name, got)
 		}
 	}
 }
@@ -178,23 +158,20 @@ func TestGridDefaultCellSize(t *testing.T) {
 	}
 }
 
-func benchIndexes(b *testing.B, n int) map[string]Index {
-	pts := clusteredPoints(n, 99)
-	return map[string]Index{
-		"linear": NewLinear(pts),
-		"grid":   NewGrid(pts, 15),
-	}
-}
-
 func BenchmarkWithin10k(b *testing.B) {
-	idxs := benchIndexes(b, 10000)
+	pts := clusteredPoints(10000, 99)
 	center := geo.Point{Lat: 1.3, Lon: 103.8}
-	for _, name := range []string{"linear", "grid"} {
-		idx := idxs[name]
-		b.Run(name, func(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		within func(geo.Point, float64, []int) []int
+	}{
+		{"linear", NewLinear(pts).Within},
+		{"grid", NewGrid(pts, 15).Within},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			var dst []int
 			for i := 0; i < b.N; i++ {
-				dst = idx.Within(center, 15, dst[:0])
+				dst = bc.within(center, 15, dst[:0])
 			}
 		})
 	}

@@ -155,7 +155,7 @@ func TestTrajectoryWindow(t *testing.T) {
 			t.Fatalf("record at %v outside window", r.Time)
 		}
 	}
-	if !tr.Sorted() {
+	if !slices.IsSortedFunc(tr, func(a, b mdt.Record) int { return a.Time.Compare(b.Time) }) {
 		t.Fatal("windowed trajectory not sorted")
 	}
 	if taxiScan(s, "NOPE", from, to) != nil {
@@ -175,7 +175,7 @@ func TestFullTrajectory(t *testing.T) {
 	if len(tr) != n {
 		t.Fatalf("full scan returned %d, want %d", len(tr), n)
 	}
-	if !tr.Sorted() {
+	if !slices.IsSortedFunc(tr, func(a, b mdt.Record) int { return a.Time.Compare(b.Time) }) {
 		t.Fatal("full trajectory not sorted")
 	}
 }

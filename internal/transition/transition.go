@@ -2,13 +2,12 @@
 // deployed system generates (§7.1: "the queue context disambiguation module
 // currently mainly runs on the short-term historical dataset to generate
 // the queue type transition reports"): per-spot slot-to-slot transition
-// counts, a Markov transition matrix, its stationary distribution, and
-// typical-day profiles aggregated over multiple days.
+// counts, the row-normalized transition matrix and each context's
+// persistence, and typical-day profiles aggregated over multiple days.
 package transition
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"taxiqueue/internal/core"
@@ -48,34 +47,6 @@ func (m Matrix) Normalize() Matrix {
 		}
 	}
 	return out
-}
-
-// Stationary returns the stationary distribution of the normalized matrix
-// by power iteration. It returns an error when iteration fails to converge
-// (e.g. a periodic chain).
-func (m Matrix) Stationary() ([numTypes]float64, error) {
-	p := m.Normalize()
-	var v [numTypes]float64
-	for i := range v {
-		v[i] = 1.0 / numTypes
-	}
-	for iter := 0; iter < 10000; iter++ {
-		var next [numTypes]float64
-		for b := 0; b < numTypes; b++ {
-			for a := 0; a < numTypes; a++ {
-				next[b] += v[a] * p[a][b]
-			}
-		}
-		diff := 0.0
-		for i := range next {
-			diff += math.Abs(next[i] - v[i])
-		}
-		v = next
-		if diff < 1e-12 {
-			return v, nil
-		}
-	}
-	return v, fmt.Errorf("transition: power iteration did not converge")
 }
 
 // String renders the matrix with row/column labels.

@@ -36,30 +36,6 @@ func TestCountAndNormalize(t *testing.T) {
 	}
 }
 
-func TestStationaryTwoState(t *testing.T) {
-	// C1 -> C2 with p=0.25, C2 -> C1 with p=0.5: stationary pi(C1) = 2/3.
-	var m Matrix
-	m[core.C1][core.C1] = 3
-	m[core.C1][core.C2] = 1
-	m[core.C2][core.C1] = 1
-	m[core.C2][core.C2] = 1
-	pi, err := m.Stationary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := pi[core.C1] + pi[core.C2]
-	if math.Abs(pi[core.C1]/total-2.0/3) > 1e-6 {
-		t.Fatalf("pi(C1) = %g of observed mass, want 2/3", pi[core.C1]/total)
-	}
-	sum := 0.0
-	for _, v := range pi {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("stationary sums to %g", sum)
-	}
-}
-
 func TestCountEmptyAndSingle(t *testing.T) {
 	var m Matrix
 	m.Count(nil)

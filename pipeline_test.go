@@ -126,7 +126,7 @@ func TestPipelineMonitorAgreesWithTruth(t *testing.T) {
 		}
 	}
 	truth := out.Truth.Spots[busiest]
-	counter := monitor.NewAreaCounter("x", geo.CirclePolygon(truth.Landmark.Pos, 40, 12))
+	counter := monitor.NewAreaCounter("x")
 	for _, s := range truth.TaxiQueueLog {
 		if err := counter.Observe(s.Time, s.Len); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The pre-PR gate: check formatting, build everything, vet this module and
-# the benchmark's, run the full test suite, re-run the concurrent packages
-# under the race detector, then fuzz the byte and query parsers, the
-# cleaner's batch == live property and DBSCAN against its textbook loop.
+# the benchmark's, check that every internal/ function is linked into a
+# binary or allowlisted, run the full test suite, re-run the concurrent
+# packages under the race detector, then fuzz the byte and query parsers,
+# the cleaner's batch == live property and DBSCAN against its textbook
+# loop.
 # Green here is the bar every change must clear (ROADMAP tier-1 plus the
 # race and fuzz gates).
 #
@@ -30,6 +32,9 @@ go vet ./...
 # benchmark's build fails here. It writes nothing under bench/.
 echo ">> (cd bench && go vet ./...)"
 (cd bench && go vet ./...)
+
+echo ">> scripts/deadcode.sh"
+scripts/deadcode.sh
 
 echo ">> go test ./..."
 go test ./...
