@@ -15,6 +15,7 @@ package clean
 
 import (
 	"fmt"
+	"unsafe"
 
 	"taxiqueue/internal/geo"
 	"taxiqueue/internal/mdt"
@@ -128,7 +129,15 @@ type cleaner[H any] struct {
 	at    func(*H) *mdt.Record
 	taxis map[string]*taxi[H]
 	stats Stats
+	held  int // FREEs held undecided, across taxis
 }
+
+// heldKeepBytes bounds the held array a taxi keeps for its next hold once
+// its holds resolve: a larger one is let go, so that a taxi that once held
+// a long FREE tail does not keep room for it while it holds nothing. It
+// keeps 128 of mark's 8-byte indexes and 12 of Streamer's 80-byte copies,
+// so short holds reuse their array.
+const heldKeepBytes = 1 << 10
 
 // taxi is one taxi's trailing context.
 type taxi[H any] struct {
@@ -177,10 +186,16 @@ func (c *cleaner[H]) step(r *mdt.Record, h H) (f fate, resolved []H, improper bo
 				return duplicate, nil, false
 			}
 			t.held = append(t.held, h)
+			c.held++
 			return held, nil, false
 		}
 		if resolved = t.held; len(resolved) > 0 {
-			t.held = t.held[:0]
+			c.held -= len(resolved)
+			if uintptr(cap(t.held))*unsafe.Sizeof(h) > heldKeepBytes {
+				t.held = nil
+			} else {
+				t.held = t.held[:0]
+			}
 			if improper = r.State == mdt.Payment; improper {
 				c.stats.ImproperStates += len(resolved)
 			} else {
@@ -218,4 +233,5 @@ func (c *cleaner[H]) end(keep func([]H)) {
 		}
 		t.held = nil
 	}
+	c.held = 0
 }

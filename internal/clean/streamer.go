@@ -52,6 +52,10 @@ func (s *Streamer) PendingFor(id string) int {
 	return 0
 }
 
+// Held returns how many records the Streamer holds undecided, across
+// taxis: FREEs after a PAYMENT that no later record has settled yet.
+func (s *Streamer) Held() int { return s.c.held }
+
 // Push feeds one record (time-ordered per taxi) and returns the records now
 // known to survive, in arrival order. The returned slice is reused by the
 // next Push.

@@ -193,3 +193,40 @@ func TestStreamerKeepsNothingAfterFlush(t *testing.T) {
 		t.Fatalf("the Streamer retains %.1f MB after Flush, want < 1 MB", float64(kept)/(1<<20))
 	}
 }
+
+// TestStreamerKeepsOnlyPending: once later records settle every hold, the
+// Streamer retains only its taxis' trailing context, not room for the
+// longest hold each taxi ever had, and Held counts the holds up and down.
+func TestStreamerKeepsOnlyPending(t *testing.T) {
+	const taxis, holds = 500, 300
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := int64(ms.HeapAlloc)
+	s := NewStreamer(islandCfg())
+	for k := 0; k < taxis; k++ {
+		id := fmt.Sprintf("T%03d", k)
+		s.Push(rec(id, 0, mdt.Payment, inTown))
+		for j := 1; j <= holds; j++ {
+			s.Push(rec(id, j, mdt.Free, inTown))
+		}
+	}
+	if n := s.Held(); n != taxis*holds {
+		t.Fatalf("Held = %d, want %d", n, taxis*holds)
+	}
+	for k := 0; k < taxis; k++ {
+		if n := len(s.Push(rec(fmt.Sprintf("T%03d", k), holds+1, mdt.POB, inTown))); n != holds+1 {
+			t.Fatalf("POB released %d records, want %d", n, holds+1)
+		}
+	}
+	if n := s.Held(); n != 0 {
+		t.Fatalf("Held = %d after every hold resolved, want 0", n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	kept := int64(ms.HeapAlloc) - before
+	runtime.KeepAlive(s)
+	if kept > 1<<20 {
+		t.Fatalf("the Streamer retains %.1f MB with nothing held, want < 1 MB", float64(kept)/(1<<20))
+	}
+}

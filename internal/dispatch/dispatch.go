@@ -18,10 +18,9 @@ const DefaultRadiusMeters = 1000
 
 // Booking is one booking request processed by the dispatcher.
 type Booking struct {
-	Time    time.Time
-	Pickup  geo.Point
-	SpotKey string // opaque caller key (e.g. the queue-spot name); may be ""
-	Failed  bool
+	Time   time.Time
+	Pickup geo.Point
+	Failed bool
 }
 
 // Dispatcher decides booking outcomes and keeps the ledger. It is safe for
@@ -47,8 +46,8 @@ func (d *Dispatcher) Radius() float64 {
 // availableInCircle is the number of FREE/STC taxis the caller found inside
 // the dispatching circle; the booking succeeds iff it is positive. Request
 // returns true on success.
-func (d *Dispatcher) Request(now time.Time, spotKey string, pickup geo.Point, availableInCircle int) bool {
-	b := Booking{Time: now, Pickup: pickup, SpotKey: spotKey, Failed: availableInCircle <= 0}
+func (d *Dispatcher) Request(now time.Time, pickup geo.Point, availableInCircle int) bool {
+	b := Booking{Time: now, Pickup: pickup, Failed: availableInCircle <= 0}
 	d.mu.Lock()
 	d.ledger = append(d.ledger, b)
 	d.mu.Unlock()
@@ -57,7 +56,7 @@ func (d *Dispatcher) Request(now time.Time, spotKey string, pickup geo.Point, av
 
 // FailedNear returns the number of failed bookings within radiusMeters of
 // pos with time in [from, to). This is how the engine joins failed bookings
-// to detected queue spots, which have no SpotKey.
+// to detected queue spots.
 func (d *Dispatcher) FailedNear(pos geo.Point, radiusMeters float64, from, to time.Time) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

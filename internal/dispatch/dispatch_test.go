@@ -15,10 +15,10 @@ var (
 
 func TestRequestOutcome(t *testing.T) {
 	var d Dispatcher
-	if !d.Request(t0, "A", spotA, 3) {
+	if !d.Request(t0, spotA, 3) {
 		t.Error("request with 3 taxis available failed")
 	}
-	if d.Request(t0.Add(time.Minute), "A", spotA, 0) {
+	if d.Request(t0.Add(time.Minute), spotA, 0) {
 		t.Error("request with 0 taxis available succeeded")
 	}
 	total, failed := d.Totals()
@@ -40,8 +40,8 @@ func TestDefaultRadius(t *testing.T) {
 
 func TestFailedNear(t *testing.T) {
 	var d Dispatcher
-	d.Request(t0, "A", spotA, 0)
-	d.Request(t0, "B", spotB, 0)
+	d.Request(t0, spotA, 0)
+	d.Request(t0, spotB, 0)
 	near := d.FailedNear(spotA, 200, t0.Add(-time.Minute), t0.Add(time.Minute))
 	if near != 1 {
 		t.Fatalf("FailedNear(spotA) = %d, want 1", near)
@@ -60,7 +60,7 @@ func TestConcurrentRequests(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 100; i++ {
-				d.Request(t0.Add(time.Duration(i)*time.Second), "A", spotA, i%3)
+				d.Request(t0.Add(time.Duration(i)*time.Second), spotA, i%3)
 			}
 		}()
 	}

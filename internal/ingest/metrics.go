@@ -61,6 +61,7 @@ type shardMetrics struct {
 	watermark      *obs.Gauge
 	openSlots      *obs.Gauge
 	taxis          *obs.Gauge
+	held           *obs.Gauge
 }
 
 // newMetrics registers every ingest series in reg. Registration is
@@ -115,6 +116,7 @@ func newMetrics(reg *obs.Registry, shards int) *metrics {
 			watermark:      reg.Gauge("ingest_watermark_slot", "Shard finality watermark: slots below are final here.", l),
 			openSlots:      reg.Gauge("ingest_engine_open_slots", "Engine accumulator cells still open in this shard.", l),
 			taxis:          reg.Gauge("ingest_engine_taxis", "Distinct taxis this shard's engine is tracking.", l),
+			held:           reg.Gauge("ingest_clean_held_records", "Records this shard's cleaner holds undecided (FREEs after a PAYMENT).", l),
 		}
 	}
 	return m

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"taxiqueue/internal/mdt"
 )
 
 // TestMetricsMatchStats: an /ingest POST must advance the registry-backed
@@ -115,5 +117,37 @@ func TestMetricsHandlerServesScrape(t *testing.T) {
 	}
 	if !strings.Contains(w.Body.String(), "# TYPE ingest_accepted_total counter") {
 		t.Fatal("scrape missing ingest series")
+	}
+}
+
+// TestHeldRecordsGauge: ingest_clean_held_records follows the cleaner's
+// hold: a PAYMENT and n FREEs hold n records, and the POB that proves them
+// a legitimate drop-off releases every one.
+func TestHeldRecordsGauge(t *testing.T) {
+	stall := make(chan struct{})
+	close(stall)
+	svc, err := NewService(tinyConfig(stall))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	const n = 40
+	recs := burst(n + 2)
+	recs[0].State = mdt.Payment
+	recs[n+1].State = mdt.POB
+	held := svc.met.shards[0].held
+	for _, step := range []struct {
+		recs []mdt.Record
+		want int64
+	}{{recs[:n+1], n}, {recs[n+1:], 0}} {
+		if _, err := svc.Accept(step.recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := held.Value(); got != step.want {
+			t.Fatalf("ingest_clean_held_records = %d, want %d", got, step.want)
+		}
 	}
 }

@@ -356,6 +356,7 @@ func (sh *shard) flushAll() {
 	for _, r := range sh.cleaner.Flush() {
 		sh.ingest(r)
 	}
+	sh.sm.held.Set(0)
 	sh.emit(sh.engine.Flush())
 }
 
@@ -454,6 +455,7 @@ func (sh *shard) pushClean(rec mdt.Record) {
 	for _, r := range sh.cleaner.Push(rec) {
 		sh.ingest(r)
 	}
+	sh.sm.held.Set(int64(sh.cleaner.Held()))
 	after := sh.cleaner.Stats()
 	if d := int64(after.GPSOutliers - before.GPSOutliers); d > 0 {
 		sh.sm.rejected.Add(d)

@@ -35,12 +35,13 @@ func dayDigest(out Output) string {
 		u64(uint64(r.State))
 	}
 	fmt.Fprintf(h, "%+v", out.Stats)
-	hashTruth(h, out.Truth, u64)
+	hashTruth(h, out.Truth, out.Config.Start.Add(out.Config.Duration), u64)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func hashTruth(h hash.Hash, tr *Truth, u64 func(uint64)) {
-	fmt.Fprintf(h, "illegal=%d end=%d", tr.IllegalTransitions, tr.end.UnixNano())
+// hashTruth hashes tr and the time the run ended.
+func hashTruth(h hash.Hash, tr *Truth, end time.Time, u64 func(uint64)) {
+	fmt.Fprintf(h, "illegal=%d end=%d", tr.IllegalTransitions, end.UnixNano())
 	for _, st := range tr.Spots {
 		for _, log := range [][]LenSample{st.TaxiQueueLog, st.PaxQueueLog} {
 			u64(uint64(len(log)))

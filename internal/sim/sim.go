@@ -200,7 +200,6 @@ func (s *Sim) run() Output {
 		s.now = at
 		e.fn()
 	}
-	s.truth.finish(s.end)
 	s.stats.Records = len(s.recs)
 	if s.cfg.InjectFaults {
 		s.recs, s.stats.InjectedFaults = injectFaults(s.rng, s.recs)

@@ -352,11 +352,6 @@ func TestShortRun(t *testing.T) {
 	if len(out.Records) == 0 {
 		t.Fatal("1-hour run produced no records")
 	}
-	end := cfg.Start.Add(time.Hour)
-	_ = end
-	if out.Truth.end != out.Config.Start.Add(time.Hour) {
-		t.Fatalf("truth end = %v", out.Truth.end)
-	}
 }
 
 func TestAllElevenStatesAppear(t *testing.T) {

@@ -205,7 +205,7 @@ func (s *Sim) paxRenege(sp *spot, p *pax) {
 // spotBooking runs a booking request with the spot as pickup point.
 func (s *Sim) spotBooking(sp *spot) {
 	avail := s.freeTaxisWithin(sp.lm.Pos, s.disp.Radius())
-	if !s.disp.Request(s.now, sp.lm.Name, sp.lm.Pos, avail) {
+	if !s.disp.Request(s.now, sp.lm.Pos, avail) {
 		s.truth.failedBookings++
 		s.truth.spotFailedBooking(sp, s.now)
 		return

@@ -243,7 +243,7 @@ func (s *Sim) homeBookingProcess() {
 	s.after(s.expDur(1/math.Max(perSec, 1e-9)), s.homeBookingProcess)
 	pickup := s.randomIslandPoint()
 	avail := s.freeTaxisWithin(pickup, s.disp.Radius())
-	if !s.disp.Request(s.now, "", pickup, avail) {
+	if !s.disp.Request(s.now, pickup, avail) {
 		s.truth.failedBookings++
 		return
 	}

@@ -92,7 +92,6 @@ type Truth struct {
 	// Fig. 3 diagram (must stay zero before fault injection).
 	IllegalTransitions int
 	failedBookings     int
-	end                time.Time
 }
 
 func newTruth(city *citymap.Map) *Truth {
@@ -102,8 +101,6 @@ func newTruth(city *citymap.Map) *Truth {
 	}
 	return t
 }
-
-func (t *Truth) finish(end time.Time) { t.end = end }
 
 func (t *Truth) taxiQueueChanged(sp *spot, at time.Time, n int) {
 	st := t.Spots[sp.idx]

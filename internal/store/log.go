@@ -65,6 +65,7 @@ var (
 	errCorrupt = errors.New("store: corrupt log")
 	// errSyncFailed is a commit that found the syncer's fsync failed after
 	// its write-out; the next commit rewrites the frames into a new file.
+	// It is returned wrapped with that fsync's error.
 	errSyncFailed = errors.New("store: log sync failed; the next commit rewrites into a new file")
 )
 
@@ -129,7 +130,7 @@ type Log struct {
 	syncing  bool  // an fsync of active is in flight
 	onDisk   int64 // frames fully written, the last of them to active
 	durable  int64 // frames on stable storage
-	failed   bool  // a write or fsync failed: active must be abandoned
+	failErr  error // the fsync failure that abandons active; nil while usable
 	syncErr  error // async fsync failure, surfaced by the next CommitAsync
 	syncReq  chan struct{}
 	syncWG   sync.WaitGroup
@@ -443,7 +444,7 @@ func (l *Log) trim() {
 func (l *Log) writeOut() error {
 	if l.active != nil {
 		l.syncMu.Lock()
-		failed := l.failed
+		failed := l.failErr != nil
 		l.syncMu.Unlock()
 		if failed || l.size >= l.cfg.SegmentBytes {
 			var err error
@@ -516,7 +517,7 @@ func (l *Log) closeActive() {
 		l.syncCond.Wait()
 	}
 	f := l.active
-	l.active, l.failed = nil, false
+	l.active, l.failErr = nil, nil
 	l.syncMu.Unlock()
 	f.Close()
 	l.written = 0
@@ -531,9 +532,9 @@ func (l *Log) fsync(async bool) error {
 		l.syncCond.Wait()
 	}
 	f, n := l.active, l.onDisk
-	if l.failed {
+	if cause := l.failErr; cause != nil {
 		l.syncMu.Unlock()
-		return errSyncFailed
+		return fmt.Errorf("%w: %w", errSyncFailed, cause)
 	}
 	if f == nil || n <= l.durable {
 		l.syncMu.Unlock()
@@ -549,7 +550,7 @@ func (l *Log) fsync(async bool) error {
 	if err == nil {
 		l.durable = n
 	} else {
-		l.failed, l.syncErr = true, err
+		l.failErr, l.syncErr = err, err
 	}
 	l.syncCond.Broadcast()
 	l.syncMu.Unlock()
