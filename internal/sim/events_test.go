@@ -66,6 +66,8 @@ type queueCoverage struct {
 	intoDrained int   // pushes into the bucket being drained, with events pending there
 	behindClock int   // pushes into a bucket before the clock's
 	pastHorizon int   // pushes past the ring's horizon
+	edgeIn      int   // pushes into the ring's last bucket, just inside its horizon
+	edgeOut     int   // pushes into the first bucket past the horizon
 	ringEmpty   int   // pops that find the ring empty while far events wait
 	wraps       int64 // the most ring turns the clock made from the start
 }
@@ -96,6 +98,12 @@ func (p *queuePair) push(at int64) {
 		p.cov.behindClock++
 	case s-p.q.sec >= ringBuckets:
 		p.cov.pastHorizon++
+	}
+	switch s - p.q.sec {
+	case ringBuckets - 1:
+		p.cov.edgeIn++
+	case ringBuckets:
+		p.cov.edgeOut++
 	}
 	p.seq++
 	p.q.push(event{at: at, seq: p.seq})
@@ -137,10 +145,13 @@ func (p *queuePair) drain() {
 // binary heap it replaced with random interleavings of pushes and pops and
 // requires identical pop sequences. The interleavings reach equal times,
 // pushes into the bucket being drained and behind the clock, pushes past
-// the ring's horizon and onto its edge, a ring that empties while far
-// events wait, and spans of days that wrap the ring many times.
+// the ring's horizon and onto either side of its edge, a ring that
+// empties while far events wait, and spans of days that wrap the ring many
+// times. Draws relative to a bucket or to the ring are in bucketNanos, so
+// they keep their meaning whatever the calendar's geometry.
 func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 	sec := int64(time.Second)
+	horizon := ringBuckets * bucketNanos
 	start := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC).UnixNano()
 	cov := &queueCoverage{}
 	rng := rand.New(rand.NewSource(19))
@@ -152,16 +163,16 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 		case u < 15 && len(recent) > 0: // an equal time
 			return recent[rng.Intn(len(recent))]
 		case u < 30: // the clock's own bucket, on either side of the clock
-			return c - c%sec + rng.Int63n(sec)
+			return c - c%bucketNanos + rng.Int63n(bucketNanos)
 		case u < 40: // behind the clock, up to three ring turns back
-			return c - rng.Int63n(3*ringBuckets*sec)
+			return c - rng.Int63n(3*horizon)
 		case u < 75: // within the ring
-			return c + rng.Int63n(ringBuckets*sec)
+			return c + rng.Int63n(horizon)
 		case u < 90: // past the horizon, up to three days on
-			return c + ringBuckets*sec + rng.Int63n(3*24*3600*sec)
+			return c + horizon + rng.Int63n(3*24*3600*sec)
 		default: // on the horizon's edge
-			edge := (p.q.sec + ringBuckets + int64(rng.Intn(3)) - 1) * sec
-			return edge + []int64{0, 1, sec - 1}[rng.Intn(3)]
+			edge := (p.q.sec + ringBuckets + int64(rng.Intn(3)) - 1) * bucketNanos
+			return edge + []int64{0, 1, bucketNanos - 1}[rng.Intn(3)]
 		}
 	}
 
@@ -215,17 +226,17 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 		p := newQueuePair(t, start, cov)
 		for round := 0; round < 50; round++ {
 			for i := 0; i < 100; i++ { // hours to days past the horizon
-				p.push(p.clock + ringBuckets*sec + rng.Int63n(4*24*3600*sec))
+				p.push(p.clock + horizon + rng.Int63n(4*24*3600*sec))
 			}
 			for i := 0; i < 100; i++ {
-				p.push(p.clock + rng.Int63n(ringBuckets*sec))
+				p.push(p.clock + rng.Int63n(horizon))
 			}
 			// Pop until the ring has emptied and the clock has jumped into
 			// the far events a few times, pushing near the clock now and
 			// then.
 			for i := 0; i < 160 && p.pop(); i++ {
 				if rng.Intn(4) == 0 {
-					p.push(p.clock + rng.Int63n(2*sec))
+					p.push(p.clock + rng.Int63n(2*bucketNanos))
 				}
 			}
 		}
@@ -236,7 +247,8 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 	}
 	t.Logf("coverage: %+v", *cov)
 	if cov.ties == 0 || cov.intoDrained == 0 || cov.behindClock == 0 ||
-		cov.pastHorizon == 0 || cov.ringEmpty == 0 || cov.wraps < 2 {
+		cov.pastHorizon == 0 || cov.edgeIn == 0 || cov.edgeOut == 0 ||
+		cov.ringEmpty == 0 || cov.wraps < 2 {
 		t.Fatalf("the interleavings missed a case: %+v", *cov)
 	}
 }
